@@ -22,15 +22,11 @@ class Tolerances:
     trace: float = 1e-10    # density-operator trace deviation from 1
     psd: float = 1e-10      # density-operator eigenvalue floor (>= -psd)
     rank: float = 1e-8      # rank-revealing cutoff and eigenvalue clustering
-    meet: float = 1e-8      # agreement of the two subspace-meet routes
     equiv: float = 1e-9     # property-class representative comparison
     incl: float = 1e-9      # subspace-inclusion residual Q P - P
     commute: float = 1e-9   # cross-context commutator threshold
     consist: float = 1e-9   # history consistency trace threshold
     prob: float = 1e-10     # probability clamping / null-condition threshold
-    comp: float = 1e-10     # evolution composition-law residual
-    orth: float = 1e-10     # eigenvector orthonormality residual
-    recon: float = 1e-10    # spectral reconstruction residual
 
     def updated(self, **overrides: float) -> Tolerances:
         """Return a copy with the given fields replaced."""

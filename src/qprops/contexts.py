@@ -25,11 +25,12 @@ from .errors import (
     InvariantViolation,
     TimeOrderViolation,
 )
-from .lattice import TimedProperty, translate
 from .linop import (
     DensityOperator,
     HermitianOperator,
     Projector,
+    commutator_residuals,
+    evolution_operator,
     max_entry_norm,
 )
 
@@ -124,6 +125,21 @@ class Context:
     def __len__(self) -> int:
         return len(self._atoms)
 
+    def translated(
+        self,
+        t_to: float,
+        hamiltonian: HermitianOperator,
+        hbar: float = 1.0,
+        *,
+        tols: Tolerances = DEFAULT_TOLERANCES,
+    ) -> tuple[Projector, ...]:
+        """The atoms moved to ``t_to``, all conjugated by one evolution operator."""
+        if self.dim != hamiltonian.dim:
+            raise DimensionMismatch("context and Hamiltonian dimensions differ")
+        u = evolution_operator(hamiltonian, self._time, t_to, hbar, tols=tols)
+        moved = u.transform(np.stack([atom.matrix for atom in self._atoms]))
+        return tuple(Projector(m, tols=tols) for m in moved)
+
     def __repr__(self) -> str:
         return f"Context(time={self._time}, atoms={len(self._atoms)}, dim={self.dim})"
 
@@ -144,44 +160,24 @@ def validate_context(
     return Context(time, atoms, labels, tols=tols)
 
 
-def _translated_atom_matrices(
-    contexts: Sequence[Context],
-    ref_time: float,
-    hamiltonian: HermitianOperator,
-    hbar: float,
-    tols: Tolerances,
-) -> list[list[np.ndarray]]:
-    translated = []
-    for ctx in contexts:
-        moved = [
-            translate(
-                TimedProperty(atom, ctx.time), ref_time, hamiltonian, hbar, tols=tols
-            ).projector.matrix
-            for atom in ctx.atoms
-        ]
-        translated.append(moved)
-    return translated
-
-
 def _commutation_failures(
     contexts: Sequence[Context],
-    translated: list[list[np.ndarray]],
+    translated: Sequence[Sequence[Projector]],
     tols: Tolerances,
 ) -> list[tuple[tuple[int, str], tuple[int, str], float]]:
+    stacks = [np.stack([p.matrix for p in atoms]) for atoms in translated]
     failures = []
     for a in range(len(contexts)):
         for b in range(a + 1, len(contexts)):
-            for i, mat_a in enumerate(translated[a]):
-                for j, mat_b in enumerate(translated[b]):
-                    residual = max_entry_norm(mat_a @ mat_b - mat_b @ mat_a)
-                    if residual > tols.commute:
-                        failures.append(
-                            (
-                                (a, contexts[a].labels[i]),
-                                (b, contexts[b].labels[j]),
-                                residual,
-                            )
-                        )
+            residuals = commutator_residuals(stacks[a][:, None], stacks[b][None, :])
+            for i, j in zip(*np.nonzero(residuals > tols.commute)):
+                failures.append(
+                    (
+                        (a, contexts[a].labels[i]),
+                        (b, contexts[b].labels[j]),
+                        float(residuals[i, j]),
+                    )
+                )
     return failures
 
 
@@ -189,10 +185,14 @@ class GeneralizedContext:
     """Contexts at several times whose atoms commute at a common time.
 
     Construction translates every atom to ``ref_time``, requires all
-    cross-context commutators to vanish within ``tols.commute`` (the check is
-    repeated at a second, deterministically drawn reference time, where the
-    condition must hold as well), and builds the composed atoms as ordered
-    products indexed by label tuples.
+    cross-context commutators to vanish within ``tols.commute``, and builds
+    the composed atoms as ordered products indexed by label tuples.
+
+    The verdict does not depend on ``ref_time``: moving every atom to another
+    time conjugates each commutator by one unitary V, so a commutator that
+    vanishes at one time vanishes at all of them.  Since
+    |V X V^dag|_max <= d |X|_max, only a residual within a factor d of
+    ``tols.commute`` could read differently at another time.
     """
 
     def __init__(
@@ -219,8 +219,8 @@ class GeneralizedContext:
                 f"context times must be strictly increasing, got {times}"
             )
 
-        translated = _translated_atom_matrices(
-            contexts, ref_time, hamiltonian, hbar, tols
+        translated = tuple(
+            ctx.translated(ref_time, hamiltonian, hbar, tols=tols) for ctx in contexts
         )
         failures = _commutation_failures(contexts, translated, tols)
         if failures:
@@ -231,29 +231,11 @@ class GeneralizedContext:
                 failures,
             )
 
-        # the compatibility condition does not depend on the meeting time;
-        # spot-check it at a second, deterministically drawn reference time
-        alt_seed = abs(hash((float(ref_time), *map(float, times)))) % 2**32
-        span = max(times) - min(times + [ref_time])
-        alt_time = ref_time + float(
-            np.random.default_rng(alt_seed).uniform(0.5, 1.5)
-        ) * max(1.0, span)
-        alt_translated = _translated_atom_matrices(
-            contexts, alt_time, hamiltonian, hbar, tols
-        )
-        alt_failures = _commutation_failures(contexts, alt_translated, tols)
-        if alt_failures:
-            raise IncompatibleContexts(
-                f"commutation holds at t={ref_time!r} but fails at the "
-                f"re-check time t={alt_time!r}",
-                alt_failures,
-            )
-
         composed: dict[LabelTuple, Projector] = {}
         for combo in itertools.product(*(range(len(c)) for c in contexts)):
-            product = translated[0][combo[0]]
+            product = translated[0][combo[0]].matrix
             for k in range(1, len(contexts)):
-                product = product @ translated[k][combo[k]]
+                product = product @ translated[k][combo[k]].matrix
             label = tuple(contexts[k].labels[combo[k]] for k in range(len(contexts)))
             composed[label] = Projector(product, tols=tols)
 
@@ -263,9 +245,7 @@ class GeneralizedContext:
         self._ref_time = float(ref_time)
         self._hamiltonian = hamiltonian
         self._hbar = float(hbar)
-        self._translated = tuple(
-            tuple(Projector(m, tols=tols) for m in mats) for mats in translated
-        )
+        self._translated = translated
         self._composed = composed
 
     @staticmethod
@@ -389,9 +369,9 @@ def property_projector(
     """Projector represented by the property: the sum of its composed atoms."""
     gc = prop.parent
     total = np.zeros((gc.dim, gc.dim), dtype=np.complex128)
-    for label in gc.label_tuples:
+    for label, atom in gc._composed.items():
         if label in prop.selected:
-            total += gc.composed_atoms[label].matrix
+            total += atom.matrix
     return Projector(total, tols=tols)
 
 
@@ -412,9 +392,9 @@ def composite_probability(
     if rho.dim != gc.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs context dim {gc.dim}")
     value = 0.0
-    for label in gc.label_tuples:
+    for label, atom in gc._composed.items():
         if label in prop.selected:
-            value += float(np.trace(rho.matrix @ gc.composed_atoms[label].matrix).real)
+            value += float(np.trace(rho.matrix @ atom.matrix).real)
     if value < -tols.prob or value > 1.0 + tols.prob:
         raise InvariantViolation(
             f"probability {value!r} lies outside [0, 1] beyond {tols.prob:.1e}"

@@ -27,12 +27,12 @@ from .errors import (
     TimeOrderViolation,
     UnsupportedShape,
 )
+from .lattice import TimedProperty, translate
 from .linop import (
     DensityOperator,
     HermitianOperator,
     Operator,
     Projector,
-    evolution_operator,
 )
 
 __all__ = [
@@ -60,11 +60,13 @@ def heisenberg_projector(
 ) -> Projector:
     """Conjugate an atom into the Heisenberg picture at the reference time.
 
-    Returns exp(+iH(t-t0)/hbar) E exp(-iH(t-t0)/hbar); this coincides with
-    translating the property from its event time to the reference time.
+    Returns exp(+iH(t-t0)/hbar) E exp(-iH(t-t0)/hbar), which is
+    ``lattice.translate`` of the property from its event time to the
+    reference time.
     """
-    w = evolution_operator(hamiltonian, event_time, ref_time, hbar, tols=tols).matrix
-    return Projector(w @ E.matrix @ w.conj().T, tols=tols)
+    return translate(
+        TimedProperty(E, event_time), ref_time, hamiltonian, hbar, tols=tols
+    ).projector
 
 
 class HistoryFamily:
@@ -111,12 +113,7 @@ class HistoryFamily:
         self._initial_state = initial_state
         self._tols = tols
         self._atoms_ref = tuple(
-            tuple(
-                heisenberg_projector(
-                    atom, ctx.time, initial_time, hamiltonian, hbar, tols=tols
-                )
-                for atom in ctx.atoms
-            )
+            ctx.translated(initial_time, hamiltonian, hbar, tols=tols)
             for ctx in contexts
         )
 

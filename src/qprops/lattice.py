@@ -108,9 +108,8 @@ def translate(
         raise DimensionMismatch(
             f"projector dim {p.projector.dim} vs Hamiltonian dim {hamiltonian.dim}"
         )
-    u = evolution_operator(hamiltonian, p.time, t_to, hbar, tols=tols).matrix
-    moved = u @ p.projector.matrix @ u.conj().T
-    return TimedProperty(Projector(moved, tols=tols), t_to)
+    u = evolution_operator(hamiltonian, p.time, t_to, hbar, tols=tols)
+    return TimedProperty(Projector(u.transform(p.projector.matrix), tols=tols), t_to)
 
 
 def class_of(

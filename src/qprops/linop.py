@@ -9,6 +9,7 @@ dimensions beyond a few dozen.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -40,6 +41,7 @@ __all__ = [
     "subspace_intersection",
     "alternating_projection_limit",
     "commutator_norm",
+    "commutator_residuals",
     "subspace_inclusion",
     "max_entry_norm",
 ]
@@ -90,7 +92,12 @@ class Operator:
 
 
 class HermitianOperator(Operator):
-    """Operator constrained to be self-adjoint within ``tols.herm``."""
+    """Operator constrained to be self-adjoint within ``tols.herm``.
+
+    The eigendecomposition is computed on first use and kept: the matrix is
+    read-only, so every evolution and spectral decomposition of one operator
+    shares a single ``eigh``.
+    """
 
     def __init__(self, matrix, *, tols: Tolerances = DEFAULT_TOLERANCES):
         super().__init__(matrix)
@@ -104,6 +111,14 @@ class HermitianOperator(Operator):
     @classmethod
     def zero(cls, dim: int) -> "HermitianOperator":
         return cls(np.zeros((dim, dim), dtype=np.complex128))
+
+    @functools.cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and orthonormal eigenvectors (as columns)."""
+        w, v = np.linalg.eigh(self._matrix)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
 
 
 class Projector(HermitianOperator):
@@ -156,6 +171,10 @@ class UnitaryOperator(Operator):
     def inverse(self) -> "UnitaryOperator":
         return UnitaryOperator(self._matrix.conj().T)
 
+    def transform(self, matrices) -> np.ndarray:
+        """U M U^dag for one matrix or each matrix of a (..., d, d) stack."""
+        return self._matrix @ matrices @ self._matrix.conj().T
+
 
 class DensityOperator(HermitianOperator):
     """State operator: self-adjoint, unit trace, positive semidefinite."""
@@ -196,8 +215,7 @@ class DensityOperator(HermitianOperator):
         tols: Tolerances = DEFAULT_TOLERANCES,
     ) -> "DensityOperator":
         """Conjugated state U rho U^dag."""
-        u = unitary.matrix
-        return DensityOperator(u @ self._matrix @ u.conj().T, tols=tols)
+        return DensityOperator(unitary.transform(self._matrix), tols=tols)
 
 
 @dataclass(frozen=True)
@@ -242,7 +260,7 @@ def spectral_decompose(
     """
     if not isinstance(A, HermitianOperator):
         A = HermitianOperator(np.asarray(A, dtype=np.complex128), tols=tols)
-    w, v = np.linalg.eigh(A.matrix)
+    w, v = A.eigensystem
     spaces: list[EigenSpace] = []
     start = 0
     for i in range(1, len(w) + 1):
@@ -302,10 +320,10 @@ def evolution_operator(
     *,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> UnitaryOperator:
-    """Unitary exp(-i H (t_to - t_from) / hbar) via eigendecomposition."""
+    """Unitary exp(-i H (t_to - t_from) / hbar) via the cached eigensystem of H."""
     if hbar <= 0.0:
         raise InvariantViolation(f"hbar must be positive, got {hbar!r}")
-    w, v = np.linalg.eigh(H.matrix)
+    w, v = H.eigensystem
     phases = np.exp(-1j * w * (t_to - t_from) / hbar)
     return UnitaryOperator((v * phases) @ v.conj().T, tols=tols)
 
@@ -399,10 +417,15 @@ def alternating_projection_limit(
     return Projector(kept @ kept.conj().T, tols=tols)
 
 
+def commutator_residuals(a, b) -> np.ndarray:
+    """Max-entry magnitude of A B - B A per pair of broadcast (..., d, d) stacks."""
+    return np.abs(a @ b - b @ a).max(axis=(-2, -1))
+
+
 def commutator_norm(A: Operator, B: Operator) -> float:
     """Max-entry magnitude of the commutator A B - B A."""
     _require_same_dim(A, B)
-    return max_entry_norm(A.matrix @ B.matrix - B.matrix @ A.matrix)
+    return float(commutator_residuals(A.matrix, B.matrix))
 
 
 def subspace_inclusion(

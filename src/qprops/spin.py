@@ -25,8 +25,8 @@ from .linop import (
     DensityOperator,
     HermitianOperator,
     Projector,
+    commutator_residuals,
     evolution_operator,
-    max_entry_norm,
 )
 
 __all__ = [
@@ -168,22 +168,18 @@ def compatible_directions(
     """
     if hamiltonian is None:
         hamiltonian = HermitianOperator.zero(2)
-    u1 = evolution_operator(hamiltonian, t1, t0, hbar, tols=tols).matrix
-    u2 = evolution_operator(hamiltonian, t2, t0, hbar, tols=tols).matrix
-    fixed = [
-        u2 @ p.matrix @ u2.conj().T for p in spin_projectors(n2, tols=tols)
-    ]
-    kept = []
-    for n1 in grid:
-        moved = [
-            u1 @ p.matrix @ u1.conj().T for p in spin_projectors(n1, tols=tols)
-        ]
-        residual = max(
-            max_entry_norm(a @ b - b @ a) for a in moved for b in fixed
-        )
-        if residual <= tols.commute:
-            kept.append(n1)
-    return kept
+    u1 = evolution_operator(hamiltonian, t1, t0, hbar, tols=tols)
+    u2 = evolution_operator(hamiltonian, t2, t0, hbar, tols=tols)
+    fixed = u2.transform(np.stack([p.matrix for p in spin_projectors(n2, tols=tols)]))
+    pairs = np.empty((len(grid), 2, 2, 2), dtype=np.complex128)
+    for k, n1 in enumerate(grid):
+        pairs[k] = [p.matrix for p in spin_projectors(n1, tols=tols)]
+    moved = u1.transform(pairs)
+    # one fixed atom at a time keeps the temporaries at the size of ``moved``
+    residuals = np.max(
+        [commutator_residuals(moved, f).max(axis=1) for f in fixed], axis=0
+    )
+    return [n1 for n1, residual in zip(grid, residuals) if residual <= tols.commute]
 
 
 def _direction_search(check, n0, n2, grid, rho, hamiltonian, hbar, t0, t1, t2, tols):

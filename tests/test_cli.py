@@ -298,3 +298,9 @@ class TestInputErrors:
         code, _, err = run_json(capsys, "gc-check", ZZ, "--tol", "bogus=1")
         assert code == 2
         assert "unknown tolerance" in err
+
+    @pytest.mark.parametrize("name", ["meet", "comp", "orth", "recon"])
+    def test_removed_tolerance_names_are_unknown(self, capsys, name):
+        code, _, err = run_json(capsys, "gc-check", ZZ, "--tol", f"{name}=5")
+        assert code == 2
+        assert "unknown tolerance" in err

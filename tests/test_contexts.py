@@ -10,6 +10,8 @@ from helpers import (
     random_density,
     random_generalized_context,
     random_hermitian,
+    random_projector,
+    shared_basis_contexts,
 )
 from qprops.contexts import (
     Context,
@@ -127,6 +129,29 @@ class TestBuildGeneralizedContext:
             for i in range(len(mats)):
                 for j in range(i + 1, len(mats)):
                     assert max_entry_norm(mats[i] @ mats[j]) < 1e-10
+
+    def test_verdict_is_independent_of_the_reference_time(self, rng):
+        ref_times = (-1.3, 0.0, 0.8, 4.5)
+        for k in range(12):
+            dim = int(rng.integers(2, 6))
+            h = random_hermitian(rng, dim)
+            if k % 2:
+                contexts = shared_basis_contexts(rng, dim, 3, h)
+            else:
+                contexts = []
+                for t in (1.0, 2.0, 3.0):
+                    p = random_projector(rng, dim)
+                    contexts.append(Context(t, [p, p.complement()]))
+            outcomes = set()
+            for ref_time in ref_times:
+                try:
+                    build_generalized_context(contexts, ref_time, h)
+                except IncompatibleContexts as err:
+                    outcomes.add(tuple((a, b) for a, b, _ in err.pairs))
+                else:
+                    outcomes.add("accepted")
+            assert len(outcomes) == 1
+            assert (outcomes == {"accepted"}) == bool(k % 2)
 
     def test_composed_product_order_is_irrelevant(self, rng):
         for _ in range(10):

@@ -9,6 +9,7 @@ from helpers import (
     random_generalized_context,
     random_hermitian,
     random_projector,
+    shared_basis_contexts,
     spin_pair,
 )
 from qprops.contexts import (
@@ -287,6 +288,24 @@ class TestFamilyFromGeneralizedContext:
             assert report.probabilities[choices] == pytest.approx(
                 atom.rank / 4.0, abs=1e-10
             )
+
+    def test_one_eigendecomposition_per_hamiltonian(self, rng, monkeypatch):
+        setup_h = random_hermitian(rng, 4)
+        contexts = shared_basis_contexts(rng, 4, 3, setup_h)
+        rho = random_density(rng, 4)
+        h = HermitianOperator(setup_h.matrix)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(matrix, *args, **kwargs):
+            calls.append(np.array(matrix))
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        gc = build_generalized_context(contexts, 0.0, h)
+        assert gmh_check(family_from_generalized_context(gc, rho)).verdict
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], h.matrix)
 
     def test_theorem_on_random_generalized_contexts(self, rng):
         for _ in range(20):
