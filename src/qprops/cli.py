@@ -61,6 +61,10 @@ from .specio import (
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
 
+# Largest ``spin-search --grid-count``: the searches hold a few (N, 4, 2, 2)
+# complex stacks at once, a few MiB at this size.
+MAX_GRID_COUNT = 10_000
+
 
 @dataclass
 class Report:
@@ -359,6 +363,10 @@ def cmd_spin_search(spec: SystemSpec, args, tols: Tolerances):
         raise ValidationError(
             f"intermediate time {t1!r} must lie inside ({t0!r}, {t2!r})"
         )
+    if not 0 <= args.grid_count <= MAX_GRID_COUNT:
+        raise ValidationError(
+            f"--grid-count must lie in [0, {MAX_GRID_COUNT}], got {args.grid_count}"
+        )
     grid = sphere_grid(args.grid_count)
     if args.mode == "commute":
         kept = compatible_directions(
@@ -420,6 +428,9 @@ def _tolerance_overrides(pairs: list[str] | None) -> dict[str, float]:
             overrides[name] = float(raw)
         except ValueError as err:
             raise ValidationError(f"tolerance {name!r} needs a numeric value") from err
+        # a NaN threshold would let every `residual > tol` check pass
+        if not np.isfinite(overrides[name]):
+            raise ValidationError(f"tolerance {name!r} must be finite, got {raw!r}")
     return overrides
 
 
@@ -472,7 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
         "spin-search", parents=[common], help="scan directions for a compatible middle context"
     )
     p.add_argument("--mode", choices=("commute", "gmh", "griffiths"), required=True)
-    p.add_argument("--grid-count", type=int, default=2000)
+    p.add_argument(
+        "--grid-count",
+        type=int,
+        default=2000,
+        help=f"spiral points besides the 6 axes, 0 to {MAX_GRID_COUNT}",
+    )
     p.add_argument("--t1", type=float, default=None, help="intermediate time")
     return parser
 
@@ -487,6 +503,10 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return INPUT_ERROR
     except QpropsError as err:
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return INPUT_ERROR
+    except Exception as err:
+        # exit 1 is reserved for a check that ran and failed
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return INPUT_ERROR
     emit(report, args.format)

@@ -37,6 +37,7 @@ from .linop import (
 __all__ = [
     "Context",
     "GeneralizedContext",
+    "check_context_laws",
     "CompositeProperty",
     "validate_context",
     "build_generalized_context",
@@ -49,6 +50,41 @@ __all__ = [
 ]
 
 LabelTuple = tuple[str, ...]
+
+
+def check_context_laws(
+    atoms: np.ndarray,
+    labels: Sequence[str],
+    *,
+    tols: Tolerances = DEFAULT_TOLERANCES,
+) -> None:
+    """Exclusivity and completeness of a (..., k, d, d) stack of atom families.
+
+    With no leading axes this is the check ``Context`` makes on its atoms;
+    with leading axes every family of the stack is checked in one pass, and
+    each reported residual is the worst over the stack.  Raises
+    ``ExclusivityViolation`` with (i, j, residual) per offending atom pair,
+    or ``CompletenessViolation`` with the deviation of the atom sum from I.
+    """
+    exclusivity = []
+    for i, j in itertools.combinations(range(atoms.shape[-3]), 2):
+        residual = max_entry_norm(atoms[..., i, :, :] @ atoms[..., j, :, :])
+        if not residual <= tols.proj:
+            exclusivity.append((i, j, residual))
+    if exclusivity:
+        worst = max(exclusivity, key=lambda v: v[2])
+        raise ExclusivityViolation(
+            f"atoms {labels[worst[0]]!r} and {labels[worst[1]]!r} have "
+            f"non-zero product (residual {worst[2]:.3e}); "
+            f"{len(exclusivity)} offending pair(s) in total",
+            exclusivity,
+        )
+    residual = max_entry_norm(atoms.sum(axis=-3) - np.eye(atoms.shape[-1]))
+    if not residual <= tols.proj:
+        raise CompletenessViolation(
+            f"atom sum deviates from identity by {residual:.3e}",
+            (residual,),
+        )
 
 
 class Context:
@@ -80,27 +116,7 @@ class Context:
             if len(set(labels)) != len(labels):
                 raise InvariantViolation("atom labels must be unique")
 
-        exclusivity = []
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                residual = max_entry_norm(atoms[i].matrix @ atoms[j].matrix)
-                if residual > tols.proj:
-                    exclusivity.append((i, j, residual))
-        if exclusivity:
-            worst = max(exclusivity, key=lambda v: v[2])
-            raise ExclusivityViolation(
-                f"atoms {labels[worst[0]]!r} and {labels[worst[1]]!r} have "
-                f"non-zero product (residual {worst[2]:.3e}); "
-                f"{len(exclusivity)} offending pair(s) in total",
-                exclusivity,
-            )
-        total = sum(atom.matrix for atom in atoms)
-        residual = max_entry_norm(total - np.eye(dim))
-        if residual > tols.proj:
-            raise CompletenessViolation(
-                f"atom sum deviates from identity by {residual:.3e}",
-                (residual,),
-            )
+        check_context_laws(np.stack([atom.matrix for atom in atoms]), labels, tols=tols)
 
         self._time = float(time)
         self._atoms = atoms

@@ -44,6 +44,10 @@ __all__ = [
     "history_probability",
     "gmh_check",
     "griffiths_check",
+    "history_operators",
+    "decoherence_gram",
+    "gmh_residuals",
+    "real_part_residuals",
     "family_from_generalized_context",
     "omnes_implies",
 ]
@@ -249,16 +253,49 @@ class ConsistencyReport:
         return max((v[2] for v in self.violations), default=0.0)
 
 
-def _decoherence_gram(
-    family: HistoryFamily, rho: DensityOperator
-) -> tuple[tuple[LabelTuple, ...], np.ndarray]:
-    """Matrix of cross-history traces Tr(C_a rho C_b^dag) over the grid."""
-    grid = family.label_grid
-    ops = np.stack([family._operator_matrix(choices) for choices in grid])
-    n, d = ops.shape[0], ops.shape[1]
-    weighted = (ops @ rho.matrix).reshape(n, d * d)
-    flat = ops.reshape(n, d * d)
-    return grid, weighted @ flat.conj().T
+def history_operators(atoms: Sequence[np.ndarray]) -> np.ndarray:
+    """Every history operator from per-time (..., k_t, d, d) atom stacks.
+
+    Returns the (..., k_1 * ... * k_T, d, d) stack of time-ordered products,
+    latest atom leftmost, in ``itertools.product`` order over the per-time
+    atoms (the ``label_grid`` order).  Leading axes broadcast.
+    """
+    product = atoms[0]
+    for later in atoms[1:]:
+        product = later[..., None, :, :, :] @ product[..., :, None, :, :]
+        lead, (k, m, d, _) = product.shape[:-4], product.shape[-4:]
+        product = product.reshape(lead + (k * m, d, d))
+    return product
+
+
+def decoherence_gram(histories: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Cross-history traces Tr(C_a rho C_b^dag) of a (..., n, d, d) stack.
+
+    Returns the (..., n, n) gram matrices; the diagonal holds the history
+    probability weights.
+    """
+    lead, n, d = histories.shape[:-3], histories.shape[-3], histories.shape[-1]
+    weighted = (histories @ rho).reshape(lead + (n, d * d))
+    flat = histories.reshape(lead + (n, d * d))
+    return weighted @ np.swapaxes(flat.conj(), -1, -2)
+
+
+def gmh_residuals(gram: np.ndarray) -> np.ndarray:
+    """Magnitudes |gram[a, b]| for every a < b of (..., n, n) gram matrices.
+
+    The last axis runs over the pairs in row-major order; the swapped trace
+    is the complex conjugate, so each unordered pair appears once.
+    """
+    a, b = np.triu_indices(gram.shape[-1], 1)
+    pairs = gram[..., a, b]
+    # hypot rounds like the scalar abs(); numpy's vectorized complex abs can
+    # differ from it in the last bit
+    return np.hypot(pairs.real, pairs.imag)
+
+
+def real_part_residuals(e1, e1_bar, e2, rho) -> np.ndarray:
+    """|Re Tr(E1 rho E1c E2)| for each entry of broadcast (..., d, d) stacks."""
+    return np.abs(np.trace(e1 @ rho @ e1_bar @ e2, axis1=-2, axis2=-1).real)
 
 
 def gmh_check(
@@ -269,13 +306,19 @@ def gmh_check(
     Each unordered pair is evaluated once (the swapped trace is the complex
     conjugate) and reported with the magnitude of its trace.
     """
-    grid, gram = _decoherence_gram(family, family.initial_state)
-    violations = []
-    for a in range(len(grid)):
-        for b in range(a + 1, len(grid)):
-            residual = abs(gram[a, b])
-            if residual > tols.consist:
-                violations.append((grid[a], grid[b], float(residual)))
+    grid = family.label_grid
+    gram = decoherence_gram(
+        history_operators(
+            [np.stack([p.matrix for p in atoms]) for atoms in family.heisenberg_atoms]
+        ),
+        family.initial_state.matrix,
+    )
+    pairs = zip(*np.triu_indices(len(grid), 1))
+    violations = [
+        (grid[a], grid[b], float(residual))
+        for (a, b), residual in zip(pairs, gmh_residuals(gram))
+        if residual > tols.consist
+    ]
     probabilities = {
         choices: max(0.0, float(gram[k, k].real)) for k, choices in enumerate(grid)
     }
@@ -301,9 +344,11 @@ def griffiths_check(
             "two atoms per time"
         )
     (e1, e1_bar), (e2, _) = family.heisenberg_atoms
-    rho = family.initial_state.matrix
-    trace = complex(np.trace(e1.matrix @ rho @ e1_bar.matrix @ e2.matrix))
-    residual = abs(trace.real)
+    residual = float(
+        real_part_residuals(
+            e1.matrix, e1_bar.matrix, e2.matrix, family.initial_state.matrix
+        )
+    )
     labels1, labels2 = (ctx.labels for ctx in family.contexts)
     violations = []
     if residual > tols.consist:

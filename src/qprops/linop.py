@@ -44,6 +44,7 @@ __all__ = [
     "commutator_residuals",
     "subspace_inclusion",
     "max_entry_norm",
+    "check_projector_stack",
 ]
 
 
@@ -52,6 +53,12 @@ def _as_square_complex(matrix) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvariantViolation(f"expected a square matrix, got shape {arr.shape}")
     return arr
+
+
+def _check_finite(matrices: np.ndarray) -> None:
+    # every residual compared with a tolerance below is NaN for such input
+    if not np.all(np.isfinite(matrices)):
+        raise InvariantViolation("matrix has non-finite (NaN or infinite) entries")
 
 
 def max_entry_norm(matrix) -> float:
@@ -69,6 +76,7 @@ class Operator:
 
     def __init__(self, matrix):
         arr = _as_square_complex(matrix)
+        _check_finite(arr)
         arr.setflags(write=False)
         self._matrix = arr
 
@@ -91,6 +99,41 @@ class Operator:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
+def _check_hermitian(matrices: np.ndarray, tols: Tolerances) -> None:
+    """Raise ``NonHermitianInput`` unless each matrix of a (..., d, d) stack
+    is self-adjoint within ``tols.herm``; the message gives the worst one."""
+    residual = max_entry_norm(matrices - np.swapaxes(matrices, -1, -2).conj())
+    if not residual <= tols.herm:
+        raise NonHermitianInput(
+            f"matrix deviates from self-adjointness by {residual:.3e} "
+            f"(tolerance {tols.herm:.1e})"
+        )
+
+
+def _check_idempotent(matrices: np.ndarray, tols: Tolerances) -> None:
+    """Raise ``InvariantViolation`` unless each matrix of a (..., d, d) stack
+    satisfies P^2 = P within ``tols.proj``; the message gives the worst one."""
+    residual = max_entry_norm(matrices @ matrices - matrices)
+    if not residual <= tols.proj:
+        raise InvariantViolation(
+            f"matrix is not idempotent: |P^2 - P| = {residual:.3e} "
+            f"(tolerance {tols.proj:.1e})"
+        )
+
+
+def check_projector_stack(
+    matrices: np.ndarray, *, tols: Tolerances = DEFAULT_TOLERANCES
+) -> None:
+    """Run the ``Projector`` invariants on every matrix of a (..., d, d) stack.
+
+    One vectorized pass with the same checks, tolerances and exception types
+    as building a ``Projector`` from each matrix, without the objects.
+    """
+    _check_finite(matrices)
+    _check_hermitian(matrices, tols)
+    _check_idempotent(matrices, tols)
+
+
 class HermitianOperator(Operator):
     """Operator constrained to be self-adjoint within ``tols.herm``.
 
@@ -101,12 +144,7 @@ class HermitianOperator(Operator):
 
     def __init__(self, matrix, *, tols: Tolerances = DEFAULT_TOLERANCES):
         super().__init__(matrix)
-        residual = max_entry_norm(self._matrix - self._matrix.conj().T)
-        if residual > tols.herm:
-            raise NonHermitianInput(
-                f"matrix deviates from self-adjointness by {residual:.3e} "
-                f"(tolerance {tols.herm:.1e})"
-            )
+        _check_hermitian(self._matrix, tols)
 
     @classmethod
     def zero(cls, dim: int) -> "HermitianOperator":
@@ -126,12 +164,7 @@ class Projector(HermitianOperator):
 
     def __init__(self, matrix, *, tols: Tolerances = DEFAULT_TOLERANCES):
         super().__init__(matrix, tols=tols)
-        residual = max_entry_norm(self._matrix @ self._matrix - self._matrix)
-        if residual > tols.proj:
-            raise InvariantViolation(
-                f"matrix is not idempotent: |P^2 - P| = {residual:.3e} "
-                f"(tolerance {tols.proj:.1e})"
-            )
+        _check_idempotent(self._matrix, tols)
         self._rank = int(round(float(np.trace(self._matrix).real)))
 
     @property

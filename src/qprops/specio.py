@@ -10,6 +10,7 @@ direction (dimension-2 systems).  Complex entries are written as two-element
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,16 +58,20 @@ def _parse_scalar(value, where: str) -> complex:
     if isinstance(value, bool):
         raise ParseError(f"{where}: booleans are not matrix entries")
     if isinstance(value, (int, float)):
-        return complex(value)
-    if (
+        z = complex(value)
+    elif (
         isinstance(value, (list, tuple))
         and len(value) == 2
         and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value)
     ):
-        return complex(value[0], value[1])
-    raise ParseError(
-        f"{where}: expected a number or a [re, im] pair, got {value!r}"
-    )
+        z = complex(value[0], value[1])
+    else:
+        raise ParseError(
+            f"{where}: expected a number or a [re, im] pair, got {value!r}"
+        )
+    if not cmath.isfinite(z):
+        raise ParseError(f"{where}: entry {value!r} is not finite")
+    return z
 
 
 def _parse_matrix(value, dim: int, where: str) -> np.ndarray:

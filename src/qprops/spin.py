@@ -7,6 +7,15 @@ directions passing the pairwise trace condition, and directions passing the
 two-time real-part condition.  With free dynamics the three answers are the
 single axis, the preparation/measurement axes, and two full great-circle
 planes, respectively.
+
+The searches are batched.  The grid becomes one (N, 2, 2, 2) stack of
+projector pairs (I +/- n.sigma)/2, validated with the projector and context
+checks in one pass, translated to the initial time with one evolution
+operator and validated again.  One stacked kernel per mode then scores all
+points: ``linop.commutator_residuals``, or the ``histories`` kernels that
+``gmh_check`` and ``griffiths_check`` themselves use.  No per-direction
+``Projector``, ``Context`` or ``HistoryFamily`` is built, yet every verdict
+is the one those objects would give.
 """
 
 from __future__ import annotations
@@ -18,13 +27,19 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .contexts import Context
-from .errors import NonUnitDirection
-from .histories import HistoryFamily, gmh_check, griffiths_check
+from .contexts import Context, check_context_laws
+from .errors import DimensionMismatch, NonUnitDirection, TimeOrderViolation
+from .histories import (
+    decoherence_gram,
+    gmh_residuals,
+    history_operators,
+    real_part_residuals,
+)
 from .linop import (
     DensityOperator,
     HermitianOperator,
     Projector,
+    check_projector_stack,
     commutator_residuals,
     evolution_operator,
 )
@@ -48,6 +63,10 @@ __all__ = [
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+
+_PAULI = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
+_LABELS = ("+", "-")
 
 _UNIT_NORM_TOL = 1e-12
 
@@ -93,22 +112,24 @@ AXIS_DIRECTIONS = (
 )
 
 
+def _spin_pairs(points: np.ndarray) -> np.ndarray:
+    """(..., 2, 2, 2) stack of (I + n.sigma)/2, (I - n.sigma)/2 per (..., 3) row."""
+    pointing = np.einsum("...k,kij->...ij", points, _PAULI)[..., None, :, :]
+    return (np.eye(2) + _SIGNS * pointing) / 2.0
+
+
 def spin_projectors(
     n: Direction, *, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[Projector, Projector]:
     """Rank-1 projector pair (I +/- n.sigma)/2 onto the spin-up/down states."""
-    pointing = n.x * PAULI_X + n.y * PAULI_Y + n.z * PAULI_Z
-    eye = np.eye(2, dtype=np.complex128)
-    return (
-        Projector((eye + pointing) / 2.0, tols=tols),
-        Projector((eye - pointing) / 2.0, tols=tols),
-    )
+    plus, minus = _spin_pairs(n.as_array())
+    return Projector(plus, tols=tols), Projector(minus, tols=tols)
 
 
 def direction_context(
     n: Direction,
     time: float,
-    labels: Sequence[str] = ("+", "-"),
+    labels: Sequence[str] = _LABELS,
     *,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> Context:
@@ -149,6 +170,81 @@ def _pure_state_along(n: Direction, tols: Tolerances) -> DensityOperator:
     return DensityOperator(spin_projectors(n, tols=tols)[0].matrix, tols=tols)
 
 
+def _translated_pairs(
+    points: np.ndarray,
+    t_from: float,
+    t_to: float,
+    hamiltonian: HermitianOperator,
+    hbar: float,
+    tols: Tolerances,
+) -> np.ndarray:
+    """Spin pairs along (..., 3) rows, checked and moved from t_from to t_to.
+
+    The pairs get the checks ``direction_context`` would make, and the moved
+    pairs those of ``Context.translated``, each as one vectorized pass.
+    """
+    pairs = _spin_pairs(points)
+    check_projector_stack(pairs, tols=tols)
+    check_context_laws(pairs, _LABELS, tols=tols)
+    u = evolution_operator(hamiltonian, t_from, t_to, hbar, tols=tols)
+    moved = u.transform(pairs)
+    check_projector_stack(moved, tols=tols)
+    return moved
+
+
+def _search_residuals(
+    mode: str,
+    n0: Direction | None,
+    n2: Direction,
+    grid: Sequence[Direction],
+    rho: DensityOperator | None,
+    hamiltonian: HermitianOperator | None,
+    hbar: float,
+    t0: float,
+    t1: float,
+    t2: float,
+    tols: Tolerances,
+) -> np.ndarray:
+    """Residual of every grid direction under one search, as one (N,) array.
+
+    Every pair is translated to ``t0``.  ``commute`` takes the largest of
+    the four cross commutators, ``gmh`` the largest off-diagonal entry of the
+    4x4 decoherence gram, ``griffiths`` the real-part trace; the search keeps
+    the directions whose residual lies within its tolerance.
+    """
+    if hamiltonian is None:
+        hamiltonian = HermitianOperator.zero(2)
+    if hamiltonian.dim != 2:
+        raise DimensionMismatch("state/Hamiltonian dimension differs from atoms")
+    points = np.array([(n.x, n.y, n.z) for n in grid], dtype=float).reshape(-1, 3)
+    moved = _translated_pairs(points, t1, t0, hamiltonian, hbar, tols)
+    fixed = _translated_pairs(n2.as_array(), t2, t0, hamiltonian, hbar, tols)
+    if mode == "commute":
+        # one fixed atom at a time keeps the temporaries at the size of ``moved``
+        return np.max(
+            [commutator_residuals(moved, f).max(axis=1) for f in fixed], axis=0
+        )
+    # the checks a per-direction ``HistoryFamily`` would make
+    if not t0 < t1 < t2:
+        raise TimeOrderViolation(
+            f"history times must satisfy t0 < t1 < t2, got {[t0, t1, t2]}"
+        )
+    if rho is None:
+        rho = _pure_state_along(n0, tols)
+    if rho.dim != 2:
+        raise DimensionMismatch("state/Hamiltonian dimension differs from atoms")
+    if mode == "gmh":
+        gram = decoherence_gram(history_operators([moved, fixed]), rho.matrix)
+        return gmh_residuals(gram).max(axis=-1)
+    return real_part_residuals(moved[:, 0], moved[:, 1], fixed[0], rho.matrix)
+
+
+def _kept(
+    grid: Sequence[Direction], residuals: np.ndarray, tol: float
+) -> list[Direction]:
+    return [n for n, residual in zip(grid, residuals) if residual <= tol]
+
+
 def compatible_directions(
     n2: Direction,
     grid: Sequence[Direction],
@@ -166,41 +262,10 @@ def compatible_directions(
     all four cross commutators stay below ``tols.commute``.  The verdict
     never consults a state.  Output order follows the grid.
     """
-    if hamiltonian is None:
-        hamiltonian = HermitianOperator.zero(2)
-    u1 = evolution_operator(hamiltonian, t1, t0, hbar, tols=tols)
-    u2 = evolution_operator(hamiltonian, t2, t0, hbar, tols=tols)
-    fixed = u2.transform(np.stack([p.matrix for p in spin_projectors(n2, tols=tols)]))
-    pairs = np.empty((len(grid), 2, 2, 2), dtype=np.complex128)
-    for k, n1 in enumerate(grid):
-        pairs[k] = [p.matrix for p in spin_projectors(n1, tols=tols)]
-    moved = u1.transform(pairs)
-    # one fixed atom at a time keeps the temporaries at the size of ``moved``
-    residuals = np.max(
-        [commutator_residuals(moved, f).max(axis=1) for f in fixed], axis=0
+    residuals = _search_residuals(
+        "commute", None, n2, grid, None, hamiltonian, hbar, t0, t1, t2, tols
     )
-    return [n1 for n1, residual in zip(grid, residuals) if residual <= tols.commute]
-
-
-def _direction_search(check, n0, n2, grid, rho, hamiltonian, hbar, t0, t1, t2, tols):
-    if hamiltonian is None:
-        hamiltonian = HermitianOperator.zero(2)
-    if rho is None:
-        rho = _pure_state_along(n0, tols)
-    fixed = direction_context(n2, t2, tols=tols)
-    kept = []
-    for n1 in grid:
-        family = HistoryFamily(
-            [direction_context(n1, t1, tols=tols), fixed],
-            hamiltonian,
-            t0,
-            rho,
-            hbar,
-            tols=tols,
-        )
-        if check(family, tols=tols).verdict:
-            kept.append(n1)
-    return kept
+    return _kept(grid, residuals, tols.commute)
 
 
 def gmh_directions(
@@ -218,11 +283,14 @@ def gmh_directions(
 ) -> list[Direction]:
     """Grid directions whose two-time family passes the pairwise trace check.
 
-    ``rho`` defaults to the pure state along ``n0``.
+    ``rho`` defaults to the pure state along ``n0``.  The verdict per
+    direction is that of ``gmh_check`` on the family of the direction's
+    context at ``t1`` and the n2 context at ``t2``.
     """
-    return _direction_search(
-        gmh_check, n0, n2, grid, rho, hamiltonian, hbar, t0, t1, t2, tols
+    residuals = _search_residuals(
+        "gmh", n0, n2, grid, rho, hamiltonian, hbar, t0, t1, t2, tols
     )
+    return _kept(grid, residuals, tols.consist)
 
 
 def griffiths_directions(
@@ -240,23 +308,27 @@ def griffiths_directions(
 ) -> list[Direction]:
     """Grid directions whose two-time family passes the real-part check.
 
-    ``rho`` defaults to the pure state along ``n0``.  For free dynamics the
+    ``rho`` defaults to the pure state along ``n0``.  The verdict per
+    direction is that of ``griffiths_check``.  For free dynamics the
     accepted set coincides pointwise with the vanishing of
     ``coplanarity_defect(n0, n1, n2)``.
     """
-    return _direction_search(
-        griffiths_check, n0, n2, grid, rho, hamiltonian, hbar, t0, t1, t2, tols
+    residuals = _search_residuals(
+        "griffiths", n0, n2, grid, rho, hamiltonian, hbar, t0, t1, t2, tols
     )
+    return _kept(grid, residuals, tols.consist)
 
 
 def antipodal_pairs(
     directions: Sequence[Direction], tol: float = 1e-9
 ) -> list[tuple[int, int]]:
-    """Index pairs of opposite directions; both members describe one context."""
+    """Index pairs (i < j) of opposite directions; both describe one context.
+
+    A pair counts when every component of n_i + n_j is within ``tol``.
+    """
+    points = np.array([(n.x, n.y, n.z) for n in directions], dtype=float)
     pairs = []
-    for i in range(len(directions)):
-        for j in range(i + 1, len(directions)):
-            gap = directions[i].as_array() + directions[j].as_array()
-            if float(np.max(np.abs(gap))) <= tol:
-                pairs.append((i, j))
+    for i in range(len(points) - 1):
+        gaps = np.abs(points[i + 1 :] + points[i]).max(axis=1)
+        pairs.extend((i, i + 1 + int(j)) for j in np.flatnonzero(gaps <= tol))
     return pairs

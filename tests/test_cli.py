@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from qprops.cli import main
+from qprops import cli
+from qprops.cli import MAX_GRID_COUNT, main
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
 ZZ = str(SPECS_DIR / "spin_zz.yaml")
@@ -16,6 +17,11 @@ def run_json(capsys, *argv):
     captured = capsys.readouterr()
     payload = json.loads(captured.out) if captured.out.strip() else None
     return code, payload, captured.err
+
+
+def assert_one_line_error(err):
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def write_spec(tmp_path, doc, name="system.yaml"):
@@ -258,6 +264,16 @@ class TestSpinSearch:
         assert code == 2
         assert "intermediate time" in err
 
+    @pytest.mark.parametrize("count", [-5, MAX_GRID_COUNT + 1])
+    def test_grid_count_out_of_range(self, capsys, count):
+        code, payload, err = run_json(
+            capsys, "spin-search", XZ, "--mode", "commute", "--grid-count", str(count)
+        )
+        assert code == 2
+        assert payload is None
+        assert_one_line_error(err)
+        assert f"--grid-count must lie in [0, {MAX_GRID_COUNT}]" in err
+
     def test_mixed_state_rejected_for_gmh_mode(self, capsys, tmp_path):
         doc = {
             "dimension": 2,
@@ -299,8 +315,63 @@ class TestInputErrors:
         assert code == 2
         assert "unknown tolerance" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_rejected(self, capsys, tmp_path, value):
+        invsq = 1.0 / 2.0**0.5
+        doc = {
+            "dimension": 2,
+            "initial_time": 0.0,
+            "initial_state": [[0.5, 0.5], [0.5, 0.5]],
+            "contexts": [
+                {"time": 1.0, "direction": [invsq, invsq, 0.0]},
+                {"time": 2.0, "direction": [0.0, 0.0, 1.0]},
+            ],
+        }
+        code, payload, err = run_json(
+            capsys,
+            "consistency",
+            write_spec(tmp_path, doc),
+            "--tol",
+            f"consist={value}",
+        )
+        assert code == 2
+        assert payload is None
+        assert_one_line_error(err)
+        assert "must be finite" in err
+
     @pytest.mark.parametrize("name", ["meet", "comp", "orth", "recon"])
     def test_removed_tolerance_names_are_unknown(self, capsys, name):
         code, _, err = run_json(capsys, "gc-check", ZZ, "--tol", f"{name}=5")
         assert code == 2
         assert "unknown tolerance" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["gc-check"],
+            ["spin-search", "--mode", "commute"],
+            ["spin-search", "--mode", "gmh"],
+            ["spin-search", "--mode", "griffiths"],
+        ],
+        ids=["gc-check", "commute", "gmh", "griffiths"],
+    )
+    def test_non_finite_hamiltonian(self, capsys, tmp_path, command):
+        path = tmp_path / "nan.yaml"
+        path.write_text(
+            Path(XZ).read_text() + "hamiltonian:\n  - [.nan, 0.0]\n  - [0.0, 0.0]\n"
+        )
+        code, payload, err = run_json(capsys, command[0], str(path), *command[1:])
+        assert code == 2
+        assert payload is None
+        assert_one_line_error(err)
+        assert "not finite" in err
+
+    def test_unexpected_exception_is_an_input_error(self, capsys, monkeypatch):
+        def broken_handler(spec, args, tols):
+            raise ValueError("unforeseen")
+
+        monkeypatch.setitem(cli.HANDLERS, "gc-check", broken_handler)
+        code, payload, err = run_json(capsys, "gc-check", ZZ)
+        assert code == 2
+        assert payload is None
+        assert err == "error: ValueError: unforeseen\n"

@@ -26,6 +26,7 @@ from qprops.linop import (
     SpectralWindow,
     UnitaryOperator,
     alternating_projection_limit,
+    check_projector_stack,
     commutator_norm,
     evolution_operator,
     max_entry_norm,
@@ -54,6 +55,34 @@ class TestTypeInvariants:
     def test_projector_rejects_non_idempotent(self):
         with pytest.raises(InvariantViolation):
             Projector(0.5 * SZ + 0.5 * np.eye(2) + 0.2 * SX)
+
+    @pytest.mark.parametrize("cls", [HermitianOperator, Projector, DensityOperator])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entries_rejected(self, cls, bad):
+        matrix = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        matrix[1, 1] = bad
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            cls(matrix)
+
+    def test_projector_stack_checks_match_projector(self, rng):
+        good = np.stack([random_projector(rng, 3).matrix for _ in range(5)])
+        check_projector_stack(good)
+        bent = good.copy()
+        bent[3, 0, 1] += 1e-3
+        with pytest.raises(NonHermitianInput):
+            check_projector_stack(bent)
+        with pytest.raises(NonHermitianInput):
+            Projector(bent[3])
+        scaled = good.copy()
+        scaled[2] *= 1.5
+        with pytest.raises(InvariantViolation, match="idempotent"):
+            check_projector_stack(scaled)
+        with pytest.raises(InvariantViolation, match="idempotent"):
+            Projector(scaled[2])
+        holed = good.copy()
+        holed[4, 0, 0] = np.nan
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            check_projector_stack(holed)
 
     def test_projector_rank_is_rounded_trace(self, rng):
         for dim in (2, 3, 5):

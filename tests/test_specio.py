@@ -95,6 +95,13 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_system_spec(base_document(initial_state=[[1.0, "x"], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "entry", [float("nan"), float("inf"), -float("inf"), [0.0, float("nan")]]
+    )
+    def test_non_finite_entry_rejected(self, entry):
+        with pytest.raises(ParseError, match="not finite"):
+            parse_system_spec(base_document(hamiltonian=[[entry, 0.0], [0.0, 0.0]]))
+
     def test_times_must_increase(self):
         doc = base_document()
         doc["contexts"][1]["time"] = 0.5

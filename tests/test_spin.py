@@ -2,12 +2,26 @@ import numpy as np
 import pytest
 
 from helpers import SX, random_density, spin_pair
+from qprops.config import DEFAULT_TOLERANCES
 from qprops.contexts import build_generalized_context
 from qprops.errors import IncompatibleContexts, NonUnitDirection
-from qprops.linop import HermitianOperator, max_entry_norm
+from qprops.histories import HistoryFamily, gmh_check, griffiths_check
+from qprops.lattice import TimedProperty, translate
+from qprops.linop import (
+    DensityOperator,
+    HermitianOperator,
+    Projector,
+    commutator_norm,
+    evolution_operator,
+    max_entry_norm,
+)
 from qprops.spin import (
     AXIS_DIRECTIONS,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     Direction,
+    _search_residuals,
     antipodal_pairs,
     compatible_directions,
     coplanarity_defect,
@@ -97,6 +111,11 @@ class TestCompatibleDirections:
     def test_orthogonal_axis_rejected(self):
         assert compatible_directions(Z, [X]) == []
 
+    def test_empty_grid(self):
+        assert compatible_directions(Z, []) == []
+        assert gmh_directions(X, Z, []) == []
+        assert griffiths_directions(X, Z, []) == []
+
     def test_state_never_enters_the_verdict(self, rng):
         grid = sphere_grid(100)
         baseline = compatible_directions(Z, grid)
@@ -167,6 +186,119 @@ class TestInclusionChain:
         assert commute <= gmh <= griff
 
 
+# A negative consistency tolerance makes every history pair a violation, so
+# ``max_residual()`` is the largest trace whatever its size.
+REPORT_EVERY_PAIR = DEFAULT_TOLERANCES.updated(consist=-1.0)
+TOLERANCE = {
+    "commute": DEFAULT_TOLERANCES.commute,
+    "gmh": DEFAULT_TOLERANCES.consist,
+    "griffiths": DEFAULT_TOLERANCES.consist,
+}
+
+
+def run_search(mode, n0, n2, grid, rho, h, t0, t1, t2):
+    if mode == "commute":
+        return compatible_directions(n2, grid, h, 1.0, t1, t2, t0)
+    search = gmh_directions if mode == "gmh" else griffiths_directions
+    return search(n0, n2, grid, rho, h, 1.0, t0, t1, t2)
+
+
+def per_point_residual(mode, n0, n2, n1, rho, h, t0, t1, t2):
+    """One grid direction the unbatched way: objects built and checked per point."""
+    if mode == "commute":
+        moved = [translate(TimedProperty(p, t1), t0, h) for p in spin_projectors(n1)]
+        fixed = [translate(TimedProperty(p, t2), t0, h) for p in spin_projectors(n2)]
+        return max(
+            commutator_norm(a.projector, b.projector) for a in moved for b in fixed
+        )
+    family = HistoryFamily(
+        [direction_context(n1, t1), direction_context(n2, t2)], h, t0, rho
+    )
+    check = gmh_check if mode == "gmh" else griffiths_check
+    return check(family, tols=REPORT_EVERY_PAIR).max_residual()
+
+
+def bloch_direction(matrix):
+    return Direction.normalized(
+        *(float(np.trace(matrix @ s).real) for s in (PAULI_X, PAULI_Y, PAULI_Z))
+    )
+
+
+def planted_case(rng, grid, driven):
+    """State and fixed direction that put two grid points on the preparation
+    and measurement axes after translation to t0, so no search comes back empty."""
+    h = H0
+    if driven:
+        field = rng.normal(size=3)
+        h = HermitianOperator(
+            rng.uniform(-0.5, 0.5) * np.eye(2)
+            + sum(c * s for c, s in zip(field, (PAULI_X, PAULI_Y, PAULI_Z)))
+        )
+    t0, t1 = 0.0, float(rng.uniform(0.5, 1.5))
+    t2 = t1 + float(rng.uniform(0.5, 1.5))
+    u1 = evolution_operator(h, t1, t0)
+    back2 = evolution_operator(h, t2, t0).inverse()
+    g0, g2 = (grid[k] for k in rng.choice(len(grid), size=2, replace=False))
+    n0 = bloch_direction(u1.transform(spin_projectors(g0)[0].matrix))
+    n2 = bloch_direction(back2.transform(u1.transform(spin_projectors(g2)[0].matrix)))
+    rho = DensityOperator(spin_projectors(n0)[0].matrix)
+    return n0, n2, rho, h, t0, t1, t2
+
+
+class TestBatchedSearchesMatchPerPoint:
+    # float64 rounding on 2x2 products stays far below this bound
+    RESIDUAL_ATOL = 1e-13
+    # verdicts are compared only where the oracle is clear of the tolerance
+    MARGIN = 1e-12
+
+    @pytest.mark.parametrize("driven", [False, True], ids=["free", "driven"])
+    def test_residuals_and_verdicts(self, rng, driven):
+        grid = sphere_grid(2000)
+        n0, n2, rho, h, t0, t1, t2 = planted_case(rng, grid, driven)
+        for mode, tol in TOLERANCE.items():
+            batched = _search_residuals(
+                mode, n0, n2, grid, rho, h, 1.0, t0, t1, t2, DEFAULT_TOLERANCES
+            )
+            oracle = np.array(
+                [per_point_residual(mode, n0, n2, n1, rho, h, t0, t1, t2) for n1 in grid]
+            )
+            assert np.max(np.abs(batched - oracle)) <= self.RESIDUAL_ATOL, mode
+            kept = set(run_search(mode, n0, n2, grid, rho, h, t0, t1, t2))
+            got = np.array([n1 in kept for n1 in grid])
+            clear = np.abs(oracle - tol) > self.MARGIN
+            assert np.array_equal(got[clear], (oracle <= tol)[clear]), mode
+            assert got.any(), mode
+
+    def test_projector_count_does_not_grow_with_the_grid(self, monkeypatch):
+        built = []
+        init = Projector.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Projector, "__init__", counted_init)
+        for mode in TOLERANCE:
+            counts = []
+            for count in (400, 2000):
+                grid = sphere_grid(count)
+                built.clear()
+                run_search(mode, X, Z, grid, None, H0, 0.0, 1.0, 2.0)
+                counts.append(len(built))
+            assert counts[0] == counts[1], mode
+
+
+def antipodal_pairs_by_double_loop(directions, tol=1e-9):
+    """The unvectorized pair scan, kept as the reference."""
+    pairs = []
+    for i in range(len(directions)):
+        for j in range(i + 1, len(directions)):
+            gap = directions[i].as_array() + directions[j].as_array()
+            if float(np.max(np.abs(gap))) <= tol:
+                pairs.append((i, j))
+    return pairs
+
+
 class TestAntipodalPairs:
     def test_axis_grid_pairs(self):
         pairs = antipodal_pairs(list(AXIS_DIRECTIONS))
@@ -174,3 +306,23 @@ class TestAntipodalPairs:
 
     def test_no_pairs_without_antipodes(self):
         assert antipodal_pairs([X, Y, Z]) == []
+
+    def test_short_inputs(self):
+        assert antipodal_pairs([]) == []
+        assert antipodal_pairs([X]) == []
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_matches_double_loop_with_planted_antipodes(self, rng, tol):
+        base = [Direction.normalized(*rng.normal(size=3)) for _ in range(120)]
+        planted = [d.antipode() for d in base[::4]]
+        # just inside and just outside the tolerance of their base direction
+        nudged = [
+            Direction.normalized(-d.x + offset, -d.y, -d.z)
+            for d, offset in zip(base[1::9], [0.5e-9, 2e-9, 5e-7, 2e-6] * 4)
+        ]
+        directions = base + planted + nudged + planted[:5]
+        order = rng.permutation(len(directions))
+        directions = [directions[k] for k in order]
+        pairs = antipodal_pairs(directions, tol)
+        assert pairs == antipodal_pairs_by_double_loop(directions, tol)
+        assert len(pairs) >= len(planted)
