@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+
+from .errors import InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -27,6 +30,15 @@ class Tolerances:
     commute: float = 1e-9   # cross-context commutator threshold
     consist: float = 1e-9   # history consistency trace threshold
     prob: float = 1e-10     # probability clamping / null-condition threshold
+
+    def __post_init__(self):
+        # a NaN or +inf threshold would let every `residual > tol` check
+        # pass; a negative one only makes checks fail, and stays allowed
+        for name, value in self.as_dict().items():
+            if not math.isfinite(value):
+                raise InvariantViolation(
+                    f"tolerance {name!r} must be finite, got {value!r}"
+                )
 
     def updated(self, **overrides: float) -> Tolerances:
         """Return a copy with the given fields replaced."""

@@ -176,6 +176,38 @@ def validate_context(
     return Context(time, atoms, labels, tols=tols)
 
 
+def _exclusivity_residual(mats: np.ndarray, tol: float) -> float:
+    """max |P_a P_b - delta_ab P_a|_max over the pairs of an (n, d, d) stack
+    that a row/column-norm bound cannot place within ``tol``.
+
+    By Cauchy-Schwarz |(P_a P_b)_ik| <= r_a c_b, with r_a the largest row
+    2-norm of P_a and c_b the largest column 2-norm of P_b.  A row a with
+    r_a max(c) <= tol, or a column b with c_b max(r) <= tol, therefore has
+    every off-diagonal product within ``tol`` without being formed, and its
+    diagonal term P_a^2 - P_a was bounded by ``tol`` when the ``Projector``
+    was built.  ``slack`` covers the rounding of the norms and of the
+    products themselves, so no pair the full n^2 product check would flag is
+    cleared.  The rest is one GEMM, (n_r d, d) @ (d, n_c d); for a valid
+    family only the atoms of nonzero rank remain, at most d of them.
+    """
+    dim = mats.shape[-1]
+    squares = mats.real**2 + mats.imag**2
+    rows = np.sqrt(squares.sum(axis=2).max(axis=1))
+    cols = np.sqrt(squares.sum(axis=1).max(axis=1))
+    slack = 1.0 + 4 * (dim + 2) * np.finfo(float).eps
+    left = np.flatnonzero(~(rows * (cols.max() * slack) <= tol))
+    right = np.flatnonzero(~(cols * (rows.max() * slack) <= tol))
+    if not (left.size and right.size):
+        return 0.0
+    lhs = mats[left].reshape(-1, dim)
+    rhs = mats[right].transpose(1, 0, 2).reshape(dim, -1)
+    # blocks[x, y] = P_left[x] @ P_right[y], a view into the GEMM output
+    blocks = (lhs @ rhs).reshape(left.size, dim, right.size, dim).transpose(0, 2, 1, 3)
+    _, x, y = np.intersect1d(left, right, assume_unique=True, return_indices=True)
+    blocks[x, y] -= mats[left[x]]
+    return max_entry_norm(blocks)
+
+
 def _commutation_failures(
     contexts: Sequence[Context],
     translated: Sequence[Sequence[Projector]],
@@ -203,6 +235,12 @@ class GeneralizedContext:
     Construction translates every atom to ``ref_time``, requires all
     cross-context commutators to vanish within ``tols.commute``, and builds
     the composed atoms as ordered products indexed by label tuples.
+
+    The grid holds all prod |ctx| composed atoms, but their ranks sum to d,
+    so most of them are zero.  The pairwise exclusivity check bounds every
+    product by row and column norms first and multiplies only the pairs of
+    atoms the bound cannot clear, which for a valid family are the at most
+    d atoms of nonzero rank (``_exclusivity_residual``).
 
     The verdict does not depend on ``ref_time``: moving every atom to another
     time conjugates each commutator by one unitary V, so a commutator that
@@ -263,11 +301,18 @@ class GeneralizedContext:
         self._hbar = float(hbar)
         self._translated = translated
         self._composed = composed
+        self._index = {label: k for k, label in enumerate(composed)}
 
     @staticmethod
     def _verify_family_laws(
         composed: Mapping[LabelTuple, Projector], dim: int, tols: Tolerances
     ) -> None:
+        """Completeness, then pairwise exclusivity, of the composed atoms.
+
+        Exclusivity asks |P_a P_b - delta_ab P_a|_max <= ``tols.proj`` for
+        every pair, but only the pairs ``_exclusivity_residual`` cannot clear
+        by its norm bound are multiplied; see there.
+        """
         mats = np.stack([p.matrix for p in composed.values()])
         total = mats.sum(axis=0)
         residual = max_entry_norm(total - np.eye(dim))
@@ -275,9 +320,7 @@ class GeneralizedContext:
             raise InvariantViolation(
                 f"composed atoms do not sum to identity (residual {residual:.3e})"
             )
-        products = np.einsum("aij,bjk->abik", mats, mats)
-        products[np.arange(len(mats)), np.arange(len(mats))] -= mats
-        residual = max_entry_norm(products)
+        residual = _exclusivity_residual(mats, tols.proj)
         if residual > tols.proj:
             raise InvariantViolation(
                 f"composed atoms are not mutually exclusive "
@@ -351,8 +394,7 @@ class CompositeProperty:
 
     def __init__(self, parent: GeneralizedContext, selected: Iterable[LabelTuple]):
         selected = frozenset(tuple(str(x) for x in tup) for tup in selected)
-        known = set(parent.label_tuples)
-        unknown = selected - known
+        unknown = {tup for tup in selected if tup not in parent._index}
         if unknown:
             raise InvariantViolation(
                 f"label tuples not in the generalized context: {sorted(unknown)}"
@@ -379,15 +421,20 @@ def _require_same_parent(a: CompositeProperty, b: CompositeProperty) -> None:
         )
 
 
+def _grid_order(prop: CompositeProperty) -> list[LabelTuple]:
+    """The selected label tuples in the parent's grid order, so every sum
+    over a selection adds its atoms in one fixed order."""
+    return sorted(prop.selected, key=prop.parent._index.__getitem__)
+
+
 def property_projector(
     prop: CompositeProperty, *, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> Projector:
     """Projector represented by the property: the sum of its composed atoms."""
     gc = prop.parent
     total = np.zeros((gc.dim, gc.dim), dtype=np.complex128)
-    for label, atom in gc._composed.items():
-        if label in prop.selected:
-            total += atom.matrix
+    for label in _grid_order(prop):
+        total += gc._composed[label].matrix
     return Projector(total, tols=tols)
 
 
@@ -408,9 +455,8 @@ def composite_probability(
     if rho.dim != gc.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs context dim {gc.dim}")
     value = 0.0
-    for label, atom in gc._composed.items():
-        if label in prop.selected:
-            value += float(np.trace(rho.matrix @ atom.matrix).real)
+    for label in _grid_order(prop):
+        value += float(np.trace(rho.matrix @ gc._composed[label].matrix).real)
     if value < -tols.prob or value > 1.0 + tols.prob:
         raise InvariantViolation(
             f"probability {value!r} lies outside [0, 1] beyond {tols.prob:.1e}"

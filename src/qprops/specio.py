@@ -53,6 +53,10 @@ __all__ = [
 
 _DIRECTION_NORM_WARN = 1e-9
 
+# libyaml's parser when PyYAML was built with it; both loaders share one
+# constructor and resolver, so they build the same documents
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _parse_scalar(value, where: str) -> complex:
     if isinstance(value, bool):
@@ -309,7 +313,7 @@ def load_system_spec(path) -> SystemSpec:
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err}") from err
     try:
-        document = yaml.safe_load(text)
+        document = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as err:
         raise ParseError(f"{path}: {err}") from err
     return parse_system_spec(document, source=str(path))

@@ -81,7 +81,7 @@ class Direction:
 
     def __post_init__(self):
         norm = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if abs(norm - 1.0) > _UNIT_NORM_TOL:
+        if not abs(norm - 1.0) <= _UNIT_NORM_TOL:
             raise NonUnitDirection(f"|({self.x}, {self.y}, {self.z})| = {norm!r}")
 
     @classmethod

@@ -75,12 +75,13 @@ def random_partition(rng, dim, parts=None) -> list[list[int]]:
     return [order[bounds[k]:bounds[k + 1]] for k in range(parts)]
 
 
-def shared_basis_contexts(rng, dim, n_times, hamiltonian, hbar=1.0, t0=0.0):
+def shared_basis_contexts(rng, dim, n_times, hamiltonian, hbar=1.0, t0=0.0, parts=None):
     """Contexts at distinct times whose atoms commute when pulled back to t0.
 
     Atoms are built from one random orthonormal basis at t0 (grouped by a
-    random partition per time) and then pushed forward to their own times,
-    so translating them back to t0 recovers commuting projectors.
+    random partition per time, into ``parts`` atoms when given) and then
+    pushed forward to their own times, so translating them back to t0
+    recovers commuting projectors.
     """
     basis = random_unitary(rng, dim)
     times = t0 + np.cumsum(rng.uniform(0.3, 1.2, size=n_times))
@@ -88,7 +89,7 @@ def shared_basis_contexts(rng, dim, n_times, hamiltonian, hbar=1.0, t0=0.0):
     for t in times:
         u = evolution_operator(hamiltonian, t0, t, hbar).matrix
         atoms = []
-        for group in random_partition(rng, dim):
+        for group in random_partition(rng, dim, parts):
             block = basis[:, group]
             atom0 = block @ block.conj().T
             atoms.append(Projector(u @ atom0 @ u.conj().T))

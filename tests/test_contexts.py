@@ -13,8 +13,11 @@ from helpers import (
     random_projector,
     shared_basis_contexts,
 )
+from qprops.config import DEFAULT_TOLERANCES
 from qprops.contexts import (
     Context,
+    GeneralizedContext,
+    _exclusivity_residual,
     build_generalized_context,
     composite_join,
     composite_meet,
@@ -164,6 +167,81 @@ class TestBuildGeneralizedContext:
                 forward = gc.composed_atoms[label].matrix
                 reverse = b.matrix @ a.matrix
                 assert max_entry_norm(forward - reverse) < 1e-10
+
+
+def einsum_exclusivity_residual(mats):
+    """The full n^2 product check, max |P_a P_b - delta_ab P_a|, as reference."""
+    products = np.einsum("aij,bjk->abik", mats, mats)
+    products[np.arange(len(mats)), np.arange(len(mats))] -= mats
+    return max_entry_norm(products)
+
+
+# (d, number of times) of the multi-time benchmark, with as many atoms per
+# context as keep the composed grid at most 81
+BENCH_SHAPES = ((2, 2), (2, 3), (2, 4), (6, 2), (6, 3), (6, 4),
+                (16, 2), (16, 3), (16, 4), (32, 2), (32, 4))
+
+
+class TestExclusivityCheck:
+    def planted_overlap(self, overlap, dim=6, zeros=5):
+        """Valid projectors that sum to I within ``tols.proj`` but two of
+        which overlap beyond it, next to rank-0 atoms the bound clears.
+
+        Two rank-1 atoms in a plane turned by pi/8 share ``overlap``: in the
+        max-entry norm their product reads overlap * cos^2(pi/8) but the atom
+        sum only overlap / sqrt(2), so completeness passes and exclusivity
+        does not.
+        """
+        phi = np.pi / 8
+        u = np.zeros(dim)
+        v = np.zeros(dim)
+        u[:2] = np.cos(phi), np.sin(phi)
+        v[:2] = -np.sin(phi), np.cos(phi)
+        w = np.sqrt(1 - overlap**2) * v + overlap * u
+        atoms = [Projector(outer(u)), Projector(outer(w))]
+        atoms += [Projector(outer(e)) for e in np.eye(dim)[2:]]
+        atoms += [Projector.zero(dim)] * zeros
+        return {(str(k),): atom for k, atom in enumerate(atoms)}
+
+    def test_planted_overlap_is_rejected(self):
+        tol = DEFAULT_TOLERANCES.proj
+        composed = self.planted_overlap(1.3 * tol)
+        mats = np.stack([p.matrix for p in composed.values()])
+        assert max_entry_norm(mats.sum(axis=0) - np.eye(6)) < tol
+        reference = einsum_exclusivity_residual(mats)
+        assert reference > tol
+        assert abs(_exclusivity_residual(mats, tol) - reference) < 1e-12
+        with pytest.raises(InvariantViolation, match="not mutually exclusive") as err:
+            GeneralizedContext._verify_family_laws(composed, 6, DEFAULT_TOLERANCES)
+        assert f"{reference:.3e}" in str(err.value)
+
+    def test_residual_matches_full_product_check(self, rng):
+        tol = DEFAULT_TOLERANCES.proj
+        grids = [random_generalized_context(rng) for _ in range(15)]
+        for dim, n_times in BENCH_SHAPES:
+            parts = max(k for k in range(1, dim + 1) if k**n_times <= 81)
+            h = random_hermitian(rng, dim)
+            contexts = shared_basis_contexts(rng, dim, n_times, h, parts=parts)
+            grids.append(build_generalized_context(contexts, 0.0, h))
+        for gc in grids:
+            mats = np.stack([p.matrix for p in gc.composed_atoms.values()])
+            # a 1e-6 bump on an atom of lowest rank, one the bound would clear
+            # when it is rank 0, lifts the residual far above rounding noise
+            bumped = mats.copy()
+            lowest = np.argmin([atom.rank for atom in gc.composed_atoms.values()])
+            bumped[lowest] += 1e-6 * rng.normal(size=(gc.dim, gc.dim))
+            for stack in (mats, bumped):
+                new = _exclusivity_residual(stack, tol)
+                assert abs(new - einsum_exclusivity_residual(stack)) < 1e-13
+
+    def test_625_atom_grid_at_dimension_32(self, rng):
+        # the full product check would hold 625^2 * 32^2 complex values (6.4 GB)
+        h = random_hermitian(rng, 32)
+        contexts = shared_basis_contexts(rng, 32, 4, h, parts=5)
+        gc = build_generalized_context(contexts, 0.0, h)
+        ranks = [atom.rank for atom in gc.composed_atoms.values()]
+        assert len(ranks) == 625
+        assert sum(ranks) == 32
 
 
 class TestCompositeProbability:

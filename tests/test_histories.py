@@ -12,6 +12,7 @@ from helpers import (
     shared_basis_contexts,
     spin_pair,
 )
+from qprops.config import DEFAULT_TOLERANCES, Tolerances
 from qprops.contexts import (
     Context,
     build_generalized_context,
@@ -181,6 +182,16 @@ class TestGmhCheck:
         trace = np.trace(e1 @ RHO_X.matrix @ e1c @ e2)
         assert abs(trace) == pytest.approx(1.0 / (4.0 * np.sqrt(2.0)), abs=1e-12)
         assert report.max_residual() == pytest.approx(abs(trace), abs=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tolerance_cannot_pass_a_failing_family(self, value):
+        family = two_time_family((1 / np.sqrt(2), 1 / np.sqrt(2), 0.0))
+        assert not gmh_check(family).verdict
+        # every `residual > consist` is False for NaN and +inf
+        with pytest.raises(InvariantViolation, match="must be finite"):
+            Tolerances(consist=value)
+        with pytest.raises(InvariantViolation, match="must be finite"):
+            DEFAULT_TOLERANCES.updated(consist=value)
 
     def test_consistent_family_has_additive_normalized_weights(self, rng):
         family = two_time_family((1, 0, 0))

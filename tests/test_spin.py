@@ -43,6 +43,15 @@ class TestDirection:
         with pytest.raises(NonUnitDirection):
             Direction(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "components",
+        [(np.nan, 0.0, 0.0), (0.0, 0.0, np.nan), (np.inf, 0.0, 0.0)],
+        ids=["nan-x", "nan-z", "inf-x"],
+    )
+    def test_rejects_non_finite(self, components):
+        with pytest.raises(NonUnitDirection):
+            Direction(*components)
+
     def test_normalized_constructor(self):
         d = Direction.normalized(3.0, 0.0, 4.0)
         assert d.x == pytest.approx(0.6)
