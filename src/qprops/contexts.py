@@ -11,7 +11,8 @@ exclusive family, and carry the probabilities of multi-time conjunctions.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+import math
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .linop import (
     DensityOperator,
     HermitianOperator,
     Projector,
+    check_projector_stack,
     commutator_residuals,
     evolution_operator,
     max_entry_norm,
@@ -98,6 +100,9 @@ class Context:
         *,
         tols: Tolerances = DEFAULT_TOLERANCES,
     ):
+        time = float(time)
+        if not math.isfinite(time):
+            raise InvariantViolation(f"context time must be finite, got {time!r}")
         atoms = tuple(atoms)
         if not atoms:
             raise InvariantViolation("a context needs at least one atom")
@@ -116,10 +121,13 @@ class Context:
             if len(set(labels)) != len(labels):
                 raise InvariantViolation("atom labels must be unique")
 
-        check_context_laws(np.stack([atom.matrix for atom in atoms]), labels, tols=tols)
+        matrices = np.stack([atom.matrix for atom in atoms])
+        check_context_laws(matrices, labels, tols=tols)
+        matrices.setflags(write=False)
 
-        self._time = float(time)
+        self._time = time
         self._atoms = atoms
+        self._matrices = matrices
         self._labels = labels
 
     @property
@@ -148,13 +156,15 @@ class Context:
         hbar: float = 1.0,
         *,
         tols: Tolerances = DEFAULT_TOLERANCES,
-    ) -> tuple[Projector, ...]:
-        """The atoms moved to ``t_to``, all conjugated by one evolution operator."""
+    ) -> np.ndarray:
+        """The atoms moved to ``t_to`` by one evolution operator, as a checked stack."""
         if self.dim != hamiltonian.dim:
             raise DimensionMismatch("context and Hamiltonian dimensions differ")
         u = evolution_operator(hamiltonian, self._time, t_to, hbar, tols=tols)
-        moved = u.transform(np.stack([atom.matrix for atom in self._atoms]))
-        return tuple(Projector(m, tols=tols) for m in moved)
+        moved = u.transform(self._matrices)
+        check_projector_stack(moved, tols=tols)
+        moved.setflags(write=False)
+        return moved
 
     def __repr__(self) -> str:
         return f"Context(time={self._time}, atoms={len(self._atoms)}, dim={self.dim})"
@@ -184,8 +194,8 @@ def _exclusivity_residual(mats: np.ndarray, tol: float) -> float:
     2-norm of P_a and c_b the largest column 2-norm of P_b.  A row a with
     r_a max(c) <= tol, or a column b with c_b max(r) <= tol, therefore has
     every off-diagonal product within ``tol`` without being formed, and its
-    diagonal term P_a^2 - P_a was bounded by ``tol`` when the ``Projector``
-    was built.  ``slack`` covers the rounding of the norms and of the
+    diagonal term P_a^2 - P_a was bounded by ``tol`` when the stack was checked
+    as projectors.  ``slack`` covers the rounding of the norms and of the
     products themselves, so no pair the full n^2 product check would flag is
     cleared.  The rest is one GEMM, (n_r d, d) @ (d, n_c d); for a valid
     family only the atoms of nonzero rank remain, at most d of them.
@@ -210,10 +220,9 @@ def _exclusivity_residual(mats: np.ndarray, tol: float) -> float:
 
 def _commutation_failures(
     contexts: Sequence[Context],
-    translated: Sequence[Sequence[Projector]],
+    stacks: Sequence[np.ndarray],
     tols: Tolerances,
 ) -> list[tuple[tuple[int, str], tuple[int, str], float]]:
-    stacks = [np.stack([p.matrix for p in atoms]) for atoms in translated]
     failures = []
     for a in range(len(contexts)):
         for b in range(a + 1, len(contexts)):
@@ -234,7 +243,8 @@ class GeneralizedContext:
 
     Construction translates every atom to ``ref_time``, requires all
     cross-context commutators to vanish within ``tols.commute``, and builds
-    the composed atoms as ordered products indexed by label tuples.
+    the composed atoms, earliest time leftmost, as one read-only
+    (prod |ctx|, d, d) grid in the ``itertools.product`` order of the labels.
 
     The grid holds all prod |ctx| composed atoms, but their ranks sum to d,
     so most of them are zero.  The pairwise exclusivity check bounds every
@@ -285,35 +295,32 @@ class GeneralizedContext:
                 failures,
             )
 
-        composed: dict[LabelTuple, Projector] = {}
-        for combo in itertools.product(*(range(len(c)) for c in contexts)):
-            product = translated[0][combo[0]].matrix
-            for k in range(1, len(contexts)):
-                product = product @ translated[k][combo[k]].matrix
-            label = tuple(contexts[k].labels[combo[k]] for k in range(len(contexts)))
-            composed[label] = Projector(product, tols=tols)
-
-        self._verify_family_laws(composed, dim, tols)
+        # left-nested ((P_0 P_1) P_2)..., in itertools.product order
+        grid = translated[0]
+        for later in translated[1:]:
+            grid = (grid[:, None] @ later[None, :]).reshape(-1, dim, dim)
+        self._verify_family_laws(grid, dim, tols)
+        grid.setflags(write=False)
 
         self._contexts = contexts
         self._ref_time = float(ref_time)
         self._hamiltonian = hamiltonian
         self._hbar = float(hbar)
+        self._tols = tols
         self._translated = translated
-        self._composed = composed
-        self._index = {label: k for k, label in enumerate(composed)}
+        self._grid = grid
+        self._labels = tuple(itertools.product(*(ctx.labels for ctx in contexts)))
+        self._index = {label: k for k, label in enumerate(self._labels)}
 
     @staticmethod
-    def _verify_family_laws(
-        composed: Mapping[LabelTuple, Projector], dim: int, tols: Tolerances
-    ) -> None:
-        """Completeness, then pairwise exclusivity, of the composed atoms.
+    def _verify_family_laws(mats: np.ndarray, dim: int, tols: Tolerances) -> None:
+        """Projector laws, completeness, then exclusivity of a composed-atom stack.
 
         Exclusivity asks |P_a P_b - delta_ab P_a|_max <= ``tols.proj`` for
         every pair, but only the pairs ``_exclusivity_residual`` cannot clear
         by its norm bound are multiplied; see there.
         """
-        mats = np.stack([p.matrix for p in composed.values()])
+        check_projector_stack(mats, tols=tols)
         total = mats.sum(axis=0)
         residual = max_entry_norm(total - np.eye(dim))
         if residual > tols.proj:
@@ -348,17 +355,21 @@ class GeneralizedContext:
         return self._contexts[0].dim
 
     @property
-    def translated_atoms(self) -> tuple[tuple[Projector, ...], ...]:
-        """Per-context atoms translated to the reference time."""
+    def translated_atoms(self) -> tuple[np.ndarray, ...]:
+        """Per-context (k, d, d) atom stacks translated to the reference time."""
         return self._translated
 
     @property
     def composed_atoms(self) -> dict[LabelTuple, Projector]:
-        return dict(self._composed)
+        """Each composed atom as a ``Projector``, built on request."""
+        return {
+            label: Projector(atom, tols=self._tols)
+            for label, atom in zip(self._labels, self._grid)
+        }
 
     @property
     def label_tuples(self) -> tuple[LabelTuple, ...]:
-        return tuple(self._composed.keys())
+        return self._labels
 
     def property(self, selected: Iterable[LabelTuple]) -> "CompositeProperty":
         return CompositeProperty(self, selected)
@@ -421,10 +432,10 @@ def _require_same_parent(a: CompositeProperty, b: CompositeProperty) -> None:
         )
 
 
-def _grid_order(prop: CompositeProperty) -> list[LabelTuple]:
-    """The selected label tuples in the parent's grid order, so every sum
-    over a selection adds its atoms in one fixed order."""
-    return sorted(prop.selected, key=prop.parent._index.__getitem__)
+def _grid_order(prop: CompositeProperty) -> list[int]:
+    """Grid indices of the selected label tuples in ascending order, so every
+    sum over a selection adds its atoms in one fixed order."""
+    return sorted(prop.parent._index[label] for label in prop.selected)
 
 
 def property_projector(
@@ -433,8 +444,8 @@ def property_projector(
     """Projector represented by the property: the sum of its composed atoms."""
     gc = prop.parent
     total = np.zeros((gc.dim, gc.dim), dtype=np.complex128)
-    for label in _grid_order(prop):
-        total += gc._composed[label].matrix
+    for k in _grid_order(prop):
+        total += gc._grid[k]
     return Projector(total, tols=tols)
 
 
@@ -455,8 +466,8 @@ def composite_probability(
     if rho.dim != gc.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs context dim {gc.dim}")
     value = 0.0
-    for label in _grid_order(prop):
-        value += float(np.trace(rho.matrix @ gc._composed[label].matrix).real)
+    for k in _grid_order(prop):
+        value += float(np.trace(rho.matrix @ gc._grid[k]).real)
     if value < -tols.prob or value > 1.0 + tols.prob:
         raise InvariantViolation(
             f"probability {value!r} lies outside [0, 1] beyond {tols.prob:.1e}"

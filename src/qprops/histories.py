@@ -78,7 +78,7 @@ class HistoryFamily:
 
     Times must be strictly increasing and all later than the initial time at
     which the state is given.  Atoms are conjugated into the Heisenberg
-    picture at the initial time once, at construction.
+    picture at the initial time once, at construction, one stack per time.
     """
 
     def __init__(
@@ -150,8 +150,8 @@ class HistoryFamily:
         return self._contexts[0].dim
 
     @property
-    def heisenberg_atoms(self) -> tuple[tuple[Projector, ...], ...]:
-        """Per-time atoms conjugated to the initial time."""
+    def heisenberg_atoms(self) -> tuple[np.ndarray, ...]:
+        """Per-time (k, d, d) atom stacks conjugated to the initial time."""
         return self._atoms_ref
 
     @property
@@ -191,9 +191,9 @@ class HistoryFamily:
 
     def _operator_matrix(self, choices: LabelTuple) -> np.ndarray:
         indices = self._choice_indices(choices)
-        product = self._atoms_ref[0][indices[0]].matrix
+        product = self._atoms_ref[0][indices[0]]
         for k in range(1, len(indices)):
-            product = self._atoms_ref[k][indices[k]].matrix @ product
+            product = self._atoms_ref[k][indices[k]] @ product
         return product
 
     def __repr__(self) -> str:
@@ -308,16 +308,13 @@ def gmh_check(
     """
     grid = family.label_grid
     gram = decoherence_gram(
-        history_operators(
-            [np.stack([p.matrix for p in atoms]) for atoms in family.heisenberg_atoms]
-        ),
-        family.initial_state.matrix,
+        history_operators(family.heisenberg_atoms), family.initial_state.matrix
     )
-    pairs = zip(*np.triu_indices(len(grid), 1))
+    residuals = gmh_residuals(gram)
+    a, b = np.triu_indices(len(grid), 1)
     violations = [
-        (grid[a], grid[b], float(residual))
-        for (a, b), residual in zip(pairs, gmh_residuals(gram))
-        if residual > tols.consist
+        (grid[a[k]], grid[b[k]], float(residuals[k]))
+        for k in np.flatnonzero(residuals > tols.consist)
     ]
     probabilities = {
         choices: max(0.0, float(gram[k, k].real)) for k, choices in enumerate(grid)
@@ -344,11 +341,7 @@ def griffiths_check(
             "two atoms per time"
         )
     (e1, e1_bar), (e2, _) = family.heisenberg_atoms
-    residual = float(
-        real_part_residuals(
-            e1.matrix, e1_bar.matrix, e2.matrix, family.initial_state.matrix
-        )
-    )
+    residual = float(real_part_residuals(e1, e1_bar, e2, family.initial_state.matrix))
     labels1, labels2 = (ctx.labels for ctx in family.contexts)
     violations = []
     if residual > tols.consist:

@@ -10,6 +10,7 @@ dimensions beyond a few dozen.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -354,8 +355,11 @@ def evolution_operator(
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> UnitaryOperator:
     """Unitary exp(-i H (t_to - t_from) / hbar) via the cached eigensystem of H."""
-    if hbar <= 0.0:
-        raise InvariantViolation(f"hbar must be positive, got {hbar!r}")
+    # written so that NaN fails: an infinite hbar would give U = I
+    if not (hbar > 0.0 and math.isfinite(hbar)):
+        raise InvariantViolation(f"hbar must be positive and finite, got {hbar!r}")
+    if not (math.isfinite(t_from) and math.isfinite(t_to)):
+        raise InvariantViolation(f"times must be finite, got {t_from!r}, {t_to!r}")
     w, v = H.eigensystem
     phases = np.exp(-1j * w * (t_to - t_from) / hbar)
     return UnitaryOperator((v * phases) @ v.conj().T, tols=tols)

@@ -11,6 +11,7 @@ direction (dimension-2 systems).  Complex entries are written as two-element
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,6 +77,13 @@ def _parse_scalar(value, where: str) -> complex:
     if not cmath.isfinite(z):
         raise ParseError(f"{where}: entry {value!r} is not finite")
     return z
+
+
+def _require_finite_number(value, where: str) -> None:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"{where} must be a number")
+    if not math.isfinite(value):
+        raise ParseError(f"{where} must be finite, got {value!r}")
 
 
 def _parse_matrix(value, dim: int, where: str) -> np.ndarray:
@@ -174,8 +182,7 @@ def _parse_context_entry(entry, dim: int, index: int) -> ContextSpec:
     if "time" not in entry:
         raise ParseError(f"{where}: missing 'time'")
     time = entry["time"]
-    if not isinstance(time, (int, float)) or isinstance(time, bool):
-        raise ParseError(f"{where}: 'time' must be a number")
+    _require_finite_number(time, f"{where}: 'time'")
 
     forms = [k for k in ("atoms", "observable", "direction") if k in entry]
     if len(forms) != 1:
@@ -262,12 +269,15 @@ def parse_system_spec(document, source: str = "<memory>") -> SystemSpec:
         raise ParseError(f"{source}: 'dimension' must be a positive integer")
 
     hbar = document.get("hbar", 1.0)
-    if not isinstance(hbar, (int, float)) or isinstance(hbar, bool) or hbar <= 0:
-        raise ValidationError(f"{source}: 'hbar' must be a positive number")
+    if (
+        not isinstance(hbar, (int, float))
+        or isinstance(hbar, bool)
+        or not (hbar > 0 and math.isfinite(hbar))
+    ):
+        raise ValidationError(f"{source}: 'hbar' must be a positive finite number")
 
     initial_time = document["initial_time"]
-    if not isinstance(initial_time, (int, float)) or isinstance(initial_time, bool):
-        raise ParseError(f"{source}: 'initial_time' must be a number")
+    _require_finite_number(initial_time, f"{source}: 'initial_time'")
 
     if "hamiltonian" in document and document["hamiltonian"] is not None:
         hamiltonian = _parse_matrix(document["hamiltonian"], dim, f"{source}.hamiltonian")
@@ -275,8 +285,7 @@ def parse_system_spec(document, source: str = "<memory>") -> SystemSpec:
         hamiltonian = np.zeros((dim, dim), dtype=np.complex128)
     initial_state = _parse_matrix(document["initial_state"], dim, f"{source}.initial_state")
     reference_time = document.get("reference_time", initial_time)
-    if not isinstance(reference_time, (int, float)) or isinstance(reference_time, bool):
-        raise ParseError(f"{source}: 'reference_time' must be a number")
+    _require_finite_number(reference_time, f"{source}: 'reference_time'")
 
     raw_contexts = document["contexts"]
     if not isinstance(raw_contexts, (list, tuple)) or not raw_contexts:

@@ -366,6 +366,48 @@ class TestInputErrors:
         assert_one_line_error(err)
         assert "not finite" in err
 
+    X_TWICE = (
+        "dimension: 2\n"
+        "hbar: {hbar}\n"
+        "initial_time: {initial}\n"
+        "reference_time: {reference}\n"
+        "initial_state: [[0.5, 0.5], [0.5, 0.5]]\n"
+        "hamiltonian: [[1.0, 0.0], [0.0, -1.0]]\n"
+        "contexts:\n"
+        "  - {{time: {first}, direction: [1.0, 0.0, 0.0], labels: [x+, x-]}}\n"
+        "  - {{time: 2.0, direction: [1.0, 0.0, 0.0], labels: [x+, x-]}}\n"
+    )
+    X_TWICE_FINITE = dict(hbar="1.0", initial="0.0", reference="0.0", first="1.0")
+
+    def test_x_twice_under_sigma_z_fails(self, capsys, tmp_path):
+        path = tmp_path / "x_twice.yaml"
+        path.write_text(self.X_TWICE.format(**self.X_TWICE_FINITE))
+        code, payload, _ = run_json(capsys, "gc-check", str(path))
+        assert code == 1
+        assert payload["verdict"] == "fail"
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("hbar", ".inf", "'hbar'"),  # used to turn U into I and print PASS
+            ("hbar", ".nan", "'hbar'"),
+            ("initial", ".nan", "'initial_time'"),
+            ("initial", "-.inf", "'initial_time'"),
+            ("reference", ".nan", "'reference_time'"),
+            ("reference", ".inf", "'reference_time'"),
+            ("first", ".nan", "contexts[0]: 'time'"),
+            ("first", ".inf", "contexts[0]: 'time'"),
+        ],
+    )
+    def test_non_finite_hbar_or_time(self, capsys, tmp_path, key, value, named):
+        path = tmp_path / "x_twice.yaml"
+        path.write_text(self.X_TWICE.format(**{**self.X_TWICE_FINITE, key: value}))
+        code, payload, err = run_json(capsys, "gc-check", str(path))
+        assert code == 2
+        assert payload is None
+        assert_one_line_error(err)
+        assert named in err and "finite" in err
+
     def test_unexpected_exception_is_an_input_error(self, capsys, monkeypatch):
         def broken_handler(spec, args, tols):
             raise ValueError("unforeseen")

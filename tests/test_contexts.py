@@ -40,6 +40,7 @@ from qprops.linop import (
     DensityOperator,
     HermitianOperator,
     Projector,
+    evolution_operator,
     max_entry_norm,
     projector_from_span,
 )
@@ -92,6 +93,11 @@ class TestValidateContext:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(InvariantViolation):
             validate_context([Z_PLUS, Z_MINUS], labels=["a", "a"])
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, time):
+        with pytest.raises(InvariantViolation, match="finite"):
+            validate_context([Z_PLUS, Z_MINUS], time=time)
 
 
 class TestBuildGeneralizedContext:
@@ -165,8 +171,68 @@ class TestBuildGeneralizedContext:
             ):
                 label = (gc.contexts[0].labels[i], gc.contexts[1].labels[j])
                 forward = gc.composed_atoms[label].matrix
-                reverse = b.matrix @ a.matrix
+                reverse = b @ a
                 assert max_entry_norm(forward - reverse) < 1e-10
+
+
+def per_atom_grid(gc):
+    """Composed atoms by the per-atom route: each atom moved on its own, then
+    every label combination multiplied out left to right, earliest first."""
+    moved = []
+    for ctx in gc.contexts:
+        u = evolution_operator(gc.hamiltonian, ctx.time, gc.ref_time, gc.hbar)
+        moved.append([u.transform(atom.matrix) for atom in ctx.atoms])
+    grid = {}
+    for combo in itertools.product(*(range(len(ctx)) for ctx in gc.contexts)):
+        product = moved[0][combo[0]]
+        for k in range(1, len(combo)):
+            product = product @ moved[k][combo[k]]
+        grid[tuple(ctx.labels[c] for ctx, c in zip(gc.contexts, combo))] = product
+    return grid
+
+
+class TestComposedGrid:
+    def test_matches_per_atom_products_bit_for_bit(self, rng):
+        grids = [random_generalized_context(rng) for _ in range(15)]
+        for dim, n_times in BENCH_SHAPES:
+            parts = max(k for k in range(1, dim + 1) if k**n_times <= 81)
+            h = random_hermitian(rng, dim)
+            contexts = shared_basis_contexts(rng, dim, n_times, h, parts=parts)
+            grids.append(build_generalized_context(contexts, 0.0, h))
+        for gc in grids:
+            reference = per_atom_grid(gc)
+            composed = gc.composed_atoms
+            assert list(composed) == list(reference) == list(gc.label_tuples)
+            for label, atom in composed.items():
+                assert np.array_equal(atom.matrix, reference[label])
+            for ctx, stack in zip(gc.contexts, gc.translated_atoms):
+                assert stack.shape == (len(ctx), gc.dim, gc.dim)
+                assert not stack.flags.writeable
+
+    def test_loose_commute_tolerance_is_caught_by_the_grid_check(self):
+        # x and z atoms pass a commutator threshold of 1, but their products
+        # are not projectors
+        loose = DEFAULT_TOLERANCES.updated(commute=1.0)
+        with pytest.raises(InvariantViolation) as err:
+            build_generalized_context(
+                [x_context(1.0), z_context(2.0)], 0.0, H0, tols=loose
+            )
+        assert not isinstance(err.value, IncompatibleContexts)
+
+    def test_composed_atoms_use_the_context_tolerances(self):
+        # atoms idempotent to 1e-8 only: valid at proj = 1e-6, not at the default
+        loose = DEFAULT_TOLERANCES.updated(proj=1e-6)
+        bump = 1e-4 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        atoms = [
+            Projector(Z_PLUS.matrix + bump, tols=loose),
+            Projector(Z_MINUS.matrix - bump, tols=loose),
+        ]
+        contexts = [Context(t, atoms, ["a", "b"], tols=loose) for t in (1.0, 2.0)]
+        gc = build_generalized_context(contexts, 0.0, H0, tols=loose)
+        composed = gc.composed_atoms
+        assert len(composed) == 4
+        with pytest.raises(InvariantViolation):
+            Projector(composed[("a", "a")].matrix)
 
 
 def einsum_exclusivity_residual(mats):
@@ -212,7 +278,7 @@ class TestExclusivityCheck:
         assert reference > tol
         assert abs(_exclusivity_residual(mats, tol) - reference) < 1e-12
         with pytest.raises(InvariantViolation, match="not mutually exclusive") as err:
-            GeneralizedContext._verify_family_laws(composed, 6, DEFAULT_TOLERANCES)
+            GeneralizedContext._verify_family_laws(mats, 6, DEFAULT_TOLERANCES)
         assert f"{reference:.3e}" in str(err.value)
 
     def test_residual_matches_full_product_check(self, rng):

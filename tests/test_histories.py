@@ -318,6 +318,30 @@ class TestFamilyFromGeneralizedContext:
         assert len(calls) == 1
         assert np.array_equal(calls[0], h.matrix)
 
+    def test_no_projector_objects_are_built(self, rng, monkeypatch):
+        h = random_hermitian(rng, 4)
+        accepted = shared_basis_contexts(rng, 4, 3, h)
+        rejected = []
+        for t in (1.0, 2.0):
+            p = random_projector(rng, 4)
+            rejected.append(Context(t, [p, p.complement()]))
+        rho = random_density(rng, 4)
+        built = []
+        init = Projector.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Projector, "__init__", counted_init)
+        gc = build_generalized_context(accepted, 0.0, h)
+        assert gmh_check(family_from_generalized_context(gc, rho)).verdict
+        with pytest.raises(IncompatibleContexts):
+            build_generalized_context(rejected, 0.0, h)
+        gmh_check(HistoryFamily(rejected, h, 0.0, rho))
+        griffiths_check(HistoryFamily(rejected, h, 0.0, rho))
+        assert built == []
+
     def test_theorem_on_random_generalized_contexts(self, rng):
         for _ in range(20):
             gc = random_generalized_context(rng, t0=0.0)

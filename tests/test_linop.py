@@ -247,6 +247,22 @@ class TestEvolutionOperator:
         with pytest.raises(InvariantViolation):
             evolution_operator(HermitianOperator(SZ), 0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "t_from, t_to, hbar",
+        [
+            (0.0, 1.0, np.inf),  # would give U = I
+            (0.0, 1.0, np.nan),
+            (np.nan, 1.0, 1.0),
+            (-np.inf, 1.0, 1.0),
+            (0.0, np.nan, 1.0),
+            (0.0, np.inf, 1.0),
+        ],
+    )
+    def test_rejects_non_finite_hbar_and_times(self, t_from, t_to, hbar):
+        # not the later "non-finite entries" check of the unitary
+        with pytest.raises(InvariantViolation, match="(hbar|times) must be"):
+            evolution_operator(HermitianOperator(SZ), t_from, t_to, hbar)
+
 
 class TestProjectorFromSpan:
     def test_single_basis_vector(self):

@@ -155,6 +155,24 @@ class TestParsing:
         with pytest.raises(ValidationError):
             parse_system_spec(base_document(hbar=0.0))
 
+    @pytest.mark.parametrize("hbar", [float("inf"), float("nan")])
+    def test_non_finite_hbar_rejected(self, hbar):
+        with pytest.raises(ValidationError, match="finite"):
+            parse_system_spec(base_document(hbar=hbar))
+
+    @pytest.mark.parametrize("key", ["initial_time", "reference_time"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, key, value):
+        with pytest.raises(ParseError, match="finite"):
+            parse_system_spec(base_document(**{key: value}))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_context_time_rejected(self, value):
+        doc = base_document()
+        doc["contexts"][0]["time"] = value
+        with pytest.raises(ParseError, match="finite"):
+            parse_system_spec(doc)
+
 
 class TestRoundTrip:
     def test_parse_dump_parse_is_identity(self):
