@@ -71,6 +71,7 @@ from .spin import (
     gmh_directions,
     griffiths_directions,
     sphere_grid,
+    sphere_points,
     spin_projectors,
 )
 from .specio import (

@@ -49,7 +49,7 @@ from .spin import (
     compatible_directions,
     gmh_directions,
     griffiths_directions,
-    sphere_grid,
+    sphere_points,
 )
 from .specio import (
     SystemSpec,
@@ -367,7 +367,7 @@ def cmd_spin_search(spec: SystemSpec, args, tols: Tolerances):
         raise ValidationError(
             f"--grid-count must lie in [0, {MAX_GRID_COUNT}], got {args.grid_count}"
         )
-    grid = sphere_grid(args.grid_count)
+    grid = sphere_points(args.grid_count)
     if args.mode == "commute":
         kept = compatible_directions(
             n2, grid, system.hamiltonian, system.hbar, t1, t2, t0, tols=tols

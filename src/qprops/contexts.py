@@ -10,9 +10,11 @@ exclusive family, and carry the probabilities of multi-time conjunctions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -359,13 +361,19 @@ class GeneralizedContext:
         """Per-context (k, d, d) atom stacks translated to the reference time."""
         return self._translated
 
-    @property
-    def composed_atoms(self) -> dict[LabelTuple, Projector]:
-        """Each composed atom as a ``Projector``, built on request."""
-        return {
-            label: Projector(atom, tols=self._tols)
-            for label, atom in zip(self._labels, self._grid)
-        }
+    @functools.cached_property
+    def composed_atoms(self) -> Mapping[LabelTuple, Projector]:
+        """Each composed atom as a ``Projector``, as a read-only mapping.
+
+        The ``Projector`` objects are built and checked on the first access
+        only; later accesses return the same mapping.
+        """
+        return MappingProxyType(
+            {
+                label: Projector(atom, tols=self._tols)
+                for label, atom in zip(self._labels, self._grid)
+            }
+        )
 
     @property
     def label_tuples(self) -> tuple[LabelTuple, ...]:

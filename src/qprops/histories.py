@@ -33,6 +33,7 @@ from .linop import (
     HermitianOperator,
     Operator,
     Projector,
+    stack_matmul,
 )
 
 __all__ = [
@@ -275,7 +276,7 @@ def decoherence_gram(histories: np.ndarray, rho: np.ndarray) -> np.ndarray:
     probability weights.
     """
     lead, n, d = histories.shape[:-3], histories.shape[-3], histories.shape[-1]
-    weighted = (histories @ rho).reshape(lead + (n, d * d))
+    weighted = stack_matmul(histories, rho).reshape(lead + (n, d * d))
     flat = histories.reshape(lead + (n, d * d))
     return weighted @ np.swapaxes(flat.conj(), -1, -2)
 
@@ -294,8 +295,13 @@ def gmh_residuals(gram: np.ndarray) -> np.ndarray:
 
 
 def real_part_residuals(e1, e1_bar, e2, rho) -> np.ndarray:
-    """|Re Tr(E1 rho E1c E2)| for each entry of broadcast (..., d, d) stacks."""
-    return np.abs(np.trace(e1 @ rho @ e1_bar @ e2, axis1=-2, axis2=-1).real)
+    """|Re Tr(E1 rho E1c E2)| for each entry of broadcast (..., d, d) stacks.
+
+    The product is formed left to right; a single (d, d) ``rho`` or ``e2``
+    multiplies the stack as one GEMM (``linop.stack_matmul``).
+    """
+    product = stack_matmul(stack_matmul(e1, rho) @ e1_bar, e2)
+    return np.abs(np.trace(product, axis1=-2, axis2=-1).real)
 
 
 def gmh_check(

@@ -67,18 +67,6 @@ class PropertyClass:
     def dim(self) -> int:
         return self.representative.dim
 
-    def member_at(
-        self, time: float, *, tols: Tolerances = DEFAULT_TOLERANCES
-    ) -> TimedProperty:
-        """The member of this class at the given time."""
-        return translate(
-            TimedProperty(self.representative, self.ref_time),
-            time,
-            self.hamiltonian,
-            self.hbar,
-            tols=tols,
-        )
-
 
 def _require_same_frame(c1: PropertyClass, c2: PropertyClass) -> None:
     if c1.ref_time != c2.ref_time:

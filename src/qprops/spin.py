@@ -8,14 +8,22 @@ two-time real-part condition.  With free dynamics the three answers are the
 single axis, the preparation/measurement axes, and two full great-circle
 planes, respectively.
 
+A search grid is either a sequence of ``Direction`` objects or, cheaper, a
+read-only (N, 3) array of unit rows such as ``sphere_points`` returns
+(``sphere_grid`` is the same grid as ``Direction`` objects).  An array grid
+is checked for unit rows in one pass, and only the accepted rows become
+``Direction`` objects in the answer.
+
 The searches are batched.  The grid becomes one (N, 2, 2, 2) stack of
 projector pairs (I +/- n.sigma)/2, validated with the projector and context
 checks in one pass, translated to the initial time with one evolution
 operator and validated again.  One stacked kernel per mode then scores all
 points: ``linop.commutator_residuals``, or the ``histories`` kernels that
-``gmh_check`` and ``griffiths_check`` themselves use.  No per-direction
-``Projector``, ``Context`` or ``HistoryFamily`` is built, yet every verdict
-is the one those objects would give.
+``gmh_check`` and ``griffiths_check`` themselves use.  Every product of the
+stack with one shared matrix (U^dag, the fixed atom, the state) is a single
+GEMM (``linop.stack_matmul``).  No per-direction ``Projector``, ``Context``
+or ``HistoryFamily`` is built, yet every verdict is the one those objects
+would give.
 """
 
 from __future__ import annotations
@@ -28,7 +36,12 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .contexts import Context, check_context_laws
-from .errors import DimensionMismatch, NonUnitDirection, TimeOrderViolation
+from .errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    NonUnitDirection,
+    TimeOrderViolation,
+)
 from .histories import (
     decoherence_gram,
     gmh_residuals,
@@ -52,6 +65,7 @@ __all__ = [
     "AXIS_DIRECTIONS",
     "spin_projectors",
     "direction_context",
+    "sphere_points",
     "sphere_grid",
     "coplanarity_defect",
     "compatible_directions",
@@ -98,6 +112,8 @@ class Direction:
         return Direction(-self.x, -self.y, -self.z)
 
 
+SearchGrid = Sequence[Direction] | np.ndarray
+
 X_PLUS = Direction(1.0, 0.0, 0.0)
 Y_PLUS = Direction(0.0, 1.0, 0.0)
 Z_PLUS = Direction(0.0, 0.0, 1.0)
@@ -110,6 +126,7 @@ AXIS_DIRECTIONS = (
     Z_PLUS,
     Z_PLUS.antipode(),
 )
+_AXIS_POINTS = np.array([(n.x, n.y, n.z) for n in AXIS_DIRECTIONS])
 
 
 def _spin_pairs(points: np.ndarray) -> np.ndarray:
@@ -137,23 +154,32 @@ def direction_context(
     return Context(time, spin_projectors(n, tols=tols), labels, tols=tols)
 
 
-def sphere_grid(count: int = 2000, include_axes: bool = True) -> tuple[Direction, ...]:
-    """Quasi-uniform direction sample: six axes plus a spiral lattice.
+def sphere_points(count: int = 2000, include_axes: bool = True) -> np.ndarray:
+    """Quasi-uniform direction sample as a read-only (N, 3) array of unit rows.
 
-    The axes come first so the special directions of the worked cases are
-    always present; the remaining ``count`` points follow the golden-angle
-    spiral.
+    The six axes come first so the special directions of the worked cases
+    are always present; the remaining ``count`` points follow the
+    golden-angle spiral, each row normalized as ``Direction.normalized``
+    would.  The cosines and sines come from ``math``, like the scalar
+    formula, so every row equals the ``Direction`` of ``sphere_grid`` bit
+    for bit.
     """
-    points: list[Direction] = list(AXIS_DIRECTIONS) if include_axes else []
-    golden_angle = math.pi * (3.0 - math.sqrt(5.0))
-    for i in range(count):
-        z = 1.0 - 2.0 * (i + 0.5) / count
-        radius = math.sqrt(max(0.0, 1.0 - z * z))
-        theta = golden_angle * i
-        points.append(
-            Direction.normalized(radius * math.cos(theta), radius * math.sin(theta), z)
-        )
-    return tuple(points)
+    index = np.arange(max(count, 0))
+    z = 1.0 - 2.0 * (index + 0.5) / count
+    radius = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    theta = (math.pi * (3.0 - math.sqrt(5.0)) * index).tolist()
+    x = radius * np.array(list(map(math.cos, theta)), dtype=float)
+    y = radius * np.array(list(map(math.sin, theta)), dtype=float)
+    norm = np.sqrt(x * x + y * y + z * z)
+    spiral = np.stack([x / norm, y / norm, z / norm], axis=1)
+    points = np.concatenate([_AXIS_POINTS, spiral]) if include_axes else spiral
+    points.setflags(write=False)
+    return points
+
+
+def sphere_grid(count: int = 2000, include_axes: bool = True) -> tuple[Direction, ...]:
+    """``sphere_points`` as ``Direction`` objects, one per row."""
+    return tuple(Direction(*row) for row in sphere_points(count, include_axes).tolist())
 
 
 def coplanarity_defect(n0: Direction, n1: Direction, n2: Direction) -> float:
@@ -192,11 +218,27 @@ def _translated_pairs(
     return moved
 
 
+def _grid_points(grid: SearchGrid) -> np.ndarray:
+    """(N, 3) rows of a search grid; array rows get the ``Direction`` check."""
+    if not isinstance(grid, np.ndarray):
+        return np.array([(n.x, n.y, n.z) for n in grid], dtype=float).reshape(-1, 3)
+    if grid.ndim != 2 or grid.shape[1] != 3:
+        raise InvariantViolation(f"grid must have shape (N, 3), got {grid.shape}")
+    points = np.asarray(grid, dtype=float)
+    x, y, z = points.T
+    norm = np.sqrt(x**2 + y**2 + z**2)
+    bad = np.flatnonzero(~(np.abs(norm - 1.0) <= _UNIT_NORM_TOL))
+    if bad.size:
+        row = bad[0]
+        raise NonUnitDirection(f"grid row {row} has norm {float(norm[row])!r}")
+    return points
+
+
 def _search_residuals(
     mode: str,
     n0: Direction | None,
     n2: Direction,
-    grid: Sequence[Direction],
+    grid: SearchGrid,
     rho: DensityOperator | None,
     hamiltonian: HermitianOperator | None,
     hbar: float,
@@ -216,7 +258,7 @@ def _search_residuals(
         hamiltonian = HermitianOperator.zero(2)
     if hamiltonian.dim != 2:
         raise DimensionMismatch("state/Hamiltonian dimension differs from atoms")
-    points = np.array([(n.x, n.y, n.z) for n in grid], dtype=float).reshape(-1, 3)
+    points = _grid_points(grid)
     moved = _translated_pairs(points, t1, t0, hamiltonian, hbar, tols)
     fixed = _translated_pairs(n2.as_array(), t2, t0, hamiltonian, hbar, tols)
     if mode == "commute":
@@ -239,15 +281,17 @@ def _search_residuals(
     return real_part_residuals(moved[:, 0], moved[:, 1], fixed[0], rho.matrix)
 
 
-def _kept(
-    grid: Sequence[Direction], residuals: np.ndarray, tol: float
-) -> list[Direction]:
-    return [n for n, residual in zip(grid, residuals) if residual <= tol]
+def _kept(grid: SearchGrid, residuals: np.ndarray, tol: float) -> list[Direction]:
+    """Grid entries within ``tol``; array rows become ``Direction`` objects."""
+    keep = np.flatnonzero(residuals <= tol)
+    if isinstance(grid, np.ndarray):
+        return [Direction(*row) for row in np.asarray(grid, dtype=float)[keep].tolist()]
+    return [grid[k] for k in keep]
 
 
 def compatible_directions(
     n2: Direction,
-    grid: Sequence[Direction],
+    grid: SearchGrid,
     hamiltonian: HermitianOperator | None = None,
     hbar: float = 1.0,
     t1: float = 1.0,
@@ -271,7 +315,7 @@ def compatible_directions(
 def gmh_directions(
     n0: Direction,
     n2: Direction,
-    grid: Sequence[Direction],
+    grid: SearchGrid,
     rho: DensityOperator | None = None,
     hamiltonian: HermitianOperator | None = None,
     hbar: float = 1.0,
@@ -296,7 +340,7 @@ def gmh_directions(
 def griffiths_directions(
     n0: Direction,
     n2: Direction,
-    grid: Sequence[Direction],
+    grid: SearchGrid,
     rho: DensityOperator | None = None,
     hamiltonian: HermitianOperator | None = None,
     hbar: float = 1.0,

@@ -6,6 +6,7 @@ import yaml
 
 from qprops import cli
 from qprops.cli import MAX_GRID_COUNT, main
+from qprops.spin import Direction
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
 ZZ = str(SPECS_DIR / "spin_zz.yaml")
@@ -273,6 +274,27 @@ class TestSpinSearch:
         assert payload is None
         assert_one_line_error(err)
         assert f"--grid-count must lie in [0, {MAX_GRID_COUNT}]" in err
+
+    @pytest.mark.parametrize("mode", ["commute", "gmh", "griffiths"])
+    def test_directions_built_only_for_accepted_rows(self, capsys, monkeypatch, mode):
+        built = []
+        check = Direction.__post_init__
+
+        def counted_check(self):
+            built.append((self.x, self.y, self.z))
+            check(self)
+
+        monkeypatch.setattr(Direction, "__post_init__", counted_check)
+        _, payload, _ = run_json(
+            capsys, "spin-search", XZ, "--mode", mode, "--grid-count", "2000"
+        )
+        results = payload["results"]
+        assert results["grid_points"] == 2006
+        # the spec's two context directions (the last is the fixed one), the
+        # state direction outside commute mode, then one per accepted row
+        spec_and_state = 2 if mode == "commute" else 3
+        assert len(built) == spec_and_state + results["accepted_count"]
+        assert [list(n) for n in built[spec_and_state:]] == results["accepted"]
 
     def test_mixed_state_rejected_for_gmh_mode(self, capsys, tmp_path):
         doc = {

@@ -234,6 +234,27 @@ class TestComposedGrid:
         with pytest.raises(InvariantViolation):
             Projector(composed[("a", "a")].matrix)
 
+    def test_composed_atoms_are_built_once_and_read_only(self, rng, monkeypatch):
+        h = random_hermitian(rng, 6)
+        contexts = shared_basis_contexts(rng, 6, 3, h, parts=3)
+        gc = build_generalized_context(contexts, 0.0, h)
+        built = []
+        init = Projector.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Projector, "__init__", counted_init)
+        first, second = gc.composed_atoms, gc.composed_atoms
+        assert len(built) == int(np.prod([len(ctx) for ctx in contexts])) == 27
+        assert first is second
+        label = gc.label_tuples[0]
+        with pytest.raises(TypeError):
+            first[label] = Z_PLUS
+        with pytest.raises(TypeError):
+            del first[label]
+
 
 def einsum_exclusivity_residual(mats):
     """The full n^2 product check, max |P_a P_b - delta_ab P_a|, as reference."""

@@ -4,7 +4,7 @@ import pytest
 from helpers import SX, random_density, spin_pair
 from qprops.config import DEFAULT_TOLERANCES
 from qprops.contexts import build_generalized_context
-from qprops.errors import IncompatibleContexts, NonUnitDirection
+from qprops.errors import IncompatibleContexts, InvariantViolation, NonUnitDirection
 from qprops.histories import HistoryFamily, gmh_check, griffiths_check
 from qprops.lattice import TimedProperty, translate
 from qprops.linop import (
@@ -29,6 +29,7 @@ from qprops.spin import (
     gmh_directions,
     griffiths_directions,
     sphere_grid,
+    sphere_points,
     spin_projectors,
 )
 
@@ -105,6 +106,26 @@ class TestSphereGrid:
     def test_no_axes_option(self):
         grid = sphere_grid(30, include_axes=False)
         assert len(grid) == 30
+
+    def test_points_are_the_grid_as_a_read_only_array(self):
+        points = sphere_points(300)
+        assert points.shape == (306, 3)
+        assert not points.flags.writeable
+        assert [Direction(*row) for row in points.tolist()] == list(sphere_grid(300))
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([[1.0, 1.0, 0.0]], NonUnitDirection),
+            ([[0.0, 0.0, 1.0], [float("nan"), 0.0, 0.0]], NonUnitDirection),
+            ([[1.0, 0.0]], InvariantViolation),
+        ],
+        ids=["non-unit", "nan", "shape"],
+    )
+    def test_array_grid_rows_are_checked(self, rows, error):
+        for search in (compatible_directions, lambda n, g: gmh_directions(X, n, g)):
+            with pytest.raises(error):
+                search(Z, np.array(rows))
 
 
 class TestCompatibleDirections:
