@@ -366,7 +366,10 @@ class GeneralizedContext:
         """Each composed atom as a ``Projector``, as a read-only mapping.
 
         The ``Projector`` objects are built and checked on the first access
-        only; later accesses return the same mapping.
+        only; later accesses return the same mapping.  Each ``Projector``
+        holds its own copy of its atom, so once accessed the mapping keeps
+        a second copy of the grid (about 107 MB for 6 561 atoms at d = 32)
+        alive as long as the context.
         """
         return MappingProxyType(
             {

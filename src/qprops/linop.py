@@ -205,7 +205,7 @@ class UnitaryOperator(Operator):
 
     def transform(self, matrices) -> np.ndarray:
         """U M U^dag for one matrix or each matrix of a (..., d, d) stack."""
-        return stack_matmul(self._matrix @ matrices, self._matrix.conj().T)
+        return self._matrix @ matrices @ self._matrix.conj().T
 
 
 class DensityOperator(HermitianOperator):
@@ -458,15 +458,18 @@ def stack_matmul(stack, b) -> np.ndarray:
     numpy's ``@`` on an (..., d, d) stack calls BLAS once per matrix, which
     for small d costs far more than the arithmetic.  With one right factor
     the stack is reshaped to its (n d, d) rows and multiplied in a single
-    call; each output row is still the dot products of one input row with
-    the columns of ``b``, and with OpenBLAS 0.3.31 the result matched the
-    per-matrix ``@`` bit for bit for d = 1 to 33 and strided stacks.
-    Only shared right factors are stacked.  The left-sided ``b @ stack`` as
-    one GEMM multiplies ``b`` by the (d, n d) column block of the stack, and
-    there the same library rounds the last bits of some products (d = 2, 3,
-    5, 6, 7) differently from the per-matrix call, which could move a
-    verdict that sits near its tolerance.  Any other shape of ``b`` falls
-    back to ``@``.
+    call.  The product is the same up to rounding, but which BLAS kernel
+    runs, and so the last bits, depends on the library, the CPU and the
+    matrix shape.  With numpy's bundled OpenBLAS 0.3.31, complex stacks at
+    d = 2 (the spin searches) matched the per-matrix ``@`` bit for bit
+    under every x86-64 kernel it ships (SkylakeX, Haswell, also used on
+    Zen, Sandybridge, Nehalem, Katmai); at larger d the Haswell kernel
+    differed from d = 4 on, Sandybridge and Nehalem at odd d >= 5.  So
+    results that must equal a per-matrix product bit for bit, such as
+    ``UnitaryOperator.transform``, do not use it.  Only right factors are
+    stacked: ``b @ stack`` as one GEMM multiplies ``b`` by the (d, n d)
+    column block of the stack, and that changed last bits even at d = 2.
+    Any other shape of ``b`` falls back to ``@``.
     """
     stack, b = np.asarray(stack), np.asarray(b)
     if stack.ndim <= 2 or b.ndim != 2:

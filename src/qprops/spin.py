@@ -11,8 +11,9 @@ planes, respectively.
 A search grid is either a sequence of ``Direction`` objects or, cheaper, a
 read-only (N, 3) array of unit rows such as ``sphere_points`` returns
 (``sphere_grid`` is the same grid as ``Direction`` objects).  An array grid
-is checked for unit rows in one pass, and only the accepted rows become
-``Direction`` objects in the answer.
+is checked for unit rows in one pass.  Either way the search runs on the
+(N, 3) rows, and only the accepted rows become ``Direction`` objects in the
+answer.
 
 The searches are batched.  The grid becomes one (N, 2, 2, 2) stack of
 projector pairs (I +/- n.sigma)/2, validated with the projector and context
@@ -20,8 +21,8 @@ checks in one pass, translated to the initial time with one evolution
 operator and validated again.  One stacked kernel per mode then scores all
 points: ``linop.commutator_residuals``, or the ``histories`` kernels that
 ``gmh_check`` and ``griffiths_check`` themselves use.  Every product of the
-stack with one shared matrix (U^dag, the fixed atom, the state) is a single
-GEMM (``linop.stack_matmul``).  No per-direction ``Projector``, ``Context``
+stack by one shared right factor (U^dag, the fixed atom, the state) is a
+single GEMM (``linop.stack_matmul``).  No per-direction ``Projector``, ``Context``
 or ``HistoryFamily`` is built, yet every verdict is the one those objects
 would give.
 """
@@ -55,6 +56,7 @@ from .linop import (
     check_projector_stack,
     commutator_residuals,
     evolution_operator,
+    stack_matmul,
 )
 
 __all__ = [
@@ -212,14 +214,20 @@ def _translated_pairs(
     pairs = _spin_pairs(points)
     check_projector_stack(pairs, tols=tols)
     check_context_laws(pairs, _LABELS, tols=tols)
-    u = evolution_operator(hamiltonian, t_from, t_to, hbar, tols=tols)
-    moved = u.transform(pairs)
+    u = evolution_operator(hamiltonian, t_from, t_to, hbar, tols=tols).matrix
+    # U P U^dag, the right product as one GEMM; at d = 2 its bits are those
+    # of ``UnitaryOperator.transform`` (see ``linop.stack_matmul``)
+    moved = stack_matmul(u @ pairs, u.conj().T)
     check_projector_stack(moved, tols=tols)
     return moved
 
 
 def _grid_points(grid: SearchGrid) -> np.ndarray:
-    """(N, 3) rows of a search grid; array rows get the ``Direction`` check."""
+    """(N, 3) rows of a search grid; array rows get the ``Direction`` check.
+
+    ``Direction`` objects were checked when built; an array is checked for
+    its shape and for unit rows here, in one pass.
+    """
     if not isinstance(grid, np.ndarray):
         return np.array([(n.x, n.y, n.z) for n in grid], dtype=float).reshape(-1, 3)
     if grid.ndim != 2 or grid.shape[1] != 3:
@@ -281,12 +289,9 @@ def _search_residuals(
     return real_part_residuals(moved[:, 0], moved[:, 1], fixed[0], rho.matrix)
 
 
-def _kept(grid: SearchGrid, residuals: np.ndarray, tol: float) -> list[Direction]:
-    """Grid entries within ``tol``; array rows become ``Direction`` objects."""
-    keep = np.flatnonzero(residuals <= tol)
-    if isinstance(grid, np.ndarray):
-        return [Direction(*row) for row in np.asarray(grid, dtype=float)[keep].tolist()]
-    return [grid[k] for k in keep]
+def _kept(points: np.ndarray, residuals: np.ndarray, tol: float) -> list[Direction]:
+    """The grid rows within ``tol``, each as a ``Direction``."""
+    return [Direction(*row) for row in points[residuals <= tol].tolist()]
 
 
 def compatible_directions(
@@ -306,10 +311,11 @@ def compatible_directions(
     all four cross commutators stay below ``tols.commute``.  The verdict
     never consults a state.  Output order follows the grid.
     """
+    points = _grid_points(grid)
     residuals = _search_residuals(
-        "commute", None, n2, grid, None, hamiltonian, hbar, t0, t1, t2, tols
+        "commute", None, n2, points, None, hamiltonian, hbar, t0, t1, t2, tols
     )
-    return _kept(grid, residuals, tols.commute)
+    return _kept(points, residuals, tols.commute)
 
 
 def gmh_directions(
@@ -331,10 +337,11 @@ def gmh_directions(
     direction is that of ``gmh_check`` on the family of the direction's
     context at ``t1`` and the n2 context at ``t2``.
     """
+    points = _grid_points(grid)
     residuals = _search_residuals(
-        "gmh", n0, n2, grid, rho, hamiltonian, hbar, t0, t1, t2, tols
+        "gmh", n0, n2, points, rho, hamiltonian, hbar, t0, t1, t2, tols
     )
-    return _kept(grid, residuals, tols.consist)
+    return _kept(points, residuals, tols.consist)
 
 
 def griffiths_directions(
@@ -357,10 +364,11 @@ def griffiths_directions(
     accepted set coincides pointwise with the vanishing of
     ``coplanarity_defect(n0, n1, n2)``.
     """
+    points = _grid_points(grid)
     residuals = _search_residuals(
-        "griffiths", n0, n2, grid, rho, hamiltonian, hbar, t0, t1, t2, tols
+        "griffiths", n0, n2, points, rho, hamiltonian, hbar, t0, t1, t2, tols
     )
-    return _kept(grid, residuals, tols.consist)
+    return _kept(points, residuals, tols.consist)
 
 
 def antipodal_pairs(

@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-try:
-    from hypothesis import settings
-except ImportError:  # the property tests skip themselves
-    pass
-else:
-    # few, reproducible examples with a per-example deadline keep tier-1 short
-    settings.register_profile(
-        "qprops", max_examples=30, deadline=2000, derandomize=True, database=None
-    )
-    settings.load_profile("qprops")
+from hypothesis import settings
+
+# few, reproducible examples with a per-example deadline keep tier-1 short
+settings.register_profile(
+    "qprops", max_examples=30, deadline=2000, derandomize=True, database=None
+)
+settings.load_profile("qprops")
 
 
 @pytest.fixture

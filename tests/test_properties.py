@@ -1,28 +1,25 @@
 """Property tests over generated inputs (Hypothesis; profile in conftest.py).
 
-The stacked right-factor product must reproduce numpy's per-matrix ``@`` bit
-for bit, and the spin searches must give the same answers from the
-``sphere_points`` array as from the ``sphere_grid`` tuple, with residuals
-equal bit for bit to a plain-``@`` evaluation of the same formulas.
+The stacked right-factor product must reproduce numpy's per-matrix ``@`` up
+to rounding (its last bits depend on the BLAS kernel, see
+``linop.stack_matmul``), and the spin searches must give the same answers
+from the ``sphere_points`` array as from the ``sphere_grid`` tuple, with
+residuals equal bit for bit to a plain-``@`` evaluation of the same formulas.
 """
 
 import numpy as np
-import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-pytest.importorskip("hypothesis")
-
-from hypothesis import given  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from qprops.config import DEFAULT_TOLERANCES  # noqa: E402
-from qprops.histories import gmh_residuals, history_operators  # noqa: E402
-from qprops.linop import (  # noqa: E402
+from qprops.config import DEFAULT_TOLERANCES
+from qprops.histories import gmh_residuals, history_operators
+from qprops.linop import (
     DensityOperator,
     HermitianOperator,
     evolution_operator,
     stack_matmul,
 )
-from qprops.spin import (  # noqa: E402
+from qprops.spin import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -80,14 +77,16 @@ def factor_view(seed, d, view, complex_entries):
     complex_factor=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stack_matmul_equals_per_matrix_products_bit_for_bit(
+def test_stack_matmul_equals_per_matrix_products_up_to_rounding(
     d, lead, stack_kind, factor_kind, complex_stack, complex_factor, seed
 ):
     stack = stack_view(seed, lead, d, stack_kind, complex_stack)
     b = factor_view(seed + 1, d, factor_kind, complex_factor)
     got, want = stack_matmul(stack, b), stack @ b
     assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    # both lie within the dot-product rounding bound of the exact product
+    bound = 4 * (d + 2) * np.finfo(float).eps * (np.abs(stack) @ np.abs(b))
+    assert np.all(np.abs(got - want) <= bound)
 
 
 def plain_residuals(mode, n2, points, rho, h, t0, t1, t2):
