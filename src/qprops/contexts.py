@@ -44,6 +44,7 @@ __all__ = [
     "check_context_laws",
     "CompositeProperty",
     "validate_context",
+    "translate_contexts",
     "build_generalized_context",
     "composite_probability",
     "composite_meet",
@@ -188,6 +189,36 @@ def validate_context(
     return Context(time, atoms, labels, tols=tols)
 
 
+def translate_contexts(
+    contexts: Sequence[Context],
+    t_to: float,
+    hamiltonian: HermitianOperator,
+    hbar: float = 1.0,
+    *,
+    tols: Tolerances = DEFAULT_TOLERANCES,
+) -> tuple[tuple[Context, ...], tuple[np.ndarray, ...]]:
+    """Check contexts at several times and move each one's atoms to ``t_to``.
+
+    The list must be non-empty, act on the Hamiltonian's dimension and have
+    strictly increasing times.  Returns the contexts as a tuple and one
+    ``Context.translated`` stack per context.
+    """
+    contexts = tuple(contexts)
+    if not contexts:
+        raise InvariantViolation("need at least one context")
+    if any(ctx.dim != hamiltonian.dim for ctx in contexts):
+        raise DimensionMismatch("context and Hamiltonian dimensions differ")
+    times = [ctx.time for ctx in contexts]
+    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        raise TimeOrderViolation(
+            f"context times must be strictly increasing, got {times}"
+        )
+    translated = tuple(
+        ctx.translated(t_to, hamiltonian, hbar, tols=tols) for ctx in contexts
+    )
+    return contexts, translated
+
+
 def _exclusivity_residual(mats: np.ndarray, tol: float) -> float:
     """max |P_a P_b - delta_ab P_a|_max over the pairs of an (n, d, d) stack
     that a row/column-norm bound cannot place within ``tol``.
@@ -270,23 +301,8 @@ class GeneralizedContext:
         *,
         tols: Tolerances = DEFAULT_TOLERANCES,
     ):
-        contexts = tuple(contexts)
-        if not contexts:
-            raise InvariantViolation("need at least one context")
-        dim = contexts[0].dim
-        for ctx in contexts:
-            if ctx.dim != dim:
-                raise DimensionMismatch("contexts act on different dimensions")
-            if ctx.dim != hamiltonian.dim:
-                raise DimensionMismatch("context and Hamiltonian dimensions differ")
-        times = [ctx.time for ctx in contexts]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise TimeOrderViolation(
-                f"context times must be strictly increasing, got {times}"
-            )
-
-        translated = tuple(
-            ctx.translated(ref_time, hamiltonian, hbar, tols=tols) for ctx in contexts
+        contexts, translated = translate_contexts(
+            contexts, ref_time, hamiltonian, hbar, tols=tols
         )
         failures = _commutation_failures(contexts, translated, tols)
         if failures:
@@ -298,6 +314,7 @@ class GeneralizedContext:
             )
 
         # left-nested ((P_0 P_1) P_2)..., in itertools.product order
+        dim = hamiltonian.dim
         grid = translated[0]
         for later in translated[1:]:
             grid = (grid[:, None] @ later[None, :]).reshape(-1, dim, dim)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .contexts import Context, GeneralizedContext, LabelTuple
+from .contexts import Context, GeneralizedContext, LabelTuple, translate_contexts
 from .errors import (
     ConditionOnNull,
     DimensionMismatch,
@@ -92,21 +92,12 @@ class HistoryFamily:
         *,
         tols: Tolerances = DEFAULT_TOLERANCES,
     ):
-        contexts = tuple(contexts)
-        if not contexts:
-            raise InvariantViolation("a history family needs at least one time")
-        dim = contexts[0].dim
-        for ctx in contexts:
-            if ctx.dim != dim:
-                raise DimensionMismatch("per-time families act on different dimensions")
-        if hamiltonian.dim != dim or initial_state.dim != dim:
+        contexts, atoms_ref = translate_contexts(
+            contexts, initial_time, hamiltonian, hbar, tols=tols
+        )
+        if initial_state.dim != hamiltonian.dim:
             raise DimensionMismatch("state/Hamiltonian dimension differs from atoms")
-        times = [ctx.time for ctx in contexts]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise TimeOrderViolation(
-                f"family times must be strictly increasing, got {times}"
-            )
-        if times[0] <= initial_time:
+        if contexts[0].time <= initial_time:
             raise TimeOrderViolation(
                 f"family times must follow the initial time {initial_time!r}"
             )
@@ -116,11 +107,7 @@ class HistoryFamily:
         self._hbar = float(hbar)
         self._initial_time = float(initial_time)
         self._initial_state = initial_state
-        self._tols = tols
-        self._atoms_ref = tuple(
-            ctx.translated(initial_time, hamiltonian, hbar, tols=tols)
-            for ctx in contexts
-        )
+        self._atoms_ref = atoms_ref
 
     @property
     def contexts(self) -> tuple[Context, ...]:
@@ -162,17 +149,6 @@ class HistoryFamily:
             itertools.product(*(ctx.labels for ctx in self._contexts))
         )
 
-    def with_initial_state(self, rho: DensityOperator) -> "HistoryFamily":
-        """Same family evaluated from a different initial state."""
-        return HistoryFamily(
-            self._contexts,
-            self._hamiltonian,
-            self._initial_time,
-            rho,
-            self._hbar,
-            tols=self._tols,
-        )
-
     def history(self, choices: Sequence[str]) -> "History":
         return History(self, tuple(str(c) for c in choices))
 
@@ -192,10 +168,9 @@ class HistoryFamily:
 
     def _operator_matrix(self, choices: LabelTuple) -> np.ndarray:
         indices = self._choice_indices(choices)
-        product = self._atoms_ref[0][indices[0]]
-        for k in range(1, len(indices)):
-            product = self._atoms_ref[k][indices[k]] @ product
-        return product
+        return history_operators(
+            [atoms[i : i + 1] for atoms, i in zip(self._atoms_ref, indices)]
+        )[0]
 
     def __repr__(self) -> str:
         return (
@@ -397,7 +372,6 @@ def omnes_implies(
     family: HistoryFamily,
     a: Iterable[LabelTuple],
     b: Iterable[LabelTuple],
-    rho: DensityOperator | None = None,
     *,
     criterion: str = "gmh",
     tols: Tolerances = DEFAULT_TOLERANCES,
@@ -405,14 +379,11 @@ def omnes_implies(
     """Probabilistic implication between history sets: Pr(b | a) = 1.
 
     History sets are subsets of the elementary-history grid and intersect as
-    sets.  The family (with ``rho`` substituted, if given) must pass the
-    selected consistency check; conditioning on a set of probability below
-    ``tols.prob`` raises ``ConditionOnNull``.
+    sets.  The family must pass the selected consistency check; conditioning
+    on a set of probability below ``tols.prob`` raises ``ConditionOnNull``.
     """
     set_a = _normalize_history_set(family, a)
     set_b = _normalize_history_set(family, b)
-    if rho is not None:
-        family = family.with_initial_state(rho)
     if criterion == "gmh":
         report = gmh_check(family, tols=tols)
     elif criterion == "griffiths":

@@ -91,9 +91,6 @@ class Operator:
     def dim(self) -> int:
         return self._matrix.shape[0]
 
-    def trace(self) -> complex:
-        return complex(np.trace(self._matrix))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
 
@@ -199,9 +196,6 @@ class UnitaryOperator(Operator):
                 f"matrix is not unitary: |U U^dag - I| = {residual:.3e} "
                 f"(tolerance {tols.unit:.1e})"
             )
-
-    def inverse(self) -> "UnitaryOperator":
-        return UnitaryOperator(self._matrix.conj().T)
 
     def transform(self, matrices) -> np.ndarray:
         """U M U^dag for one matrix or each matrix of a (..., d, d) stack."""

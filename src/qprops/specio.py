@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,7 @@ from .contexts import Context
 from .errors import (
     InvariantViolation,
     NonHermitianInput,
+    NonUnitDirection,
     ParseError,
     QpropsError,
     ValidationError,
@@ -63,27 +65,41 @@ def _parse_scalar(value, where: str) -> complex:
     if isinstance(value, bool):
         raise ParseError(f"{where}: booleans are not matrix entries")
     if isinstance(value, (int, float)):
-        z = complex(value)
+        parts = (value,)
     elif (
         isinstance(value, (list, tuple))
         and len(value) == 2
         and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value)
     ):
-        z = complex(value[0], value[1])
+        parts = value
     else:
         raise ParseError(
             f"{where}: expected a number or a [re, im] pair, got {value!r}"
         )
+    try:
+        z = complex(*parts)
+    except OverflowError:
+        raise ParseError(f"{where}: entry is too large for a float") from None
     if not cmath.isfinite(z):
         raise ParseError(f"{where}: entry {value!r} is not finite")
     return z
 
 
-def _require_finite_number(value, where: str) -> None:
+def _require_number(value, where: str) -> float:
+    """``value`` as a float; it must be an int or float, not a boolean."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{where} must be a number")
-    if not math.isfinite(value):
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{where} is too large for a float") from None
+
+
+def _require_finite_number(value, where: str) -> float:
+    number = _require_number(value, where)
+    if not math.isfinite(number):
         raise ParseError(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def _parse_matrix(value, dim: int, where: str) -> np.ndarray:
@@ -94,6 +110,10 @@ def _parse_matrix(value, dim: int, where: str) -> np.ndarray:
         if not isinstance(row, (list, tuple)):
             raise ParseError(f"{where}: row {r} is not an array")
         rows.append([_parse_scalar(x, f"{where}[{r}][{c}]") for c, x in enumerate(row)])
+        if len(rows[r]) != len(rows[0]):
+            raise ValidationError(
+                f"{where}: row {r} has {len(rows[r])} entries, row 0 has {len(rows[0])}"
+            )
     arr = np.array(rows, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape != (dim, dim):
         raise ValidationError(
@@ -222,10 +242,12 @@ def _parse_context_entry(entry, dim: int, index: int) -> ContextSpec:
                 raise ParseError(
                     f"{where}.windows[{k}]: expected keys 'label', 'lo', 'hi'"
                 )
+            lo, hi = (
+                _require_number(win[key], f"{where}.windows[{k}]: {key!r}")
+                for key in ("lo", "hi")
+            )
             try:
-                windows.append(
-                    SpectralWindow(str(win["label"]), float(win["lo"]), float(win["hi"]))
-                )
+                windows.append(SpectralWindow(str(win["label"]), lo, hi))
             except InvariantViolation as err:
                 raise ValidationError(f"{where}.windows[{k}]: {err}") from err
         return ContextSpec(float(time), None, observable=observable, windows=tuple(windows))
@@ -241,15 +263,24 @@ def _parse_context_entry(entry, dim: int, index: int) -> ContextSpec:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
     ):
         raise ParseError(f"{where}: 'direction' must be a 3-vector of numbers")
-    norm = float(np.linalg.norm(raw))
+    x, y, z = (_require_finite_number(c, f"{where}: 'direction'") for c in raw)
+    # squared components can overflow, or lose bits below the normal range;
+    # normalizing then fails, so the overflow warning would only be noise
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(raw))
     if norm == 0.0:
         raise ValidationError(f"{where}: direction vector is zero")
+    try:
+        direction = Direction.normalized(x, y, z)
+    except NonUnitDirection as err:
+        raise ValidationError(
+            f"{where}: 'direction' {list(raw)} cannot be normalized: {err}"
+        ) from err
     if abs(norm - 1.0) > _DIRECTION_NORM_WARN:
         warnings.warn(
             f"{where}: direction {list(raw)} has norm {norm!r}; auto-normalizing",
             stacklevel=2,
         )
-    direction = Direction.normalized(float(raw[0]), float(raw[1]), float(raw[2]))
     return ContextSpec(float(time), labels, direction=direction)
 
 
@@ -272,18 +303,20 @@ def parse_system_spec(document, source: str = "<memory>") -> SystemSpec:
     if (
         not isinstance(hbar, (int, float))
         or isinstance(hbar, bool)
-        or not (hbar > 0 and math.isfinite(hbar))
+        or not 0 < hbar <= sys.float_info.max
     ):
         raise ValidationError(f"{source}: 'hbar' must be a positive finite number")
 
     initial_time = document["initial_time"]
     _require_finite_number(initial_time, f"{source}: 'initial_time'")
 
-    if "hamiltonian" in document and document["hamiltonian"] is not None:
+    hamiltonian = None
+    if document.get("hamiltonian") is not None:
         hamiltonian = _parse_matrix(document["hamiltonian"], dim, f"{source}.hamiltonian")
-    else:
-        hamiltonian = np.zeros((dim, dim), dtype=np.complex128)
     initial_state = _parse_matrix(document["initial_state"], dim, f"{source}.initial_state")
+    if hamiltonian is None:
+        # after the state, whose d x d entries bound d by the document's size
+        hamiltonian = np.zeros((dim, dim), dtype=np.complex128)
     reference_time = document.get("reference_time", initial_time)
     _require_finite_number(reference_time, f"{source}: 'reference_time'")
 

@@ -246,7 +246,7 @@ def _search_residuals(
     mode: str,
     n0: Direction | None,
     n2: Direction,
-    grid: SearchGrid,
+    points: np.ndarray,
     rho: DensityOperator | None,
     hamiltonian: HermitianOperator | None,
     hbar: float,
@@ -255,7 +255,8 @@ def _search_residuals(
     t2: float,
     tols: Tolerances,
 ) -> np.ndarray:
-    """Residual of every grid direction under one search, as one (N,) array.
+    """Residual of every row of a checked (N, 3) grid (``_grid_points``)
+    under one search, as one (N,) array.
 
     Every pair is translated to ``t0``.  ``commute`` takes the largest of
     the four cross commutators, ``gmh`` the largest off-diagonal entry of the
@@ -266,7 +267,6 @@ def _search_residuals(
         hamiltonian = HermitianOperator.zero(2)
     if hamiltonian.dim != 2:
         raise DimensionMismatch("state/Hamiltonian dimension differs from atoms")
-    points = _grid_points(grid)
     moved = _translated_pairs(points, t1, t0, hamiltonian, hbar, tols)
     fixed = _translated_pairs(n2.as_array(), t2, t0, hamiltonian, hbar, tols)
     if mode == "commute":

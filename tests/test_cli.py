@@ -430,6 +430,39 @@ class TestInputErrors:
         assert_one_line_error(err)
         assert named in err and "finite" in err
 
+    @pytest.mark.parametrize(
+        "context, named",
+        [
+            (
+                {"observable": [[1.0, 0.0], [0.0, -1.0]],
+                 "windows": [{"label": "up", "lo": lo, "hi": 1.5},
+                             {"label": "down", "lo": -1.5, "hi": -0.5}]},
+                "windows[0]: 'lo'",
+            )
+            for lo in ("abc", [1], False)
+        ]
+        + [
+            ({"atoms": [[[1.0, 0.0], [0.0]], [[0.0, 0.0], [0.0, 1.0]]]}, "atoms[0]"),
+            ({"direction": [float("nan"), 0.0, 1.0]}, "'direction'"),
+            ({"direction": [float("inf"), 0.0, 1.0]}, "'direction'"),
+            ({"direction": [1e308, 1e308, 0.0]}, "'direction'"),
+        ],
+        ids=["lo-string", "lo-list", "lo-false", "ragged-atoms", "direction-nan",
+             "direction-inf", "direction-overflow"],
+    )
+    def test_malformed_field_is_named(self, capsys, tmp_path, context, named):
+        doc = {
+            "dimension": 2,
+            "initial_time": 0.0,
+            "initial_state": [[0.5, 0.5], [0.5, 0.5]],
+            "contexts": [{"time": 1.0, **context}],
+        }
+        code, payload, err = run_json(capsys, "gc-check", write_spec(tmp_path, doc))
+        assert code == 2
+        assert payload is None
+        assert_one_line_error(err)
+        assert named in err
+
     def test_unexpected_exception_is_an_input_error(self, capsys, monkeypatch):
         def broken_handler(spec, args, tols):
             raise ValueError("unforeseen")

@@ -391,6 +391,25 @@ class TestOmnesImplies:
         with pytest.raises(InvariantViolation):
             omnes_implies(family, [("bad", "z+")], [("a+", "z+")])
 
+    def test_griffiths_criterion(self):
+        a = [("a+", "z+"), ("a+", "z-")]
+        # n0 = x, n1 in the xy plane, n2 = z: real-part consistent only
+        family = two_time_family((1 / np.sqrt(2), 1 / np.sqrt(2), 0.0))
+        with pytest.raises(InconsistentFamily, match="gmh"):
+            omnes_implies(family, a, a)
+        assert omnes_implies(family, a, a + [("a-", "z+")], criterion="griffiths")
+        assert not omnes_implies(
+            family, a, [("a+", "z+"), ("a-", "z+")], criterion="griffiths"
+        )
+        family = two_time_family((1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)))
+        with pytest.raises(InconsistentFamily, match="griffiths"):
+            omnes_implies(family, a, a, criterion="griffiths")
+
+    def test_unknown_criterion_rejected(self):
+        family = two_time_family((1, 0, 0))
+        with pytest.raises(InvariantViolation, match="unknown consistency criterion"):
+            omnes_implies(family, [("a+", "z+")], [("a+", "z+")], criterion="bogus")
+
 
 class TestDiscontinuityExhibit:
     def test_intermediate_time_weight_is_half_but_contexts_are_rejected(self):

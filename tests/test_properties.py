@@ -5,20 +5,39 @@ to rounding (its last bits depend on the BLAS kernel, see
 ``linop.stack_matmul``), and the spin searches must give the same answers
 from the ``sphere_points`` array as from the ``sphere_grid`` tuple, with
 residuals equal bit for bit to a plain-``@`` evaluation of the same formulas.
+Every generalized context must be a consistent history family with the same
+probabilities (criterion 5), and the parser must turn any mutated document
+into a spec, a ``ParseError`` or a ``ValidationError``.
 """
+
+import copy
+import functools
+import operator
+import warnings
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import random_density, random_hermitian, shared_basis_contexts
 from qprops.config import DEFAULT_TOLERANCES
-from qprops.histories import gmh_residuals, history_operators
+from qprops.contexts import build_generalized_context, composite_probability
+from qprops.errors import ParseError, ValidationError
+from qprops.histories import (
+    family_from_generalized_context,
+    gmh_check,
+    gmh_residuals,
+    history_operator,
+    history_operators,
+    history_probability,
+)
 from qprops.linop import (
     DensityOperator,
     HermitianOperator,
     evolution_operator,
     stack_matmul,
 )
+from qprops.specio import SystemSpec, parse_system_spec
 from qprops.spin import (
     PAULI_X,
     PAULI_Y,
@@ -155,3 +174,113 @@ def test_searches_on_point_array_match_the_direction_grid(
         assert exact(kept) == exact(
             search(n0, n2, grid, passed_rho, h, 1.0, t0, t1, t2)
         )
+
+
+def loop_history_operator(family, label):
+    """Heisenberg atoms of one history multiplied one by one, latest leftmost."""
+    product = None
+    for atoms, ctx, choice in zip(family.heisenberg_atoms, family.contexts, label):
+        atom = atoms[ctx.labels.index(choice)]
+        product = atom if product is None else atom @ product
+    return product
+
+
+@given(
+    d=st.integers(2, 6),
+    n_times=st.integers(2, 3),
+    pure=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generalized_context_is_a_consistent_family(d, n_times, pure, seed):
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, d)
+    gc = build_generalized_context(shared_basis_contexts(rng, d, n_times, h), 0.0, h)
+    rho = random_density(rng, d, pure=pure)
+    family = family_from_generalized_context(gc, rho)
+    assert gmh_check(family).verdict
+    for label in gc.label_tuples:
+        history = family.history(label)
+        composite = composite_probability(gc, gc.property([label]), rho)
+        assert abs(history_probability(history) - composite) <= 1e-9
+        want = loop_history_operator(family, label)
+        assert history_operator(history).matrix.tobytes() == want.tobytes()
+
+
+STATE = [[0.5, 0.5], [0.5, 0.5]]
+VALID_DOCUMENTS = (
+    {
+        "dimension": 2,
+        "hbar": 1.0,
+        "hamiltonian": [[[0.0, 0.0], [0.3, 0.0]], [[0.3, 0.0], [0.0, 0.0]]],
+        "initial_time": 0.0,
+        "reference_time": 0.0,
+        "initial_state": STATE,
+        "contexts": [
+            {"time": 1.0, "direction": [1.0, 0.0, 0.0], "labels": ["x+", "x-"]},
+            {"time": 2.0, "direction": [0.0, 0.0, 1.0]},
+        ],
+    },
+    {
+        "dimension": 2,
+        "initial_time": 0.0,
+        "initial_state": STATE,
+        "contexts": [
+            {
+                "time": 1.0,
+                "atoms": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
+                "labels": ["up", "down"],
+            },
+            {
+                "time": 2.0,
+                "observable": [[1.0, 0.0], [0.0, -1.0]],
+                "windows": [
+                    {"label": "up", "lo": 0.0, "hi": float("inf")},
+                    {"label": "down", "lo": -1.5, "hi": 0.0},
+                ],
+            },
+        ],
+    },
+)
+ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=3),
+    st.sampled_from([[], {}, [[1.0, 0.0], [0.0]], [[1.0, 0.0], [0.0, 1.0]]]),
+)
+
+
+def _paths(node, prefix=()):
+    """The key path of every node below the root of a nested document."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@given(base=st.sampled_from(VALID_DOCUMENTS), data=st.data())
+def test_parser_returns_a_spec_or_raises_a_spec_error(base, data):
+    doc = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            # a copy, so later mutations leave the strategy's own lists alone
+            parent[path[-1]] = copy.deepcopy(data.draw(ODD_VALUES))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            spec = parse_system_spec(doc)
+        except (ParseError, ValidationError):
+            return
+    assert isinstance(spec, SystemSpec)

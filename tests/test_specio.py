@@ -173,6 +173,71 @@ class TestParsing:
         with pytest.raises(ParseError, match="finite"):
             parse_system_spec(doc)
 
+    @staticmethod
+    def observable_document(lo):
+        return base_document(
+            contexts=[
+                {
+                    "time": 1.0,
+                    "observable": [[1.0, 0.0], [0.0, -1.0]],
+                    "windows": [
+                        {"label": "up", "lo": lo, "hi": 1.5},
+                        {"label": "down", "lo": -1.5, "hi": -0.5},
+                    ],
+                }
+            ]
+        )
+
+    @pytest.mark.parametrize("lo", ["abc", [1], False], ids=["string", "list", "false"])
+    def test_window_bound_must_be_a_number(self, lo):
+        with pytest.raises(ParseError, match=r"windows\[0\]: 'lo' must be a number"):
+            parse_system_spec(self.observable_document(lo))
+
+    def test_ragged_atom_matrix_rejected(self):
+        doc = base_document(
+            contexts=[{"time": 1.0, "atoms": [[[1.0, 0.0], [0.0]], [[0.0, 0.0], [0.0, 1.0]]]}]
+        )
+        with pytest.raises(ValidationError, match=r"atoms\[0\]: row 1 has 1 entries"):
+            parse_system_spec(doc)
+
+    @pytest.mark.parametrize("component", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_direction_rejected(self, component):
+        doc = base_document()
+        doc["contexts"][0]["direction"] = [component, 0.0, 1.0]
+        with pytest.raises(ParseError, match="'direction' must be finite"):
+            parse_system_spec(doc)
+
+    def test_direction_norm_overflow_rejected(self):
+        doc = base_document()
+        doc["contexts"][0]["direction"] = [1e308, 1e308, 0.0]
+        with pytest.raises(ValidationError, match="'direction' .* cannot be normalized"):
+            parse_system_spec(doc)
+
+    @pytest.mark.parametrize(
+        "key, named",
+        [
+            ("initial_time", "'initial_time'"),
+            ("hbar", "'hbar'"),
+            ("initial_state", "initial_state[0][0]"),
+            ("window", "'lo'"),
+        ],
+    )
+    def test_integer_beyond_float_range_rejected(self, key, named):
+        huge = 10**400
+        if key == "initial_state":
+            doc = base_document(initial_state=[[huge, 0.0], [0.0, 0.0]])
+        elif key == "window":
+            doc = self.observable_document(huge)
+        else:
+            doc = base_document(**{key: huge})
+        with pytest.raises((ParseError, ValidationError)) as caught:
+            parse_system_spec(doc)
+        assert named in str(caught.value)
+
+    def test_huge_dimension_without_hamiltonian_rejected(self):
+        with pytest.raises(ValidationError, match="initial_state"):
+            parse_system_spec(base_document(dimension=10**400))
+
 
 class TestRoundTrip:
     def test_parse_dump_parse_is_identity(self):

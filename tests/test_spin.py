@@ -11,6 +11,7 @@ from qprops.linop import (
     DensityOperator,
     HermitianOperator,
     Projector,
+    UnitaryOperator,
     commutator_norm,
     evolution_operator,
     max_entry_norm,
@@ -21,6 +22,7 @@ from qprops.spin import (
     PAULI_Y,
     PAULI_Z,
     Direction,
+    _grid_points,
     _search_residuals,
     antipodal_pairs,
     compatible_directions,
@@ -267,7 +269,7 @@ def planted_case(rng, grid, driven):
     t0, t1 = 0.0, float(rng.uniform(0.5, 1.5))
     t2 = t1 + float(rng.uniform(0.5, 1.5))
     u1 = evolution_operator(h, t1, t0)
-    back2 = evolution_operator(h, t2, t0).inverse()
+    back2 = UnitaryOperator(evolution_operator(h, t2, t0).matrix.conj().T)
     g0, g2 = (grid[k] for k in rng.choice(len(grid), size=2, replace=False))
     n0 = bloch_direction(u1.transform(spin_projectors(g0)[0].matrix))
     n2 = bloch_direction(back2.transform(u1.transform(spin_projectors(g2)[0].matrix)))
@@ -287,7 +289,7 @@ class TestBatchedSearchesMatchPerPoint:
         n0, n2, rho, h, t0, t1, t2 = planted_case(rng, grid, driven)
         for mode, tol in TOLERANCE.items():
             batched = _search_residuals(
-                mode, n0, n2, grid, rho, h, 1.0, t0, t1, t2, DEFAULT_TOLERANCES
+                mode, n0, n2, _grid_points(grid), rho, h, 1.0, t0, t1, t2, DEFAULT_TOLERANCES
             )
             oracle = np.array(
                 [per_point_residual(mode, n0, n2, n1, rho, h, t0, t1, t2) for n1 in grid]
