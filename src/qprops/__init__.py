@@ -77,7 +77,6 @@ from .spin import (
 from .specio import (
     ContextSpec,
     SystemSpec,
-    dump_system_spec,
     load_system_spec,
     parse_system_spec,
     realize_system,

@@ -63,17 +63,16 @@ def check_context_laws(
     *,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> None:
-    """Exclusivity and completeness of a (..., k, d, d) stack of atom families.
+    """Exclusivity and completeness of a (k, d, d) atom family, as ``Context``
+    checks its atoms.
 
-    With no leading axes this is the check ``Context`` makes on its atoms;
-    with leading axes every family of the stack is checked in one pass, and
-    each reported residual is the worst over the stack.  Raises
-    ``ExclusivityViolation`` with (i, j, residual) per offending atom pair,
-    or ``CompletenessViolation`` with the deviation of the atom sum from I.
+    Raises ``ExclusivityViolation`` with (i, j, residual) per offending atom
+    pair, or ``CompletenessViolation`` with the deviation of the atom sum
+    from I.
     """
     exclusivity = []
-    for i, j in itertools.combinations(range(atoms.shape[-3]), 2):
-        residual = max_entry_norm(atoms[..., i, :, :] @ atoms[..., j, :, :])
+    for i, j in itertools.combinations(range(len(atoms)), 2):
+        residual = max_entry_norm(atoms[i] @ atoms[j])
         if not residual <= tols.proj:
             exclusivity.append((i, j, residual))
     if exclusivity:
@@ -84,7 +83,7 @@ def check_context_laws(
             f"{len(exclusivity)} offending pair(s) in total",
             exclusivity,
         )
-    residual = max_entry_norm(atoms.sum(axis=-3) - np.eye(atoms.shape[-1]))
+    residual = max_entry_norm(atoms.sum(axis=0) - np.eye(atoms.shape[-1]))
     if not residual <= tols.proj:
         raise CompletenessViolation(
             f"atom sum deviates from identity by {residual:.3e}",
@@ -160,12 +159,14 @@ class Context:
         *,
         tols: Tolerances = DEFAULT_TOLERANCES,
     ) -> np.ndarray:
-        """The atoms moved to ``t_to`` by one evolution operator, as a checked stack."""
+        """The atoms moved to ``t_to`` by one evolution operator, as a
+        read-only (k, d, d) stack that is not checked again: conjugation by
+        a checked unitary maps projectors to projectors and a complete
+        exclusive family to one (U P U^dag U Q U^dag = U P Q U^dag)."""
         if self.dim != hamiltonian.dim:
             raise DimensionMismatch("context and Hamiltonian dimensions differ")
         u = evolution_operator(hamiltonian, self._time, t_to, hbar, tols=tols)
         moved = u.transform(self._matrices)
-        check_projector_stack(moved, tols=tols)
         moved.setflags(write=False)
         return moved
 
@@ -199,15 +200,14 @@ def translate_contexts(
 ) -> tuple[tuple[Context, ...], tuple[np.ndarray, ...]]:
     """Check contexts at several times and move each one's atoms to ``t_to``.
 
-    The list must be non-empty, act on the Hamiltonian's dimension and have
-    strictly increasing times.  Returns the contexts as a tuple and one
+    The list must be non-empty and have strictly increasing times, and
+    ``Context.translated`` rejects a context off the Hamiltonian's
+    dimension.  Returns the contexts as a tuple and one
     ``Context.translated`` stack per context.
     """
     contexts = tuple(contexts)
     if not contexts:
         raise InvariantViolation("need at least one context")
-    if any(ctx.dim != hamiltonian.dim for ctx in contexts):
-        raise DimensionMismatch("context and Hamiltonian dimensions differ")
     times = [ctx.time for ctx in contexts]
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise TimeOrderViolation(

@@ -455,15 +455,16 @@ def stack_matmul(stack, b) -> np.ndarray:
     call.  The product is the same up to rounding, but which BLAS kernel
     runs, and so the last bits, depends on the library, the CPU and the
     matrix shape.  With numpy's bundled OpenBLAS 0.3.31, complex stacks at
-    d = 2 (the spin searches) matched the per-matrix ``@`` bit for bit
-    under every x86-64 kernel it ships (SkylakeX, Haswell, also used on
-    Zen, Sandybridge, Nehalem, Katmai); at larger d the Haswell kernel
-    differed from d = 4 on, Sandybridge and Nehalem at odd d >= 5.  So
-    results that must equal a per-matrix product bit for bit, such as
-    ``UnitaryOperator.transform``, do not use it.  Only right factors are
-    stacked: ``b @ stack`` as one GEMM multiplies ``b`` by the (d, n d)
-    column block of the stack, and that changed last bits even at d = 2.
-    Any other shape of ``b`` falls back to ``@``.
+    d = 2 (the fixed-atom and state products of the spin searches) matched
+    the per-matrix ``@`` bit for bit under every x86-64 kernel it ships
+    (SkylakeX, Haswell, also used on Zen, Sandybridge, Nehalem, Katmai); at
+    larger d the Haswell kernel differed from d = 4 on, Sandybridge and
+    Nehalem at odd d >= 5.  So ``UnitaryOperator.transform``, the one
+    conjugation kernel, whose results must equal a per-matrix product bit
+    for bit, does not use it.  Only right factors are stacked: ``b @ stack``
+    as one GEMM multiplies ``b`` by the (d, n d) column block of the stack,
+    and that changed last bits even at d = 2.  Any other shape of ``b``
+    falls back to ``@``.
     """
     stack, b = np.asarray(stack), np.asarray(b)
     if stack.ndim <= 2 or b.ndim != 2:

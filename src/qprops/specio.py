@@ -48,7 +48,6 @@ __all__ = [
     "load_system_spec",
     "spec_to_mapping",
     "dumps_system_spec",
-    "dump_system_spec",
     "realize_context",
     "realize_system",
     "matrix_to_pairs",
@@ -394,10 +393,6 @@ def spec_to_mapping(spec: SystemSpec) -> dict:
 
 def dumps_system_spec(spec: SystemSpec) -> str:
     return yaml.safe_dump(spec_to_mapping(spec), sort_keys=False)
-
-
-def dump_system_spec(spec: SystemSpec, path) -> None:
-    Path(path).write_text(dumps_system_spec(spec))
 
 
 @dataclass(frozen=True, eq=False)

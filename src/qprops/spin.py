@@ -16,15 +16,18 @@ is checked for unit rows in one pass.  Either way the search runs on the
 answer.
 
 The searches are batched.  The grid becomes one (N, 2, 2, 2) stack of
-projector pairs (I +/- n.sigma)/2, validated with the projector and context
-checks in one pass, translated to the initial time with one evolution
-operator and validated again.  One stacked kernel per mode then scores all
-points: ``linop.commutator_residuals``, or the ``histories`` kernels that
-``gmh_check`` and ``griffiths_check`` themselves use.  Every product of the
-stack by one shared right factor (U^dag, the fixed atom, the state) is a
-single GEMM (``linop.stack_matmul``).  No per-direction ``Projector``, ``Context``
-or ``HistoryFamily`` is built, yet every verdict is the one those objects
-would give.
+projector pairs (I +/- n.sigma)/2, moved to the initial time by
+``UnitaryOperator.transform`` of one evolution operator.  The pairs are not
+checked as projectors or as contexts: for a row within ``_UNIT_NORM_TOL`` of
+unit norm the pair is exactly Hermitian, its idempotence, exclusivity and
+completeness residuals are at most (|n|^2 - 1)/4, about 5e-13, and
+conjugation by a checked unitary keeps all of this.  One stacked kernel per
+mode then scores all points: ``linop.commutator_residuals``, or the
+``histories`` kernels that ``gmh_check`` and ``griffiths_check`` themselves
+use.  Every product of the stack by one shared right factor (the fixed atom,
+the state) is a single GEMM (``linop.stack_matmul``).  No per-direction
+``Projector``, ``Context`` or ``HistoryFamily`` is built, yet every verdict
+is the one those objects would give.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .contexts import Context, check_context_laws
+from .contexts import Context
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -53,10 +56,8 @@ from .linop import (
     DensityOperator,
     HermitianOperator,
     Projector,
-    check_projector_stack,
     commutator_residuals,
     evolution_operator,
-    stack_matmul,
 )
 
 __all__ = [
@@ -185,7 +186,16 @@ def sphere_grid(count: int = 2000, include_axes: bool = True) -> tuple[Direction
 
 
 def coplanarity_defect(n0: Direction, n1: Direction, n2: Direction) -> float:
-    """Scalar (n0 x n1) . (n1 x n2); zero iff the three directions are coplanar."""
+    """Scalar (n0 x n1) . (n1 x n2), equal to (n0.n1)(n1.n2) - n0.n2.
+
+    The second form is (a x b).(c x d) = (a.c)(b.d) - (a.d)(b.c).  Despite
+    the name this is not a coplanarity test: for fixed n0 and n2 its zero
+    set is a conic in n1, two great circles (n1 . n0 = 0 or n1 . n2 = 0)
+    when n0 is orthogonal to n2.  So x, (x+z)/sqrt 2, z, all in one plane,
+    give 0.5, and x, (x+y)/sqrt 2, z give 0.  Under free dynamics the
+    real-part residual of ``griffiths_directions`` is a quarter of its
+    magnitude.
+    """
     return float(
         np.dot(
             np.cross(n0.as_array(), n1.as_array()),
@@ -196,30 +206,6 @@ def coplanarity_defect(n0: Direction, n1: Direction, n2: Direction) -> float:
 
 def _pure_state_along(n: Direction, tols: Tolerances) -> DensityOperator:
     return DensityOperator(spin_projectors(n, tols=tols)[0].matrix, tols=tols)
-
-
-def _translated_pairs(
-    points: np.ndarray,
-    t_from: float,
-    t_to: float,
-    hamiltonian: HermitianOperator,
-    hbar: float,
-    tols: Tolerances,
-) -> np.ndarray:
-    """Spin pairs along (..., 3) rows, checked and moved from t_from to t_to.
-
-    The pairs get the checks ``direction_context`` would make, and the moved
-    pairs those of ``Context.translated``, each as one vectorized pass.
-    """
-    pairs = _spin_pairs(points)
-    check_projector_stack(pairs, tols=tols)
-    check_context_laws(pairs, _LABELS, tols=tols)
-    u = evolution_operator(hamiltonian, t_from, t_to, hbar, tols=tols).matrix
-    # U P U^dag, the right product as one GEMM; at d = 2 its bits are those
-    # of ``UnitaryOperator.transform`` (see ``linop.stack_matmul``)
-    moved = stack_matmul(u @ pairs, u.conj().T)
-    check_projector_stack(moved, tols=tols)
-    return moved
 
 
 def _grid_points(grid: SearchGrid) -> np.ndarray:
@@ -267,8 +253,12 @@ def _search_residuals(
         hamiltonian = HermitianOperator.zero(2)
     if hamiltonian.dim != 2:
         raise DimensionMismatch("state/Hamiltonian dimension differs from atoms")
-    moved = _translated_pairs(points, t1, t0, hamiltonian, hbar, tols)
-    fixed = _translated_pairs(n2.as_array(), t2, t0, hamiltonian, hbar, tols)
+    moved = evolution_operator(hamiltonian, t1, t0, hbar, tols=tols).transform(
+        _spin_pairs(points)
+    )
+    fixed = evolution_operator(hamiltonian, t2, t0, hbar, tols=tols).transform(
+        _spin_pairs(n2.as_array())
+    )
     if mode == "commute":
         # one fixed atom at a time keeps the temporaries at the size of ``moved``
         return np.max(
@@ -361,8 +351,10 @@ def griffiths_directions(
 
     ``rho`` defaults to the pure state along ``n0``.  The verdict per
     direction is that of ``griffiths_check``.  For free dynamics the
-    accepted set coincides pointwise with the vanishing of
-    ``coplanarity_defect(n0, n1, n2)``.
+    residual is |``coplanarity_defect(n0, n1, n2)``| / 4, so a direction
+    is kept when |(n0.n1)(n1.n2) - n0.n2| <= 4 ``tols.consist``; for n0
+    orthogonal to n2 that is a thin band around the two great circles
+    orthogonal to n0 and to n2.
     """
     points = _grid_points(grid)
     residuals = _search_residuals(

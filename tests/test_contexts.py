@@ -29,6 +29,7 @@ from qprops.contexts import (
 )
 from qprops.errors import (
     CompletenessViolation,
+    DimensionMismatch,
     ExclusivityViolation,
     ForeignProperty,
     IncompatibleContexts,
@@ -128,6 +129,12 @@ class TestBuildGeneralizedContext:
     def test_unsorted_times_rejected(self):
         with pytest.raises(TimeOrderViolation):
             build_generalized_context([z_context(2.0), z_context(1.0)], 0.0, H0)
+
+    def test_hamiltonian_of_another_dimension_rejected(self):
+        with pytest.raises(DimensionMismatch, match="context and Hamiltonian"):
+            build_generalized_context(
+                [z_context(1.0), z_context(2.0)], 0.0, HermitianOperator.zero(3)
+            )
 
     def test_family_laws_hold_for_random_constructions(self, rng):
         for _ in range(15):

@@ -20,6 +20,7 @@ from qprops.contexts import (
 )
 from qprops.errors import (
     ConditionOnNull,
+    DimensionMismatch,
     InconsistentFamily,
     IncompatibleContexts,
     InvariantViolation,
@@ -138,6 +139,11 @@ class TestHistoryOperator:
                 0.0,
                 RHO_X,
             )
+
+    def test_rejects_a_hamiltonian_of_another_dimension(self):
+        ctx = pair_context(1.0, (0, 0, 1), "z")
+        with pytest.raises(DimensionMismatch, match="context and Hamiltonian"):
+            HistoryFamily([ctx], HermitianOperator.zero(3), 0.0, RHO_X)
 
 
 class TestHistoryProbability:

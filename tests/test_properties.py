@@ -7,7 +7,10 @@ from the ``sphere_points`` array as from the ``sphere_grid`` tuple, with
 residuals equal bit for bit to a plain-``@`` evaluation of the same formulas.
 Every generalized context must be a consistent history family with the same
 probabilities (criterion 5), and the parser must turn any mutated document
-into a spec, a ``ParseError`` or a ``ValidationError``.
+into a spec, a ``ParseError`` or a ``ValidationError``.  Translated contexts
+and translated spin pairs must pass the projector and context checks that
+their construction makes unnecessary, and the Born probability and the class
+of a property must not depend on the time frame (criterion 9).
 """
 
 import copy
@@ -19,9 +22,21 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_density, random_hermitian, shared_basis_contexts
+from helpers import (
+    random_density,
+    random_hermitian,
+    random_partition,
+    random_projector,
+    random_unitary,
+    shared_basis_contexts,
+)
 from qprops.config import DEFAULT_TOLERANCES
-from qprops.contexts import build_generalized_context, composite_probability
+from qprops.contexts import (
+    Context,
+    build_generalized_context,
+    check_context_laws,
+    composite_probability,
+)
 from qprops.errors import ParseError, ValidationError
 from qprops.histories import (
     family_from_generalized_context,
@@ -31,10 +46,14 @@ from qprops.histories import (
     history_operators,
     history_probability,
 )
+from qprops.lattice import TimedProperty, class_born_probability, class_of, translate
 from qprops.linop import (
     DensityOperator,
     HermitianOperator,
+    Projector,
+    check_projector_stack,
     evolution_operator,
+    max_entry_norm,
     stack_matmul,
 )
 from qprops.specio import SystemSpec, parse_system_spec
@@ -43,6 +62,7 @@ from qprops.spin import (
     PAULI_Y,
     PAULI_Z,
     Direction,
+    _grid_points,
     _search_residuals,
     _spin_pairs,
     compatible_directions,
@@ -204,6 +224,73 @@ def test_generalized_context_is_a_consistent_family(d, n_times, pure, seed):
         assert abs(history_probability(history) - composite) <= 1e-9
         want = loop_history_operator(family, label)
         assert history_operator(history).matrix.tobytes() == want.tobytes()
+
+
+TIMES = st.floats(-50.0, 50.0)
+
+
+@given(
+    d=st.sampled_from([2, 6, 16, 32]),
+    t=TIMES,
+    t_to=TIMES,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_translated_context_keeps_the_context_laws(d, t, t_to, seed):
+    rng = np.random.default_rng(seed)
+    basis = random_unitary(rng, d)
+    atoms = [
+        Projector(basis[:, group] @ basis[:, group].conj().T)
+        for group in random_partition(rng, d)
+    ]
+    ctx = Context(t, atoms)
+    moved = ctx.translated(t_to, random_hermitian(rng, d))
+    check_projector_stack(moved, tols=DEFAULT_TOLERANCES)
+    check_context_laws(moved, ctx.labels, tols=DEFAULT_TOLERANCES)
+
+
+@given(
+    rows=st.lists(VECTORS, min_size=1, max_size=20),
+    stretch=st.lists(st.floats(-9e-13, 9e-13), min_size=20, max_size=20),
+    field=FIELDS,
+    t_from=TIMES,
+    t_to=TIMES,
+)
+def test_translated_spin_pairs_keep_the_context_laws(rows, stretch, field, t_from, t_to):
+    # rows up to 9e-13 off unit norm, all of which the grid check admits
+    rows = np.array(rows)
+    scale = (1.0 + np.array(stretch[: len(rows)])) / np.linalg.norm(rows, axis=1)
+    points = _grid_points(rows * scale[:, None])
+    h = HermitianOperator(sum(c * s for c, s in zip(field, (PAULI_X, PAULI_Y, PAULI_Z))))
+    u = evolution_operator(h, t_from, t_to)
+    for pairs in (_spin_pairs(points), u.transform(_spin_pairs(points))):
+        check_projector_stack(pairs, tols=DEFAULT_TOLERANCES)
+        for pair in pairs:
+            check_context_laws(pair, ("+", "-"), tols=DEFAULT_TOLERANCES)
+
+
+@given(
+    d=st.integers(2, 6),
+    t=st.floats(-10.0, 10.0),
+    member_time=st.floats(-10.0, 10.0),
+    refs=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_probability_and_class_are_frame_invariant(d, t, member_time, refs, seed):
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, d)
+    p = TimedProperty(random_projector(rng, d), t)
+    rho = random_density(rng, d)  # the state at time t
+    members = (p, translate(p, member_time, h))
+    want = float(np.trace(rho.matrix @ p.projector.matrix).real)
+    representatives = []
+    for ref in refs:
+        rho_ref = rho.evolved(evolution_operator(h, t, ref))
+        classes = [class_of(member, ref, h) for member in members]
+        for c in classes:
+            assert abs(class_born_probability(rho_ref, c) - want) <= 1e-12
+        representatives.append(classes[0].representative)
+    moved = translate(TimedProperty(representatives[0], refs[0]), refs[1], h)
+    assert max_entry_norm(moved.projector.matrix - representatives[1].matrix) <= 1e-12
 
 
 STATE = [[0.5, 0.5], [0.5, 0.5]]

@@ -209,6 +209,25 @@ class TestGriffithsDirections:
             assert (d in kept) == (abs(coplanarity_defect(X, d, Z)) <= 1e-9)
 
 
+class TestCoplanarityDefect:
+    def test_equals_the_dot_product_form(self, rng):
+        # (a x b).(c x d) = (a.c)(b.d) - (a.d)(b.c) with a, b, c, d = n0, n1, n1, n2
+        for _ in range(200):
+            rows = rng.normal(size=(3, 3))
+            rows /= np.linalg.norm(rows, axis=1)[:, None]
+            n0, n1, n2 = (Direction(*row) for row in rows.tolist())
+            want = (rows[0] @ rows[1]) * (rows[1] @ rows[2]) - rows[0] @ rows[2]
+            assert coplanarity_defect(n0, n1, n2) == pytest.approx(want, abs=1e-14)
+
+    def test_zero_set_is_not_coplanarity(self):
+        # all three in the xz plane, yet far from zero
+        in_plane = Direction.normalized(1.0, 0.0, 1.0)
+        assert coplanarity_defect(X, in_plane, Z) == pytest.approx(0.5, abs=1e-15)
+        # out of every common plane, yet exactly zero
+        out_of_plane = Direction.normalized(1.0, 1.0, 0.0)
+        assert coplanarity_defect(X, out_of_plane, Z) == 0.0
+
+
 class TestInclusionChain:
     def test_search_results_are_nested(self):
         grid = sphere_grid(250)
