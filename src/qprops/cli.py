@@ -9,6 +9,7 @@ check failed, 2 means the input could not be used.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -434,7 +435,10 @@ def _tolerance_overrides(pairs: list[str] | None) -> dict[str, float]:
     return overrides
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it unchanged and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="qprops",
         description="Validate multi-time quantum property descriptions.",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -36,6 +37,7 @@ from .linop import (
     commutator_residuals,
     evolution_operator,
     max_entry_norm,
+    ordered_products,
 )
 
 __all__ = [
@@ -276,14 +278,26 @@ class GeneralizedContext:
 
     Construction translates every atom to ``ref_time``, requires all
     cross-context commutators to vanish within ``tols.commute``, and builds
-    the composed atoms, earliest time leftmost, as one read-only
-    (prod |ctx|, d, d) grid in the ``itertools.product`` order of the labels.
+    the composed atoms, earliest time leftmost, in the ``itertools.product``
+    order of the labels.
 
-    The grid holds all prod |ctx| composed atoms, but their ranks sum to d,
-    so most of them are zero.  The pairwise exclusivity check bounds every
-    product by row and column norms first and multiplies only the pairs of
-    atoms the bound cannot clear, which for a valid family are the at most
-    d atoms of nonzero rank (``_exclusivity_residual``).
+    There are prod |ctx| composed atoms, but their ranks sum to d, so most
+    of them are zero.  The grid is built by ``linop.ordered_products`` one
+    context at a time, and a prefix whose Frobenius norm is below
+    ``min(tols.proj, tols.herm, linop.PRUNE_CEILING) / 2`` is dropped with
+    all its extensions: that norm bounds every entry, row and column of
+    each extension, so a dropped atom would pass the Hermiticity,
+    idempotence and pairwise exclusivity checks against any kept atom.  A dropped atom
+    reads exactly zero: ``composite_probability`` and ``property_projector``
+    skip it and ``composed_atoms`` maps it to a zero projector.  No atom of
+    nonzero rank is dropped, whatever the tolerances, and ``tols.proj <= 0``
+    or ``tols.herm <= 0`` drops nothing.
+
+    The kept atoms are checked as projectors and for pairwise exclusivity,
+    which multiplies only the pairs a row/column-norm bound cannot clear
+    (``_exclusivity_residual``).  Completeness is checked on the sum of all
+    prod |ctx| atoms, dropped ones included: by distributivity it is the
+    product of the per-context atom sums, so it is formed without the grid.
 
     The verdict does not depend on ``ref_time``: moving every atom to another
     time conjugates each commutator by one unitary V, so a commutator that
@@ -314,12 +328,10 @@ class GeneralizedContext:
             )
 
         # left-nested ((P_0 P_1) P_2)..., in itertools.product order
-        dim = hamiltonian.dim
-        grid = translated[0]
-        for later in translated[1:]:
-            grid = (grid[:, None] @ later[None, :]).reshape(-1, dim, dim)
-        self._verify_family_laws(grid, dim, tols)
-        grid.setflags(write=False)
+        atoms, kept = ordered_products(translated, tol=min(tols.proj, tols.herm))
+        total = functools.reduce(operator.matmul, [s.sum(axis=0) for s in translated])
+        self._verify_family_laws(atoms, total, tols)
+        atoms.setflags(write=False)
 
         self._contexts = contexts
         self._ref_time = float(ref_time)
@@ -327,21 +339,26 @@ class GeneralizedContext:
         self._hbar = float(hbar)
         self._tols = tols
         self._translated = translated
-        self._grid = grid
+        self._atoms = atoms
         self._labels = tuple(itertools.product(*(ctx.labels for ctx in contexts)))
-        self._index = {label: k for k, label in enumerate(self._labels)}
+        # label tuple -> row of its kept atom, None for a dropped one
+        rows = dict(zip(kept.tolist(), range(len(kept))))
+        self._index = {label: rows.get(k) for k, label in enumerate(self._labels)}
 
     @staticmethod
-    def _verify_family_laws(mats: np.ndarray, dim: int, tols: Tolerances) -> None:
+    def _verify_family_laws(
+        mats: np.ndarray, total: np.ndarray, tols: Tolerances
+    ) -> None:
         """Projector laws, completeness, then exclusivity of a composed-atom stack.
 
-        Exclusivity asks |P_a P_b - delta_ab P_a|_max <= ``tols.proj`` for
-        every pair, but only the pairs ``_exclusivity_residual`` cannot clear
-        by its norm bound are multiplied; see there.
+        ``total`` is the sum of the whole family, whose distance from I is
+        the completeness residual.  Exclusivity asks
+        |P_a P_b - delta_ab P_a|_max <= ``tols.proj`` for every pair, but
+        only the pairs ``_exclusivity_residual`` cannot clear by its norm
+        bound are multiplied; see there.
         """
         check_projector_stack(mats, tols=tols)
-        total = mats.sum(axis=0)
-        residual = max_entry_norm(total - np.eye(dim))
+        residual = max_entry_norm(total - np.eye(total.shape[-1]))
         if residual > tols.proj:
             raise InvariantViolation(
                 f"composed atoms do not sum to identity (residual {residual:.3e})"
@@ -383,15 +400,16 @@ class GeneralizedContext:
         """Each composed atom as a ``Projector``, as a read-only mapping.
 
         The ``Projector`` objects are built and checked on the first access
-        only; later accesses return the same mapping.  Each ``Projector``
-        holds its own copy of its atom, so once accessed the mapping keeps
-        a second copy of the grid (about 107 MB for 6 561 atoms at d = 32)
-        alive as long as the context.
+        only; later accesses return the same mapping.  Every dropped atom
+        maps to one shared zero ``Projector``; each kept one holds its own
+        copy of its atom.
         """
+        zero = Projector.zero(self.dim)
+        kept = [Projector(atom, tols=self._tols) for atom in self._atoms]
         return MappingProxyType(
             {
-                label: Projector(atom, tols=self._tols)
-                for label, atom in zip(self._labels, self._grid)
+                label: zero if row is None else kept[row]
+                for label, row in self._index.items()
             }
         )
 
@@ -460,10 +478,12 @@ def _require_same_parent(a: CompositeProperty, b: CompositeProperty) -> None:
         )
 
 
-def _grid_order(prop: CompositeProperty) -> list[int]:
-    """Grid indices of the selected label tuples in ascending order, so every
-    sum over a selection adds its atoms in one fixed order."""
-    return sorted(prop.parent._index[label] for label in prop.selected)
+def _kept_rows(prop: CompositeProperty) -> list[int]:
+    """Kept-atom rows of the selected label tuples in ascending (grid) order,
+    so every sum over a selection adds its atoms in one fixed order; a
+    dropped atom is zero and adds nothing."""
+    rows = (prop.parent._index[label] for label in prop.selected)
+    return sorted(row for row in rows if row is not None)
 
 
 def property_projector(
@@ -472,8 +492,8 @@ def property_projector(
     """Projector represented by the property: the sum of its composed atoms."""
     gc = prop.parent
     total = np.zeros((gc.dim, gc.dim), dtype=np.complex128)
-    for k in _grid_order(prop):
-        total += gc._grid[k]
+    for row in _kept_rows(prop):
+        total += gc._atoms[row]
     return Projector(total, tols=tols)
 
 
@@ -494,8 +514,8 @@ def composite_probability(
     if rho.dim != gc.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs context dim {gc.dim}")
     value = 0.0
-    for k in _grid_order(prop):
-        value += float(np.trace(rho.matrix @ gc._grid[k]).real)
+    for row in _kept_rows(prop):
+        value += float(np.trace(rho.matrix @ gc._atoms[row]).real)
     if value < -tols.prob or value > 1.0 + tols.prob:
         raise InvariantViolation(
             f"probability {value!r} lies outside [0, 1] beyond {tols.prob:.1e}"

@@ -33,6 +33,7 @@ from .linop import (
     HermitianOperator,
     Operator,
     Projector,
+    ordered_products,
     stack_matmul,
 )
 
@@ -95,6 +96,13 @@ class HistoryFamily:
         contexts, atoms_ref = translate_contexts(
             contexts, initial_time, hamiltonian, hbar, tols=tols
         )
+        self._setup(contexts, atoms_ref, hamiltonian, initial_time, initial_state, hbar)
+
+    def _setup(
+        self, contexts, atoms_ref, hamiltonian, initial_time, initial_state, hbar
+    ):
+        """Check the state and the time order, and keep the family; the
+        contexts come checked and translated by ``translate_contexts``."""
         if initial_state.dim != hamiltonian.dim:
             raise DimensionMismatch("state/Hamiltonian dimension differs from atoms")
         if contexts[0].time <= initial_time:
@@ -234,14 +242,10 @@ def history_operators(atoms: Sequence[np.ndarray]) -> np.ndarray:
 
     Returns the (..., k_1 * ... * k_T, d, d) stack of time-ordered products,
     latest atom leftmost, in ``itertools.product`` order over the per-time
-    atoms (the ``label_grid`` order).  Leading axes broadcast.
+    atoms (the ``label_grid`` order): ``linop.ordered_products`` without
+    pruning.  Leading axes broadcast.
     """
-    product = atoms[0]
-    for later in atoms[1:]:
-        product = later[..., None, :, :, :] @ product[..., :, None, :, :]
-        lead, (k, m, d, _) = product.shape[:-4], product.shape[-4:]
-        product = product.reshape(lead + (k * m, d, d))
-    return product
+    return ordered_products(atoms, later_left=True)[0]
 
 
 def decoherence_gram(histories: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -286,20 +290,38 @@ def gmh_check(
 
     Each unordered pair is evaluated once (the swapped trace is the complex
     conjugate) and reported with the magnitude of its trace.
+
+    The histories come from ``linop.ordered_products``, latest time
+    leftmost, which drops every prefix whose Frobenius norm is below
+    ``c = min(tols.consist, linop.PRUNE_CEILING) / 2``, with all its
+    extensions.  A dropped history C_a has weight
+    D(a, a) = Tr(C_a rho C_a^dag) <= |C_a|_F^2 < c^2, and since the
+    decoherence functional is positive semidefinite (Gell-Mann and Hartle,
+    Phys. Rev. D 47, 3345, 1993), |D(a, b)| <= sqrt(D(a, a) D(b, b)) < c
+    for every b, as D(b, b) <= 1: no pair with a dropped history can be a
+    violation.  The
+    gram covers the kept histories only, and a dropped history's
+    probability reads exactly 0 (its true weight is below
+    ``PRUNE_CEILING**2 / 4``).  ``tols.consist <= 0`` drops nothing.
     """
     grid = family.label_grid
-    gram = decoherence_gram(
-        history_operators(family.heisenberg_atoms), family.initial_state.matrix
+    histories, kept = ordered_products(
+        family.heisenberg_atoms, later_left=True, tol=tols.consist
     )
+    gram = decoherence_gram(histories, family.initial_state.matrix)
     residuals = gmh_residuals(gram)
-    a, b = np.triu_indices(len(grid), 1)
+    labels = [grid[k] for k in kept.tolist()]
+    a, b = np.triu_indices(len(labels), 1)
+    flagged = np.flatnonzero(residuals > tols.consist)
     violations = [
-        (grid[a[k]], grid[b[k]], float(residuals[k]))
-        for k in np.flatnonzero(residuals > tols.consist)
+        (labels[i], labels[j], residual)
+        for i, j, residual in zip(
+            a[flagged].tolist(), b[flagged].tolist(), residuals[flagged].tolist()
+        )
     ]
-    probabilities = {
-        choices: max(0.0, float(gram[k, k].real)) for k, choices in enumerate(grid)
-    }
+    probabilities = dict.fromkeys(grid, 0.0)
+    for choices, weight in zip(labels, gram.diagonal().real.tolist()):
+        probabilities[choices] = max(0.0, weight)
     return ConsistencyReport("gmh", not violations, tuple(violations), probabilities)
 
 
@@ -348,11 +370,16 @@ def family_from_generalized_context(
 
     The family reuses the context times, dynamics, and reference time; the
     state is taken at the reference time, which must precede the first
-    context time.
+    context time.  Its Heisenberg atoms are the context's
+    ``translated_atoms``: the same contexts moved to the same time by the
+    same Hamiltonian, so translating again would give the same bits, and
+    ``tols`` is not consulted.
     """
-    return HistoryFamily(
-        gc.contexts, gc.hamiltonian, gc.ref_time, rho, gc.hbar, tols=tols
+    family = HistoryFamily.__new__(HistoryFamily)
+    family._setup(
+        gc.contexts, gc.translated_atoms, gc.hamiltonian, gc.ref_time, rho, gc.hbar
     )
+    return family
 
 
 def _normalize_history_set(

@@ -44,6 +44,7 @@ __all__ = [
     "commutator_norm",
     "commutator_residuals",
     "stack_matmul",
+    "ordered_products",
     "subspace_inclusion",
     "max_entry_norm",
     "check_projector_stack",
@@ -346,7 +347,13 @@ def evolution_operator(
     *,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> UnitaryOperator:
-    """Unitary exp(-i H (t_to - t_from) / hbar) via the cached eigensystem of H."""
+    """Unitary exp(-i H (t_to - t_from) / hbar) via the cached eigensystem of H.
+
+    ``eigh`` gives orthonormal eigenvectors and every finite phase has unit
+    modulus, so the result is unitary to rounding: only the finite check
+    runs (a phase that overflowed is NaN), not U U^dag - I, and ``tols`` is
+    not consulted.
+    """
     # written so that NaN fails: an infinite hbar would give U = I
     if not (hbar > 0.0 and math.isfinite(hbar)):
         raise InvariantViolation(f"hbar must be positive and finite, got {hbar!r}")
@@ -354,7 +361,9 @@ def evolution_operator(
         raise InvariantViolation(f"times must be finite, got {t_from!r}, {t_to!r}")
     w, v = H.eigensystem
     phases = np.exp(-1j * w * (t_to - t_from) / hbar)
-    return UnitaryOperator((v * phases) @ v.conj().T, tols=tols)
+    u = UnitaryOperator.__new__(UnitaryOperator)
+    Operator.__init__(u, (v * phases) @ v.conj().T)
+    return u
 
 
 def projector_from_span(
@@ -471,6 +480,52 @@ def stack_matmul(stack, b) -> np.ndarray:
         return stack @ b
     rows = stack.reshape(-1, stack.shape[-1])
     return (rows @ b).reshape(stack.shape[:-1] + b.shape[-1:])
+
+
+# The largest Frobenius norm at which ``ordered_products`` may drop a prefix,
+# whatever the tolerance: a zero product of projectors rounds to entries
+# near 1e-16, and a nonzero projector has Frobenius norm at least 1.
+PRUNE_CEILING = 1e-10
+
+
+def ordered_products(stacks, *, later_left=False, tol=0.0):
+    """Every ordered product of one matrix from each (..., k_t, d, d) stack.
+
+    The product grows one stack at a time, each later factor on the right
+    (composed atoms, earliest time leftmost) or, with ``later_left``, on the
+    left (history operators, latest time leftmost).  Products come in
+    ``itertools.product`` order over the stacks; leading axes broadcast.
+
+    With ``tol > 0`` and (k_t, d, d) stacks of projectors, a prefix whose
+    Frobenius norm is below ``min(tol, PRUNE_CEILING) / 2`` is dropped with
+    every extension of it.  Each later factor has operator norm at most
+    one, so the prefix norm bounds the Frobenius norm of each extension,
+    and with it every entry, row and column, on either side.  A dropped
+    product is thus zero within half the tolerance, and a nonzero projector
+    (Frobenius norm at least 1) is never dropped.  ``tol <= 0`` drops
+    nothing.  Each prefix costs O(d^2) to bound, against O(d^3) to form.
+
+    Returns the kept products and their ascending positions in the full
+    ``itertools.product`` order.
+    """
+    product, index = stacks[0], None  # None until a prefix is dropped
+    cut = min(tol, PRUNE_CEILING) / 2
+    for level, later in enumerate(stacks):
+        if level:
+            new, old = later[..., None, :, :, :], product[..., :, None, :, :]
+            product = new @ old if later_left else old @ new
+            lead, (m, k, d, _) = product.shape[:-4], product.shape[-4:]
+            product = product.reshape(lead + (m * k, d, d))
+            if index is not None:
+                index = (index[:, None] * k + np.arange(k)).reshape(-1)
+        if cut > 0:
+            flat = np.ascontiguousarray(product).reshape(len(product), -1)
+            parts = flat.view(np.float64)
+            keep = np.flatnonzero(~(np.einsum("ij,ij->i", parts, parts) < cut**2))
+            if keep.size < len(product):
+                product = product[keep]
+                index = keep if index is None else index[keep]
+    return product, np.arange(product.shape[-3]) if index is None else index
 
 
 def commutator_residuals(a, b) -> np.ndarray:

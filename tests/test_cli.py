@@ -472,3 +472,37 @@ class TestInputErrors:
         assert code == 2
         assert payload is None
         assert err == "error: ValueError: unforeseen\n"
+
+
+class TestParserReuse:
+    RUNS = [
+        ["gc-check", ZZ, "--tol", "proj=1e-9", "--tol", "commute=1e-8"],
+        ["gc-check", ZZ, "--format", "json"],
+        ["gc-check", XZ, "--format", "json"],
+        ["validate-context", XZ, "--tol", "proj=1e-12"],
+        ["consistency", XZ, "--criterion", "gmh", "--tol", "consist=1e-12"],
+        ["consistency", ZZ, "--criterion", "griffiths"],
+        ["history-prob", XZ, "--choices", "x+,z+", "--format", "json"],
+        ["history-prob", XZ],
+        ["lattice", ZZ, "--op", "meet", "--left", "0:0", "--right", "1:1"],
+        ["lattice", ZZ, "--op", "neg"],
+        ["spin-search", XZ, "--mode", "commute", "--grid-count", "40"],
+        ["spin-search", XZ, "--mode", "gmh", "--tol", "consist=1e-6", "--t1", "0.7"],
+        ["gc-check", ZZ, "--tol", "nosuch=1"],
+    ]
+
+    def test_repeated_calls_give_the_reports_of_first_calls(self, capsys):
+        def run(argv):
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = []
+        for argv in self.RUNS:
+            cli.build_parser.cache_clear()
+            first.append(run(argv))
+        assert {code for code, _, _ in first} == {0, 1, 2}
+        cli.build_parser.cache_clear()
+        repeated = [run(argv) for argv in self.RUNS + self.RUNS[::-1]]
+        assert repeated == first + first[::-1]
+        assert cli.build_parser.cache_info().misses == 1

@@ -38,6 +38,7 @@ from qprops.errors import (
 )
 from qprops.lattice import TimedProperty, class_meet, class_negate, class_of, translate
 from qprops.linop import (
+    PRUNE_CEILING,
     DensityOperator,
     HermitianOperator,
     Projector,
@@ -200,21 +201,31 @@ def per_atom_grid(gc):
 
 class TestComposedGrid:
     def test_matches_per_atom_products_bit_for_bit(self, rng):
+        # kept atoms bit for bit; dropped ones exactly zero, their products
+        # within the pruning bound
+        cut = min(DEFAULT_TOLERANCES.proj, DEFAULT_TOLERANCES.herm, PRUNE_CEILING) / 2
         grids = [random_generalized_context(rng) for _ in range(15)]
         for dim, n_times in BENCH_SHAPES:
             parts = max(k for k in range(1, dim + 1) if k**n_times <= 81)
             h = random_hermitian(rng, dim)
             contexts = shared_basis_contexts(rng, dim, n_times, h, parts=parts)
             grids.append(build_generalized_context(contexts, 0.0, h))
+        dropped = 0
         for gc in grids:
             reference = per_atom_grid(gc)
             composed = gc.composed_atoms
             assert list(composed) == list(reference) == list(gc.label_tuples)
             for label, atom in composed.items():
-                assert np.array_equal(atom.matrix, reference[label])
+                if gc._index[label] is None:
+                    dropped += 1
+                    assert not atom.matrix.any()
+                    assert np.linalg.norm(reference[label]) < cut
+                else:
+                    assert np.array_equal(atom.matrix, reference[label])
             for ctx, stack in zip(gc.contexts, gc.translated_atoms):
                 assert stack.shape == (len(ctx), gc.dim, gc.dim)
                 assert not stack.flags.writeable
+        assert dropped > 0
 
     def test_loose_commute_tolerance_is_caught_by_the_grid_check(self):
         # x and z atoms pass a commutator threshold of 1, but their products
@@ -254,7 +265,10 @@ class TestComposedGrid:
 
         monkeypatch.setattr(Projector, "__init__", counted_init)
         first, second = gc.composed_atoms, gc.composed_atoms
-        assert len(built) == int(np.prod([len(ctx) for ctx in contexts])) == 27
+        kept = sum(row is not None for row in gc._index.values())
+        # one Projector per kept atom and one zero shared by the dropped ones
+        assert len(built) == kept + 1
+        assert len(first) == int(np.prod([len(ctx) for ctx in contexts])) == 27
         assert first is second
         label = gc.label_tuples[0]
         with pytest.raises(TypeError):
@@ -306,7 +320,9 @@ class TestExclusivityCheck:
         assert reference > tol
         assert abs(_exclusivity_residual(mats, tol) - reference) < 1e-12
         with pytest.raises(InvariantViolation, match="not mutually exclusive") as err:
-            GeneralizedContext._verify_family_laws(mats, 6, DEFAULT_TOLERANCES)
+            GeneralizedContext._verify_family_laws(
+                mats, mats.sum(axis=0), DEFAULT_TOLERANCES
+            )
         assert f"{reference:.3e}" in str(err.value)
 
     def test_residual_matches_full_product_check(self, rng):

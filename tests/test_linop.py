@@ -263,6 +263,12 @@ class TestEvolutionOperator:
         with pytest.raises(InvariantViolation, match="(hbar|times) must be"):
             evolution_operator(HermitianOperator(SZ), t_from, t_to, hbar)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_phase_is_caught_by_the_finite_check(self):
+        # both times finite, their difference not: every phase is NaN
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            evolution_operator(HermitianOperator(SZ), -1e308, 1e308)
+
 
 class TestProjectorFromSpan:
     def test_single_basis_vector(self):

@@ -10,16 +10,26 @@ probabilities (criterion 5), and the parser must turn any mutated document
 into a spec, a ``ParseError`` or a ``ValidationError``.  Translated contexts
 and translated spin pairs must pass the projector and context checks that
 their construction makes unnecessary, and the Born probability and the class
-of a property must not depend on the time frame (criterion 9).
+of a property must not depend on the time frame (criterion 9).  The pruned
+ordered-product kernel must keep every product it does not drop bit for bit,
+drop only products within its bound, and leave the GMH verdict, violations
+and probabilities (up to GEMM rounding) as the unpruned gram gives them; and
+``evolution_operator`` must be unitary without its removed re-check.
 """
 
 import copy
 import functools
+import itertools
+import json
 import operator
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -36,9 +46,12 @@ from qprops.contexts import (
     build_generalized_context,
     check_context_laws,
     composite_probability,
+    translate_contexts,
 )
 from qprops.errors import ParseError, ValidationError
 from qprops.histories import (
+    HistoryFamily,
+    decoherence_gram,
     family_from_generalized_context,
     gmh_check,
     gmh_residuals,
@@ -48,12 +61,14 @@ from qprops.histories import (
 )
 from qprops.lattice import TimedProperty, class_born_probability, class_of, translate
 from qprops.linop import (
+    PRUNE_CEILING,
     DensityOperator,
     HermitianOperator,
     Projector,
     check_projector_stack,
     evolution_operator,
     max_entry_norm,
+    ordered_products,
     stack_matmul,
 )
 from qprops.specio import SystemSpec, parse_system_spec
@@ -291,6 +306,204 @@ def test_probability_and_class_are_frame_invariant(d, t, member_time, refs, seed
         representatives.append(classes[0].representative)
     moved = translate(TimedProperty(representatives[0], refs[0]), refs[1], h)
     assert max_entry_norm(moved.projector.matrix - representatives[1].matrix) <= 1e-12
+
+
+@given(
+    d=st.sampled_from([2, 6, 16, 32]),
+    t_from=st.floats(-1e6, 1e6),
+    t_to=st.floats(-1e6, 1e6),
+    hbar=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evolution_operator_is_unitary_by_construction(d, t_from, t_to, hbar, seed):
+    # the guarantee that lets evolution_operator skip the U U^dag - I check
+    h = random_hermitian(np.random.default_rng(seed), d)
+    u = evolution_operator(h, t_from, t_to, hbar).matrix
+    for product in (u @ u.conj().T, u.conj().T @ u):
+        assert max_entry_norm(product - np.eye(d)) <= DEFAULT_TOLERANCES.unit
+
+
+def independent_contexts(rng, d, n_times, parts):
+    """Contexts at increasing times, each from its own random basis."""
+    contexts = []
+    for t in np.cumsum(rng.uniform(0.3, 1.2, size=n_times)):
+        basis = random_unitary(rng, d)
+        atoms = [
+            Projector(basis[:, group] @ basis[:, group].conj().T)
+            for group in random_partition(rng, d, parts)
+        ]
+        contexts.append(Context(float(t), atoms))
+    return contexts
+
+
+def drawn_contexts(d, n_times, shared, seed):
+    """Shared-basis (compatible) or independent contexts, at most 4 atoms
+    per time, so no unpruned grid exceeds 256 products."""
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, d)
+    parts = int(rng.integers(1, min(d, 4) + 1))
+    if shared:
+        return rng, h, shared_basis_contexts(rng, d, n_times, h, parts=parts)
+    return rng, h, independent_contexts(rng, d, n_times, parts)
+
+
+def loop_products(stacks, later_left):
+    """Every ordered product by per-matrix ``@``, in ``itertools.product`` order."""
+    products = []
+    for combo in itertools.product(*(range(len(s)) for s in stacks)):
+        product = stacks[0][combo[0]]
+        for stack, k in zip(stacks[1:], combo[1:]):
+            product = stack[k] @ product if later_left else product @ stack[k]
+        products.append(product)
+    return products
+
+
+PRUNED_CASE = dict(
+    d=st.integers(2, 8),
+    n_times=st.integers(2, 4),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(later_left=st.booleans(), **PRUNED_CASE)
+def test_pruned_products_match_the_unpruned_ones(d, n_times, shared, seed, later_left):
+    _, h, contexts = drawn_contexts(d, n_times, shared, seed)
+    _, stacks = translate_contexts(contexts, 0.0, h)
+    tol = DEFAULT_TOLERANCES.proj
+    kept, index = ordered_products(stacks, later_left=later_left, tol=tol)
+    reference = loop_products(stacks, later_left)
+    assert np.all(np.diff(index) > 0)
+    for product, k in zip(kept, index.tolist()):
+        assert product.tobytes() == reference[k].tobytes()
+    for k in set(range(len(reference))) - set(index.tolist()):
+        # within the bound of its dropped prefix
+        assert np.linalg.norm(reference[k]) < min(tol, PRUNE_CEILING) / 2
+    unpruned, every = ordered_products(stacks, later_left=later_left)
+    assert every.tolist() == list(range(len(reference)))
+    assert unpruned.tobytes() == np.stack(reference).tobytes()
+
+
+@given(
+    d=st.integers(2, 8),
+    n_times=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_composed_atoms_are_the_nonzero_products(d, n_times, seed):
+    _, h, contexts = drawn_contexts(d, n_times, True, seed)
+    gc = build_generalized_context(contexts, 0.0, h)
+    cut = min(DEFAULT_TOLERANCES.proj, DEFAULT_TOLERANCES.herm, PRUNE_CEILING) / 2
+    reference = loop_products(gc.translated_atoms, later_left=False)
+    for (label, atom), product in zip(gc.composed_atoms.items(), reference):
+        if gc._index[label] is None:
+            assert atom.rank == 0 and not atom.matrix.any()
+            assert np.linalg.norm(product) < cut
+        else:
+            assert atom.matrix.tobytes() == product.tobytes()
+    assert sum(atom.rank for atom in gc.composed_atoms.values()) == d
+
+
+def unpruned_gmh(family, tols):
+    """Violation pairs and probabilities from the gram of every history, and
+    per history how far another GEMM may round its weight.
+
+    A weight is a dot product of the d^2 entries of C rho and of C, within
+    2 (d^2 + 2) eps sum |(C rho)_k| |C_k| of the exact value, so a gram of
+    another shape can differ by twice that.
+    """
+    grid = family.label_grid
+    histories = history_operators(family.heisenberg_atoms)
+    rho = family.initial_state.matrix
+    gram = decoherence_gram(histories, rho)
+    a, b = np.triu_indices(len(grid), 1)
+    flagged = np.flatnonzero(gmh_residuals(gram) > tols.consist)
+    violations = {(grid[a[k]], grid[b[k]]) for k in flagged}
+    probabilities = {c: max(0.0, float(gram[k, k].real)) for k, c in enumerate(grid)}
+    terms = np.abs(stack_matmul(histories, rho)) * np.abs(histories)
+    k = histories.shape[-1] ** 2
+    slack = 4 * (k + 2) * np.finfo(float).eps * terms.sum(axis=(-2, -1))
+    return violations, probabilities, dict(zip(grid, slack.tolist()))
+
+
+def low_rank_density(rng, d, rank):
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    rho = g @ g.conj().T
+    return DensityOperator(rho / np.trace(rho).real)
+
+
+@given(rank=st.integers(1, 8), **PRUNED_CASE)
+# kept weights 3 ulps apart: the smaller gram is a GEMM of another shape
+@example(rank=5, d=5, n_times=2, shared=True, seed=1588042)
+def test_pruned_gmh_check_matches_the_unpruned_gram(d, n_times, shared, seed, rank):
+    rng, h, contexts = drawn_contexts(d, n_times, shared, seed)
+    family = HistoryFamily(contexts, h, 0.0, low_rank_density(rng, d, min(rank, d)))
+    report = gmh_check(family)
+    violations, probabilities, slack = unpruned_gmh(family, DEFAULT_TOLERANCES)
+    assert report.verdict == (not violations)
+    assert {(a, b) for a, b, _ in report.violations} == violations
+    assert list(report.probabilities) == list(probabilities)
+    cut = min(DEFAULT_TOLERANCES.consist, PRUNE_CEILING) / 2
+    for label, want in probabilities.items():
+        got = report.probabilities[label]
+        # a dropped history reads 0 and weighs below the square of its bound
+        assert abs(got - want) <= slack[label] or (got == 0.0 and want < cut**2)
+    assert report.verdict or not shared
+
+
+def test_negative_consist_prunes_nothing(rng):
+    h = random_hermitian(rng, 4)
+    contexts = shared_basis_contexts(rng, 4, 3, h, parts=2)
+    family = HistoryFamily(contexts, h, 0.0, random_density(rng, 4))
+    every_pair = DEFAULT_TOLERANCES.updated(consist=-1.0)
+    report = gmh_check(family, tols=every_pair)
+    violations, probabilities, _ = unpruned_gmh(family, every_pair)
+    assert len(report.violations) == len(violations) == 8 * 7 // 2
+    assert report.probabilities == probabilities
+
+
+def test_loose_projector_tolerance_keeps_every_nonzero_atom(rng):
+    h = random_hermitian(rng, 6)
+    contexts = shared_basis_contexts(rng, 6, 3, h, parts=3)
+    loose = DEFAULT_TOLERANCES.updated(proj=10.0, herm=10.0)
+    gc = build_generalized_context(contexts, 0.0, h, tols=loose)
+    reference = loop_products(gc.translated_atoms, later_left=False)
+    for (label, row), product in zip(gc._index.items(), reference):
+        # kept exactly when of nonzero rank, whatever the tolerance
+        assert (row is not None) == (np.trace(product).real > 0.5)
+    assert sum(atom.rank for atom in gc.composed_atoms.values()) == 6
+
+
+LARGE_GRID = """
+import json, resource
+import numpy as np
+from helpers import random_density, random_hermitian, shared_basis_contexts
+from qprops.contexts import build_generalized_context
+from qprops.histories import family_from_generalized_context, gmh_check
+
+rng = np.random.default_rng(32)
+h = random_hermitian(rng, 32)
+gc = build_generalized_context(shared_basis_contexts(rng, 32, 4, h, parts=9), 0.0, h)
+report = gmh_check(family_from_generalized_context(gc, random_density(rng, 32)))
+print(json.dumps({
+    "verdict": report.verdict,
+    "histories": len(report.probabilities),
+    "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+}))
+"""
+
+
+def test_6561_atom_grid_at_dimension_32_stays_small():
+    # unpruned, the gram alone held 6561^2 complex entries (about 1.7 GB peak)
+    tests = Path(__file__).resolve().parent
+    paths = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    child = subprocess.run(
+        [sys.executable, "-c", LARGE_GRID],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    result = json.loads(child.stdout)
+    assert result["verdict"] and result["histories"] == 9**4
+    assert result["maxrss_kib"] < 300 * 1024
 
 
 STATE = [[0.5, 0.5], [0.5, 0.5]]
