@@ -62,8 +62,8 @@ from .specio import (
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
 
-# Largest ``spin-search --grid-count``: the searches hold a few (N, 4, 2, 2)
-# complex stacks at once, a few MiB at this size.
+# Largest ``spin-search --grid-count``: the searches hold a few (N, 16)
+# arrays at once, a few MiB at this size.
 MAX_GRID_COUNT = 10_000
 
 
@@ -141,11 +141,7 @@ def _state_at_reference(system, tols: Tolerances):
     if system.reference_time == system.initial_time:
         return system.initial_state
     u = evolution_operator(
-        system.hamiltonian,
-        system.initial_time,
-        system.reference_time,
-        system.hbar,
-        tols=tols,
+        system.hamiltonian, system.initial_time, system.reference_time, system.hbar
     )
     return system.initial_state.evolved(u, tols=tols)
 
@@ -215,20 +211,19 @@ def cmd_gc_check(spec: SystemSpec, args, tols: Tolerances):
     return Report("gc-check", True, tols.as_dict(), results), PASS
 
 
-def _history_family(system, tols: Tolerances) -> HistoryFamily:
+def _history_family(system) -> HistoryFamily:
     return HistoryFamily(
         system.contexts,
         system.hamiltonian,
         system.initial_time,
         system.initial_state,
         system.hbar,
-        tols=tols,
     )
 
 
 def cmd_history_prob(spec: SystemSpec, args, tols: Tolerances):
     system = realize_system(spec, tols=tols)
-    family = _history_family(system, tols)
+    family = _history_family(system)
     if args.choices:
         choices = tuple(args.choices.split(","))
         try:
@@ -251,7 +246,7 @@ def cmd_history_prob(spec: SystemSpec, args, tols: Tolerances):
 
 def cmd_consistency(spec: SystemSpec, args, tols: Tolerances):
     system = realize_system(spec, tols=tols)
-    family = _history_family(system, tols)
+    family = _history_family(system)
     try:
         if args.criterion == "gmh":
             report = gmh_check(family, tols=tols)

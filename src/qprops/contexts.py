@@ -158,8 +158,6 @@ class Context:
         t_to: float,
         hamiltonian: HermitianOperator,
         hbar: float = 1.0,
-        *,
-        tols: Tolerances = DEFAULT_TOLERANCES,
     ) -> np.ndarray:
         """The atoms moved to ``t_to`` by one evolution operator, as a
         read-only (k, d, d) stack that is not checked again: conjugation by
@@ -167,7 +165,7 @@ class Context:
         exclusive family to one (U P U^dag U Q U^dag = U P Q U^dag)."""
         if self.dim != hamiltonian.dim:
             raise DimensionMismatch("context and Hamiltonian dimensions differ")
-        u = evolution_operator(hamiltonian, self._time, t_to, hbar, tols=tols)
+        u = evolution_operator(hamiltonian, self._time, t_to, hbar)
         moved = u.transform(self._matrices)
         moved.setflags(write=False)
         return moved
@@ -197,8 +195,6 @@ def translate_contexts(
     t_to: float,
     hamiltonian: HermitianOperator,
     hbar: float = 1.0,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[tuple[Context, ...], tuple[np.ndarray, ...]]:
     """Check contexts at several times and move each one's atoms to ``t_to``.
 
@@ -216,7 +212,7 @@ def translate_contexts(
             f"context times must be strictly increasing, got {times}"
         )
     translated = tuple(
-        ctx.translated(t_to, hamiltonian, hbar, tols=tols) for ctx in contexts
+        ctx.translated(t_to, hamiltonian, hbar) for ctx in contexts
     )
     return contexts, translated
 
@@ -315,9 +311,7 @@ class GeneralizedContext:
         *,
         tols: Tolerances = DEFAULT_TOLERANCES,
     ):
-        contexts, translated = translate_contexts(
-            contexts, ref_time, hamiltonian, hbar, tols=tols
-        )
+        contexts, translated = translate_contexts(contexts, ref_time, hamiltonian, hbar)
         failures = _commutation_failures(contexts, translated, tols)
         if failures:
             raise IncompatibleContexts(
@@ -515,7 +509,8 @@ def composite_probability(
         raise DimensionMismatch(f"state dim {rho.dim} vs context dim {gc.dim}")
     value = 0.0
     for row in _kept_rows(prop):
-        value += float(np.trace(rho.matrix @ gc._atoms[row]).real)
+        # Re Tr(rho Pi) = Re Tr(Pi^dag rho) for Hermitian rho: O(d^2), no product
+        value += float(np.vdot(gc._atoms[row], rho.matrix).real)
     if value < -tols.prob or value > 1.0 + tols.prob:
         raise InvariantViolation(
             f"probability {value!r} lies outside [0, 1] beyond {tols.prob:.1e}"

@@ -49,7 +49,7 @@ __all__ = [
     "history_operators",
     "decoherence_gram",
     "gmh_residuals",
-    "real_part_residuals",
+    "real_part_traces",
     "family_from_generalized_context",
     "omnes_implies",
 ]
@@ -90,11 +90,9 @@ class HistoryFamily:
         initial_time: float,
         initial_state: DensityOperator,
         hbar: float = 1.0,
-        *,
-        tols: Tolerances = DEFAULT_TOLERANCES,
     ):
         contexts, atoms_ref = translate_contexts(
-            contexts, initial_time, hamiltonian, hbar, tols=tols
+            contexts, initial_time, hamiltonian, hbar
         )
         self._setup(contexts, atoms_ref, hamiltonian, initial_time, initial_state, hbar)
 
@@ -273,14 +271,15 @@ def gmh_residuals(gram: np.ndarray) -> np.ndarray:
     return np.hypot(pairs.real, pairs.imag)
 
 
-def real_part_residuals(e1, e1_bar, e2, rho) -> np.ndarray:
-    """|Re Tr(E1 rho E1c E2)| for each entry of broadcast (..., d, d) stacks.
+def real_part_traces(e1, e1_bar, e2, rho) -> np.ndarray:
+    """Signed Re Tr(E1 rho E1c E2) for each entry of broadcast (..., d, d) stacks.
 
     The product is formed left to right; a single (d, d) ``rho`` or ``e2``
-    multiplies the stack as one GEMM (``linop.stack_matmul``).
+    multiplies the stack as one GEMM (``linop.stack_matmul``).  The
+    real-part residual is the magnitude, taken by the caller.
     """
     product = stack_matmul(stack_matmul(e1, rho) @ e1_bar, e2)
-    return np.abs(np.trace(product, axis1=-2, axis2=-1).real)
+    return np.trace(product, axis1=-2, axis2=-1).real
 
 
 def gmh_check(
@@ -344,7 +343,8 @@ def griffiths_check(
             "two atoms per time"
         )
     (e1, e1_bar), (e2, _) = family.heisenberg_atoms
-    residual = float(real_part_residuals(e1, e1_bar, e2, family.initial_state.matrix))
+    trace = real_part_traces(e1, e1_bar, e2, family.initial_state.matrix)
+    residual = abs(float(trace))
     labels1, labels2 = (ctx.labels for ctx in family.contexts)
     violations = []
     if residual > tols.consist:
@@ -363,8 +363,6 @@ def griffiths_check(
 def family_from_generalized_context(
     gc: GeneralizedContext,
     rho: DensityOperator,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> HistoryFamily:
     """History family with the generalized context's per-time atom families.
 
@@ -372,8 +370,7 @@ def family_from_generalized_context(
     state is taken at the reference time, which must precede the first
     context time.  Its Heisenberg atoms are the context's
     ``translated_atoms``: the same contexts moved to the same time by the
-    same Hamiltonian, so translating again would give the same bits, and
-    ``tols`` is not consulted.
+    same Hamiltonian, so translating again would give the same bits.
     """
     family = HistoryFamily.__new__(HistoryFamily)
     family._setup(

@@ -96,7 +96,7 @@ def translate(
         raise DimensionMismatch(
             f"projector dim {p.projector.dim} vs Hamiltonian dim {hamiltonian.dim}"
         )
-    u = evolution_operator(hamiltonian, p.time, t_to, hbar, tols=tols)
+    u = evolution_operator(hamiltonian, p.time, t_to, hbar)
     return TimedProperty(Projector(u.transform(p.projector.matrix), tols=tols), t_to)
 
 

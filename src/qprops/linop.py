@@ -42,6 +42,7 @@ __all__ = [
     "subspace_intersection",
     "alternating_projection_limit",
     "commutator_norm",
+    "commutators",
     "commutator_residuals",
     "stack_matmul",
     "ordered_products",
@@ -344,15 +345,13 @@ def evolution_operator(
     t_from: float,
     t_to: float,
     hbar: float = 1.0,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> UnitaryOperator:
     """Unitary exp(-i H (t_to - t_from) / hbar) via the cached eigensystem of H.
 
     ``eigh`` gives orthonormal eigenvectors and every finite phase has unit
     modulus, so the result is unitary to rounding: only the finite check
-    runs (a phase that overflowed is NaN), not U U^dag - I, and ``tols`` is
-    not consulted.
+    runs (a phase that overflowed is NaN), not U U^dag - I, so no tolerance
+    is consulted.
     """
     # written so that NaN fails: an infinite hbar would give U = I
     if not (hbar > 0.0 and math.isfinite(hbar)):
@@ -464,7 +463,7 @@ def stack_matmul(stack, b) -> np.ndarray:
     call.  The product is the same up to rounding, but which BLAS kernel
     runs, and so the last bits, depends on the library, the CPU and the
     matrix shape.  With numpy's bundled OpenBLAS 0.3.31, complex stacks at
-    d = 2 (the fixed-atom and state products of the spin searches) matched
+    d = 2 (the state and fixed-atom products of the spin search forms) matched
     the per-matrix ``@`` bit for bit under every x86-64 kernel it ships
     (SkylakeX, Haswell, also used on Zen, Sandybridge, Nehalem, Katmai); at
     larger d the Haswell kernel differed from d = 4 on, Sandybridge and
@@ -528,9 +527,14 @@ def ordered_products(stacks, *, later_left=False, tol=0.0):
     return product, np.arange(product.shape[-3]) if index is None else index
 
 
+def commutators(a, b) -> np.ndarray:
+    """A B - B A per pair of broadcast (..., d, d) stacks."""
+    return stack_matmul(a, b) - stack_matmul(b, a)
+
+
 def commutator_residuals(a, b) -> np.ndarray:
     """Max-entry magnitude of A B - B A per pair of broadcast (..., d, d) stacks."""
-    return np.abs(stack_matmul(a, b) - stack_matmul(b, a)).max(axis=(-2, -1))
+    return np.abs(commutators(a, b)).max(axis=(-2, -1))
 
 
 def commutator_norm(A: Operator, B: Operator) -> float:

@@ -15,19 +15,22 @@ is checked for unit rows in one pass.  Either way the search runs on the
 (N, 3) rows, and only the accepted rows become ``Direction`` objects in the
 answer.
 
-The searches are batched.  The grid becomes one (N, 2, 2, 2) stack of
-projector pairs (I +/- n.sigma)/2, moved to the initial time by
-``UnitaryOperator.transform`` of one evolution operator.  The pairs are not
-checked as projectors or as contexts: for a row within ``_UNIT_NORM_TOL`` of
-unit norm the pair is exactly Hermitian, its idempotence, exclusivity and
-completeness residuals are at most (|n|^2 - 1)/4, about 5e-13, and
-conjugation by a checked unitary keeps all of this.  One stacked kernel per
-mode then scores all points: ``linop.commutator_residuals``, or the
-``histories`` kernels that ``gmh_check`` and ``griffiths_check`` themselves
-use.  Every product of the stack by one shared right factor (the fixed atom,
-the state) is a single GEMM (``linop.stack_matmul``).  No per-direction
-``Projector``, ``Context`` or ``HistoryFamily`` is built, yet every verdict
-is the one those objects would give.
+The searches are batched, and no per-direction matrix is formed.  The pair
+(I +/- n.sigma)/2 of a row n is affine in n: its weights over the basis
+B = (I, sigma_x, sigma_y, sigma_z) are w_+/-(n) = (1, +/-n)/2, and time
+translation is linear, so only the four basis matrices are moved to the
+initial time (``UnitaryOperator.transform`` of one evolution operator).
+Each residual is then a linear form (``commute``) or a bilinear form
+(``gmh``, ``griffiths``) in (1, n), whose small coefficient arrays come from
+the kernels ``gmh_check`` and ``griffiths_check`` themselves use, and the
+whole grid is scored by one GEMM of its (N, 4) or (N, 16) weights against
+them.  The pairs are not checked as projectors or as contexts: for a row
+within ``_UNIT_NORM_TOL`` of unit norm the pair is exactly Hermitian, its
+idempotence, exclusivity and completeness residuals are at most
+(|n|^2 - 1)/4, about 5e-13, and conjugation by a checked unitary keeps all
+of this.  No per-direction ``Projector``, ``Context`` or ``HistoryFamily``
+is built, yet every verdict is the one those objects would give, up to
+rounding (the forms sum the same terms in another order).
 """
 
 from __future__ import annotations
@@ -50,13 +53,13 @@ from .histories import (
     decoherence_gram,
     gmh_residuals,
     history_operators,
-    real_part_residuals,
+    real_part_traces,
 )
 from .linop import (
     DensityOperator,
     HermitianOperator,
     Projector,
-    commutator_residuals,
+    commutators,
     evolution_operator,
 )
 
@@ -84,6 +87,12 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 _PAULI = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
 _LABELS = ("+", "-")
+
+# B = (I, sigma_x, sigma_y, sigma_z), and the signs that turn the weights
+# (1, n)/2 of (I + n.sigma)/2 over B into those of the pair, (1, +/-n)/2,
+# one row per projector of the pair
+_BASIS = np.stack([np.eye(2, dtype=np.complex128), PAULI_X, PAULI_Y, PAULI_Z])
+_PAIR_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])
 
 _UNIT_NORM_TOL = 1e-12
 
@@ -228,6 +237,17 @@ def _grid_points(grid: SearchGrid) -> np.ndarray:
     return points
 
 
+def _real_gemm(weights: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Real (M, k) weights times complex (k, ...) coefficients, as (M, m).
+
+    One real GEMM on the (k, 2m) float view of the coefficients; numpy's
+    ``@`` on a real and a complex operand took about 14 times as long at
+    the (2006, 4) @ (4, 16) size of a 2006-point commute search.
+    """
+    flat = np.ascontiguousarray(coefficients).reshape(len(coefficients), -1)
+    return (weights @ flat.view(np.float64)).view(np.complex128)
+
+
 def _search_residuals(
     mode: str,
     n0: Direction | None,
@@ -244,26 +264,43 @@ def _search_residuals(
     """Residual of every row of a checked (N, 3) grid (``_grid_points``)
     under one search, as one (N,) array.
 
-    Every pair is translated to ``t0``.  ``commute`` takes the largest of
-    the four cross commutators, ``gmh`` the largest off-diagonal entry of the
-    4x4 decoherence gram, ``griffiths`` the real-part trace; the search keeps
-    the directions whose residual lies within its tolerance.
+    The basis B is moved from ``t1`` to ``t0`` and the pair F_+/- along n2
+    from ``t2`` to ``t0``.  The row's pair P_s (s = +/-) then moves to
+    sum_j x_j S_js B_j, with x = (1, n)/2 and the signs S of
+    ``_PAIR_SIGNS``, so every residual is a linear or a quadratic form in x
+    whose coefficients fold in S:
+
+    - ``commute``: the largest entry magnitude of the four cross
+      commutators [P_s, F_b] = sum_j x_j S_js [B_j, F_b] (the signed
+      ``linop.commutators``), one (N, 4) @ (4, 16) GEMM.
+    - ``gmh``: the largest off-diagonal magnitude of the 4x4 decoherence
+      gram of the histories F_b P_s, a quadratic form in x over the 8x8
+      ``decoherence_gram`` of the basis histories F_b B_j: one
+      (N, 16) @ (16, 16) GEMM of the rows of x x^T, then ``gmh_residuals``.
+    - ``griffiths``: |Re Tr(P_+ rho P_- F_+)| = |x^T R S_- x| with
+      R_jl = Re Tr(B_j rho B_l F_+) (``histories.real_part_traces``).  R is
+      the griffiths conic in the homogeneous coordinates (1, n): for free
+      dynamics and rho along n0 the form is ((n0.n2) - (n0.n)(n.n2))/4,
+      minus a quarter of ``coplanarity_defect``.
+
+    The search keeps the directions whose residual lies within its
+    tolerance.
     """
     if hamiltonian is None:
         hamiltonian = HermitianOperator.zero(2)
     if hamiltonian.dim != 2:
         raise DimensionMismatch("state/Hamiltonian dimension differs from atoms")
-    moved = evolution_operator(hamiltonian, t1, t0, hbar, tols=tols).transform(
-        _spin_pairs(points)
-    )
-    fixed = evolution_operator(hamiltonian, t2, t0, hbar, tols=tols).transform(
+    basis = evolution_operator(hamiltonian, t1, t0, hbar).transform(_BASIS)
+    fixed = evolution_operator(hamiltonian, t2, t0, hbar).transform(
         _spin_pairs(n2.as_array())
     )
+    count = len(points)
+    x = np.concatenate([np.full((count, 1), 0.5), points * 0.5], axis=1)
+    signs = _PAIR_SIGNS.T  # [j, s]
     if mode == "commute":
-        # one fixed atom at a time keeps the temporaries at the size of ``moved``
-        return np.max(
-            [commutator_residuals(moved, f).max(axis=1) for f in fixed], axis=0
-        )
+        brackets = commutators(basis[:, None], fixed)  # [B_j, F_b] at [j, b]
+        form = signs[:, :, None, None, None] * brackets[:, None]
+        return np.abs(_real_gemm(x, form)).max(axis=1)
     # the checks a per-direction ``HistoryFamily`` would make
     if not t0 < t1 < t2:
         raise TimeOrderViolation(
@@ -273,10 +310,15 @@ def _search_residuals(
         rho = _pure_state_along(n0, tols)
     if rho.dim != 2:
         raise DimensionMismatch("state/Hamiltonian dimension differs from atoms")
+    outer = np.einsum("ni,nj->nij", x, x).reshape(count, 16)
     if mode == "gmh":
-        gram = decoherence_gram(history_operators([moved, fixed]), rho.matrix)
-        return gmh_residuals(gram).max(axis=-1)
-    return real_part_residuals(moved[:, 0], moved[:, 1], fixed[0], rho.matrix)
+        gram = decoherence_gram(history_operators([basis, fixed]), rho.matrix)
+        # D[(s, b), (t, c)] = sum_jl x_j x_l S_js S_lt G[(j, b), (l, c)]
+        form = np.einsum("js,lt,jblc->jlsbtc", signs, signs, gram.reshape(4, 2, 4, 2))
+        grams = _real_gemm(outer, form.reshape(16, 16)).reshape(count, 4, 4)
+        return gmh_residuals(grams).max(axis=-1)
+    traces = real_part_traces(basis[:, None], basis[None, :], fixed[0], rho.matrix)
+    return np.abs(outer @ (traces * signs[:, 1]).reshape(16))
 
 
 def _kept(points: np.ndarray, residuals: np.ndarray, tol: float) -> list[Direction]:

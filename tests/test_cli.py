@@ -310,6 +310,51 @@ class TestSpinSearch:
         assert "pure" in err
 
 
+# Accepted axes of ``spin-search --grid-count 2000`` per layout and mode, as
+# the spherical-point searches gave them before they became forms over the
+# Pauli basis.  Each axis is one antipodal pair, written as the JSON text of
+# the report so that -0.0 and 0.0 differ; no spiral point passes on these
+# layouts.  CI runs tier-1 under several OpenBLAS kernels, so this also
+# holds the answers there.
+AXIS_TEXT = {
+    "x": "[1.0, 0.0, 0.0], [-1.0, -0.0, -0.0]",
+    "y": "[0.0, 1.0, 0.0], [-0.0, -1.0, -0.0]",
+    "z": "[0.0, 0.0, 1.0], [-0.0, -0.0, -1.0]",
+}
+PINNED_AXES = {
+    ("spin_xz", "commute"): "z",
+    ("spin_xz", "gmh"): "xz",
+    ("spin_xz", "griffiths"): "xyz",
+    ("spin_zz", "commute"): "z",
+    ("spin_zz", "gmh"): "xz",
+    ("spin_zz", "griffiths"): "xyz",
+    # spin_xz with H = 0.3 sigma_x: the translated +-z is not on the grid
+    ("spin_xz_driven", "commute"): "",
+    ("spin_xz_driven", "gmh"): "x",
+    ("spin_xz_driven", "griffiths"): "xyz",
+}
+
+
+@pytest.mark.parametrize("layout, mode", sorted(PINNED_AXES))
+def test_spin_search_answers_are_pinned(capsys, tmp_path, layout, mode):
+    path = SPECS_DIR / f"{layout.removesuffix('_driven')}.yaml"
+    if layout.endswith("_driven"):
+        doc = yaml.safe_load(path.read_text())
+        doc["hamiltonian"] = [[0.0, 0.3], [0.3, 0.0]]
+        path = write_spec(tmp_path, doc)
+    code, payload, _ = run_json(
+        capsys, "spin-search", str(path), "--mode", mode, "--grid-count", "2000"
+    )
+    axes = PINNED_AXES[layout, mode]
+    assert code == 0
+    results = payload["results"]
+    assert results["grid_points"] == 2006
+    assert json.dumps(results["accepted"]) == (
+        "[" + ", ".join(AXIS_TEXT[a] for a in axes) + "]"
+    )
+    assert results["antipodal_pairs"] == [[2 * k, 2 * k + 1] for k in range(len(axes))]
+
+
 class TestHeadlineContrast:
     def test_same_file_passes_consistency_but_fails_gc_check(self, capsys):
         code_hist, hist, _ = run_json(capsys, "consistency", XZ, "--criterion", "gmh")

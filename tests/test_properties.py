@@ -4,7 +4,9 @@ The stacked right-factor product must reproduce numpy's per-matrix ``@`` up
 to rounding (its last bits depend on the BLAS kernel, see
 ``linop.stack_matmul``), and the spin searches must give the same answers
 from the ``sphere_points`` array as from the ``sphere_grid`` tuple, with
-residuals equal bit for bit to a plain-``@`` evaluation of the same formulas.
+residuals equal bit for bit to a plain-``@`` evaluation of the same forms
+over the Pauli basis, and within 1e-14 of the per-pair formulas on the
+stack of translated pairs (with the same verdicts away from the tolerance).
 Every generalized context must be a consistent history family with the same
 probabilities (criterion 5), and the parser must turn any mutated document
 into a spec, a ``ParseError`` or a ``ValidationError``.  Translated contexts
@@ -143,8 +145,50 @@ def test_stack_matmul_equals_per_matrix_products_up_to_rounding(
     assert np.all(np.abs(got - want) <= bound)
 
 
+BASIS = np.stack([np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z])
+PAIR_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])
+
+
+def complex_forms(weights, coefficients):
+    """Real weights times complex coefficients on their float view, by ``@``."""
+    flat = coefficients.reshape(len(coefficients), -1).view(float)
+    return (weights @ flat).view(complex)
+
+
 def plain_residuals(mode, n2, points, rho, h, t0, t1, t2):
-    """The search formulas with numpy's per-matrix ``@`` throughout."""
+    """The search forms over (I, sigma_x, sigma_y, sigma_z), each product by
+    numpy's per-matrix ``@``."""
+    u1 = evolution_operator(h, t1, t0).matrix
+    u2 = evolution_operator(h, t2, t0).matrix
+    basis = u1 @ BASIS @ u1.conj().T
+    fixed = u2 @ _spin_pairs(n2.as_array()) @ u2.conj().T
+    count = len(points)
+    x = np.concatenate([np.full((count, 1), 0.5), points * 0.5], axis=1)
+    signs = PAIR_SIGNS.T
+    if mode == "commute":
+        brackets = basis[:, None] @ fixed - fixed @ basis[:, None]
+        form = signs[:, :, None, None, None] * brackets[:, None]
+        return np.abs(complex_forms(x, form)).max(axis=1)
+    outer = (x[:, :, None] * x[:, None, :]).reshape(count, 16)
+    if mode == "gmh":
+        histories = (fixed[None] @ basis[:, None]).reshape(8, 4)
+        gram = ((histories.reshape(8, 2, 2) @ rho).reshape(8, 4)) @ histories.conj().T
+        # [j, l, s, b, t, c]: S_js S_lt G[(j, b), (l, c)]
+        form = (
+            signs[:, None, :, None, None, None]
+            * signs[:, None, None, :, None]
+            * gram.reshape(4, 2, 4, 2).transpose(0, 2, 1, 3)[:, :, None, :, None]
+        )
+        grams = complex_forms(outer, form.reshape(16, 16)).reshape(count, 4, 4)
+        return gmh_residuals(grams).max(axis=-1)
+    product = basis[:, None] @ rho @ basis[None] @ fixed[0]
+    traces = np.trace(product, axis1=-2, axis2=-1).real
+    return np.abs(outer @ (traces * signs[:, 1]).reshape(16))
+
+
+def pair_stack_residuals(mode, n2, points, rho, h, t0, t1, t2):
+    """The per-pair formulas on the (N, 2, 2, 2) stack of translated pairs,
+    per-matrix ``@`` throughout: the reference for the forms."""
     u1 = evolution_operator(h, t1, t0).matrix
     u2 = evolution_operator(h, t2, t0).matrix
     moved = u1 @ _spin_pairs(points) @ u1.conj().T
@@ -173,26 +217,27 @@ VECTORS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
 FIELDS = st.one_of(
     st.just((0.0, 0.0, 0.0)), st.tuples(*[st.floats(-1.5, 1.5)] * 3)
 )
-
-
-@given(
+SEARCH_CASE = dict(
     field=FIELDS,
     offset=st.floats(-0.5, 0.5),
     state=VECTORS,
     fixed=VECTORS,
     t1=st.floats(0.1, 2.0),
     gap=st.floats(0.1, 2.0),
-    count=st.integers(0, 60),
-    default_state=st.booleans(),
 )
-def test_searches_on_point_array_match_the_direction_grid(
-    field, offset, state, fixed, t1, gap, count, default_state
-):
+
+
+def search_case(field, offset, state, fixed, t1, gap):
     pauli = (PAULI_X, PAULI_Y, PAULI_Z)
     h = HermitianOperator(offset * np.eye(2) + sum(c * s for c, s in zip(field, pauli)))
     n0, n2 = Direction.normalized(*state), Direction.normalized(*fixed)
-    t0, t2 = 0.0, t1 + gap
     rho = DensityOperator(spin_projectors(n0)[0].matrix)
+    return h, n0, n2, rho, 0.0, t1, t1 + gap
+
+
+@given(count=st.integers(0, 60), default_state=st.booleans(), **SEARCH_CASE)
+def test_searches_on_point_array_match_the_direction_grid(count, default_state, **case):
+    h, n0, n2, rho, t0, t1, t2 = search_case(**case)
     points, grid = sphere_points(count), sphere_grid(count)
     for mode in ("commute", "gmh", "griffiths"):
         residuals = _search_residuals(
@@ -209,6 +254,20 @@ def test_searches_on_point_array_match_the_direction_grid(
         assert exact(kept) == exact(
             search(n0, n2, grid, passed_rho, h, 1.0, t0, t1, t2)
         )
+
+
+@given(count=st.integers(0, 2000), **SEARCH_CASE)
+def test_search_forms_match_the_pair_stack_formulas(count, **case):
+    h, n0, n2, rho, t0, t1, t2 = search_case(**case)
+    points = sphere_points(count)
+    tols = DEFAULT_TOLERANCES
+    limits = {"commute": tols.commute, "gmh": tols.consist, "griffiths": tols.consist}
+    for mode, tol in limits.items():
+        got = _search_residuals(mode, n0, n2, points, rho, h, 1.0, t0, t1, t2, tols)
+        want = pair_stack_residuals(mode, n2, points, rho.matrix, h, t0, t1, t2)
+        assert np.max(np.abs(got - want)) <= 1e-14, mode
+        clear = np.abs(want - tol) > 1e-12
+        assert np.array_equal((got <= tol)[clear], (want <= tol)[clear]), mode
 
 
 def loop_history_operator(family, label):
