@@ -45,7 +45,8 @@ class Tolerances:
         return dataclasses.replace(self, **overrides)
 
     def as_dict(self) -> dict[str, float]:
-        return dataclasses.asdict(self)
+        # the fields are floats: no deep copy (``dataclasses.asdict``) needed
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:

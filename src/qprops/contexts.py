@@ -64,19 +64,20 @@ def check_context_laws(
     labels: Sequence[str],
     *,
     tols: Tolerances = DEFAULT_TOLERANCES,
-) -> None:
+) -> tuple[float, float]:
     """Exclusivity and completeness of a (k, d, d) atom family, as ``Context``
     checks its atoms.
 
     Raises ``ExclusivityViolation`` with (i, j, residual) per offending atom
     pair, or ``CompletenessViolation`` with the deviation of the atom sum
-    from I.
+    from I.  Returns the worst exclusivity residual (0 for one atom) and the
+    completeness residual.
     """
-    exclusivity = []
-    for i, j in itertools.combinations(range(len(atoms)), 2):
-        residual = max_entry_norm(atoms[i] @ atoms[j])
-        if not residual <= tols.proj:
-            exclusivity.append((i, j, residual))
+    pairs = [
+        (i, j, max_entry_norm(atoms[i] @ atoms[j]))
+        for i, j in itertools.combinations(range(len(atoms)), 2)
+    ]
+    exclusivity = [pair for pair in pairs if not pair[2] <= tols.proj]
     if exclusivity:
         worst = max(exclusivity, key=lambda v: v[2])
         raise ExclusivityViolation(
@@ -91,10 +92,17 @@ def check_context_laws(
             f"atom sum deviates from identity by {residual:.3e}",
             (residual,),
         )
+    return max((pair[2] for pair in pairs), default=0.0), residual
 
 
 class Context:
-    """A time plus a complete, mutually exclusive family of atomic projectors."""
+    """A time plus a complete, mutually exclusive family of atomic projectors.
+
+    The context keeps the largest law residual it was checked with: the
+    Hermiticity and idempotence residuals of its atoms and the exclusivity
+    and completeness residuals of the family (``_law_residual``, the delta
+    of ``GeneralizedContext``'s bound).
+    """
 
     def __init__(
         self,
@@ -126,13 +134,16 @@ class Context:
                 raise InvariantViolation("atom labels must be unique")
 
         matrices = np.stack([atom.matrix for atom in atoms])
-        check_context_laws(matrices, labels, tols=tols)
+        family = check_context_laws(matrices, labels, tols=tols)
         matrices.setflags(write=False)
 
         self._time = time
         self._atoms = atoms
         self._matrices = matrices
         self._labels = labels
+        self._law_residual = max(
+            *family, *(max(a._hermiticity, a._idempotence) for a in atoms)
+        )
 
     @property
     def time(self) -> float:
@@ -253,11 +264,15 @@ def _commutation_failures(
     contexts: Sequence[Context],
     stacks: Sequence[np.ndarray],
     tols: Tolerances,
-) -> list[tuple[tuple[int, str], tuple[int, str], float]]:
-    failures = []
+) -> tuple[list[tuple[tuple[int, str], tuple[int, str], float]], float]:
+    """Every translated atom pair whose commutator exceeds ``tols.commute``,
+    and the largest commutator residual of all cross-context pairs (0 for
+    one context)."""
+    failures, peaks = [], []
     for a in range(len(contexts)):
         for b in range(a + 1, len(contexts)):
             residuals = commutator_residuals(stacks[a][:, None], stacks[b][None, :])
+            peaks.append(residuals.max())
             for i, j in zip(*np.nonzero(residuals > tols.commute)):
                 failures.append(
                     (
@@ -266,7 +281,64 @@ def _commutation_failures(
                         float(residuals[i, j]),
                     )
                 )
-    return failures
+    # np.max, unlike max(), keeps a NaN, so it cannot clear a bound
+    return failures, float(np.max(peaks, initial=0.0))
+
+
+def _composed_defect_bound(epsilon: float, delta: float, dim: int, times: int) -> float:
+    """B: a bound on every residual the projector and exclusivity checks
+    could measure on the kept composed atoms of ``times`` contexts.
+
+    ``epsilon`` is the largest cross-context commutator residual of the
+    translated stacks and ``delta`` the largest law residual of the input
+    contexts (``Context._law_residual``), both max-entry norms as measured.
+    Below, |X| is the operator norm, |X|_max <= |X| <= d |X|_max, and
+    g = 4 (d + 2) eps bounds the rounding of a length-d complex dot product
+    relative to sum |x_k| |y_k|, so fl(X Y) is within g |X| |Y|
+    of X Y in every entry and within d g |X| |Y| in norm.
+
+    1. Measured values.  A residual computed from a product understates the
+       exact one by at most 3 g, so every cross-context commutator of the
+       stored stacks is within e = (1 + 4 eps) epsilon + 3 g and every input
+       law within l = (1 + 4 eps) delta + 3 g, in max-entry norm.
+    2. Translated atoms, S = fl(U P U^dag), not checked again.  The
+       transform rounds by at most 2 d g in norm, and |U^dag U - I| <= 5 d g
+       (its own product, plus an ``eigh`` orthogonality defect taken as at
+       most d g; below 0.08 d g measured for d <= 64).  An input atom with
+       Hermiticity and idempotence within l has |P| <= 1 + 3 d l, so with
+       eta = 4.1 d l + 7.5 d g every |S| <= 1 + eta, and |S - S^dag|,
+       |S^2 - S| and |S_i S_j| (i != j, one context) are at most
+       L = 1.01 d l + 12 d g.
+    3. The theorem, for the exact A = S_1 ... S_T.  Swapping two adjacent
+       factors of different contexts changes a product by at most
+       (1 + eta)^(2T) d e.  A^dag becomes A by T uses of Hermiticity and
+       T (T - 1)/2 swaps; A^2 becomes A by T (T - 1)/2 swaps (each second
+       factor moved next to its twin) and T uses of idempotence; A_a A_b
+       with a != b differs at some time s, and its second factor of time s
+       reaches the first after T - 1 swaps, where exclusivity makes it
+       vanish.  So every defect is at most
+       (1 + eta)^(2T) (T (T - 1)/2 d e + T L).
+    4. Rounding of the grid.  The T - 1 products of ``ordered_products`` put
+       each kept atom within 1.02 (T - 1) d g of A, which moves each defect
+       by at most 3.1 times that, and the check's own product adds g.
+
+    With 2 T eta <= 0.01, (1 + eta)^(2T) <= 1.0101 and all of it is within
+
+        B = 1.05 (d (T (T - 1)/2 e + T (l + 12 g) + 4 (T - 1) g) + 2 g).
+
+    Beyond that B is infinite, and the checks run.  B > 0, so a tolerance
+    <= 0 never clears; a NaN input gives a NaN B, which clears nothing.
+    """
+    eps = np.finfo(float).eps
+    g = 4 * (dim + 2) * eps
+    e = (1 + 4 * eps) * epsilon + 3 * g
+    l = (1 + 4 * eps) * delta + 3 * g
+    if 2 * times * (4.1 * dim * l + 7.5 * dim * g) > 0.01:
+        return math.inf
+    swaps = times * (times - 1) / 2
+    return 1.05 * (
+        dim * (swaps * e + times * (l + 12 * g) + 4 * (times - 1) * g) + 2 * g
+    )
 
 
 class GeneralizedContext:
@@ -289,11 +361,22 @@ class GeneralizedContext:
     nonzero rank is dropped, whatever the tolerances, and ``tols.proj <= 0``
     or ``tols.herm <= 0`` drops nothing.
 
-    The kept atoms are checked as projectors and for pairwise exclusivity,
-    which multiplies only the pairs a row/column-norm bound cannot clear
-    (``_exclusivity_residual``).  Completeness is checked on the sum of all
-    prod |ctx| atoms, dropped ones included: by distributivity it is the
-    product of the per-context atom sums, so it is formed without the grid.
+    The kept atoms are not re-checked as projectors or for exclusivity when
+    the construction already guarantees both.  Theorem: if every
+    cross-context commutator of the translated atoms is within epsilon and
+    every context obeys its own laws within delta (max-entry norms), then
+    each composed atom A = P_1 ... P_T is Hermitian, idempotent and
+    exclusive with every other one within T (T - 1)/2 d epsilon +
+    T d delta, plus rounding: an adjacent swap costs at most d epsilon in
+    operator norm, and each law needs at most T (T - 1)/2 swaps and T uses
+    of the per-context laws.  ``_composed_defect_bound`` turns the measured
+    epsilon and delta, both recorded while checking and not computed again,
+    into B, a bound with the rounding of the translation and of the
+    products included.  When B <= min(tols.proj, tols.herm) the projector
+    and exclusivity checks cannot fail and are skipped; otherwise they run
+    as ``_verify_family_laws`` describes.  Completeness always runs, on the
+    sum of all prod |ctx| atoms, dropped ones included: by distributivity
+    it is the product of the per-context atom sums, formed without the grid.
 
     The verdict does not depend on ``ref_time``: moving every atom to another
     time conjugates each commutator by one unitary V, so a commutator that
@@ -312,7 +395,7 @@ class GeneralizedContext:
         tols: Tolerances = DEFAULT_TOLERANCES,
     ):
         contexts, translated = translate_contexts(contexts, ref_time, hamiltonian, hbar)
-        failures = _commutation_failures(contexts, translated, tols)
+        failures, epsilon = _commutation_failures(contexts, translated, tols)
         if failures:
             raise IncompatibleContexts(
                 f"{len(failures)} translated atom pair(s) fail to commute "
@@ -324,7 +407,9 @@ class GeneralizedContext:
         # left-nested ((P_0 P_1) P_2)..., in itertools.product order
         atoms, kept = ordered_products(translated, tol=min(tols.proj, tols.herm))
         total = functools.reduce(operator.matmul, [s.sum(axis=0) for s in translated])
-        self._verify_family_laws(atoms, total, tols)
+        delta = max(ctx._law_residual for ctx in contexts)
+        bound = _composed_defect_bound(epsilon, delta, hamiltonian.dim, len(contexts))
+        self._verify_family_laws(atoms, total, tols, bound)
         atoms.setflags(write=False)
 
         self._contexts = contexts
@@ -341,28 +426,35 @@ class GeneralizedContext:
 
     @staticmethod
     def _verify_family_laws(
-        mats: np.ndarray, total: np.ndarray, tols: Tolerances
+        mats: np.ndarray, total: np.ndarray, tols: Tolerances, bound: float = math.inf
     ) -> None:
         """Projector laws, completeness, then exclusivity of a composed-atom stack.
 
+        ``bound`` is B of ``_composed_defect_bound``: no Hermiticity,
+        idempotence or exclusivity residual of the stack exceeds it.  When
+        B <= min(tols.proj, tols.herm) those checks could not fail and are
+        skipped; otherwise (the default, or a tolerance <= 0) they run.
         ``total`` is the sum of the whole family, whose distance from I is
-        the completeness residual.  Exclusivity asks
+        the completeness residual, checked always.  Exclusivity asks
         |P_a P_b - delta_ab P_a|_max <= ``tols.proj`` for every pair, but
         only the pairs ``_exclusivity_residual`` cannot clear by its norm
         bound are multiplied; see there.
         """
-        check_projector_stack(mats, tols=tols)
+        certified = bound <= min(tols.proj, tols.herm)
+        if not certified:
+            check_projector_stack(mats, tols=tols)
         residual = max_entry_norm(total - np.eye(total.shape[-1]))
         if residual > tols.proj:
             raise InvariantViolation(
                 f"composed atoms do not sum to identity (residual {residual:.3e})"
             )
-        residual = _exclusivity_residual(mats, tols.proj)
-        if residual > tols.proj:
-            raise InvariantViolation(
-                f"composed atoms are not mutually exclusive "
-                f"(residual {residual:.3e})"
-            )
+        if not certified:
+            residual = _exclusivity_residual(mats, tols.proj)
+            if residual > tols.proj:
+                raise InvariantViolation(
+                    f"composed atoms are not mutually exclusive "
+                    f"(residual {residual:.3e})"
+                )
 
     @property
     def contexts(self) -> tuple[Context, ...]:

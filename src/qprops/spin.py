@@ -35,6 +35,7 @@ rounding (the forms sum the same terms in another order).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -166,6 +167,7 @@ def direction_context(
     return Context(time, spin_projectors(n, tols=tols), labels, tols=tols)
 
 
+@functools.lru_cache(maxsize=8)
 def sphere_points(count: int = 2000, include_axes: bool = True) -> np.ndarray:
     """Quasi-uniform direction sample as a read-only (N, 3) array of unit rows.
 
@@ -174,7 +176,8 @@ def sphere_points(count: int = 2000, include_axes: bool = True) -> np.ndarray:
     golden-angle spiral, each row normalized as ``Direction.normalized``
     would.  The cosines and sines come from ``math``, like the scalar
     formula, so every row equals the ``Direction`` of ``sphere_grid`` bit
-    for bit.
+    for bit.  The array is read-only, so the last few grids are cached and
+    a repeated call returns the same array.
     """
     index = np.arange(max(count, 0))
     z = 1.0 - 2.0 * (index + 0.5) / count

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     KET_X_MINUS,
     KET_X_PLUS,
+    einsum_exclusivity_residual,
     outer,
     random_density,
     random_generalized_context,
@@ -13,6 +14,7 @@ from helpers import (
     random_projector,
     shared_basis_contexts,
 )
+from qprops import contexts as contexts_module
 from qprops.config import DEFAULT_TOLERANCES
 from qprops.contexts import (
     Context,
@@ -252,6 +254,49 @@ class TestComposedGrid:
         with pytest.raises(InvariantViolation):
             Projector(composed[("a", "a")].matrix)
 
+    @pytest.mark.parametrize(
+        "case",
+        ["loose-commute", "loose-proj", "zero-proj", "negative-herm"],
+    )
+    def test_grid_checks_run_when_the_bound_does_not_clear(self, case, monkeypatch):
+        calls = []
+        for name in ("check_projector_stack", "_exclusivity_residual"):
+            original = getattr(contexts_module, name)
+
+            def spy(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(contexts_module, name, spy)
+        contexts = [z_context(1.0), z_context(2.0)]
+        if case == "loose-commute":
+            # commutators up to 1 give a bound far above any tolerance
+            tols = DEFAULT_TOLERANCES.updated(commute=1.0)
+            contexts = [x_context(1.0), z_context(2.0)]
+        elif case == "loose-proj":
+            # atoms idempotent to 1e-8 only: the bound clears proj, not herm
+            tols = DEFAULT_TOLERANCES.updated(proj=1e-6)
+            bump = 1e-4 * np.array([[0.0, 1.0], [1.0, 0.0]])
+            atoms = [
+                Projector(Z_PLUS.matrix + bump, tols=tols),
+                Projector(Z_MINUS.matrix - bump, tols=tols),
+            ]
+            contexts = [Context(t, atoms, ["a", "b"], tols=tols) for t in (1.0, 2.0)]
+        elif case == "zero-proj":
+            # exact diagonal atoms pass even a zero tolerance, checked
+            tols = DEFAULT_TOLERANCES.updated(proj=0.0)
+        else:
+            tols = DEFAULT_TOLERANCES.updated(herm=-1.0)
+        if case in ("loose-commute", "negative-herm"):
+            # raised by the projector check, as without the bound
+            with pytest.raises(InvariantViolation) as err:
+                build_generalized_context(contexts, 0.0, H0, tols=tols)
+            assert not isinstance(err.value, IncompatibleContexts)
+            assert calls == ["check_projector_stack"]
+        else:
+            build_generalized_context(contexts, 0.0, H0, tols=tols)
+            assert calls == ["check_projector_stack", "_exclusivity_residual"]
+
     def test_composed_atoms_are_built_once_and_read_only(self, rng, monkeypatch):
         h = random_hermitian(rng, 6)
         contexts = shared_basis_contexts(rng, 6, 3, h, parts=3)
@@ -275,13 +320,6 @@ class TestComposedGrid:
             first[label] = Z_PLUS
         with pytest.raises(TypeError):
             del first[label]
-
-
-def einsum_exclusivity_residual(mats):
-    """The full n^2 product check, max |P_a P_b - delta_ab P_a|, as reference."""
-    products = np.einsum("aij,bjk->abik", mats, mats)
-    products[np.arange(len(mats)), np.arange(len(mats))] -= mats
-    return max_entry_norm(products)
 
 
 # (d, number of times) of the multi-time benchmark, with as many atoms per

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,11 @@ class TestGmhCheck:
             Tolerances(consist=value)
         with pytest.raises(InvariantViolation, match="must be finite"):
             DEFAULT_TOLERANCES.updated(consist=value)
+
+    def test_tolerances_as_dict_keeps_every_field_in_order(self):
+        tols = DEFAULT_TOLERANCES.updated(consist=2e-9, proj=-1.0)
+        assert tols.as_dict() == dataclasses.asdict(tols)
+        assert list(tols.as_dict()) == list(Tolerances.field_names())
 
     def test_consistent_family_has_additive_normalized_weights(self, rng):
         family = two_time_family((1, 0, 0))

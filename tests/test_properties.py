@@ -16,7 +16,11 @@ of a property must not depend on the time frame (criterion 9).  The pruned
 ordered-product kernel must keep every product it does not drop bit for bit,
 drop only products within its bound, and leave the GMH verdict, violations
 and probabilities (up to GEMM rounding) as the unpruned gram gives them; and
-``evolution_operator`` must be unitary without its removed re-check.
+``evolution_operator`` must be unitary without its removed re-check.  The
+bound that lets a generalized context skip its composed-atom checks must
+cover the residuals those checks would measure, and the class lattice must
+keep its laws (criterion 7) and its non-distributivity witness
+(criterion 8) on generated classes.
 """
 
 import copy
@@ -35,6 +39,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
+    einsum_exclusivity_residual,
     random_density,
     random_hermitian,
     random_partition,
@@ -42,9 +47,12 @@ from helpers import (
     random_unitary,
     shared_basis_contexts,
 )
+from qprops import contexts as contexts_module
 from qprops.config import DEFAULT_TOLERANCES
 from qprops.contexts import (
     Context,
+    _commutation_failures,
+    _composed_defect_bound,
     build_generalized_context,
     check_context_laws,
     composite_probability,
@@ -61,17 +69,29 @@ from qprops.histories import (
     history_operators,
     history_probability,
 )
-from qprops.lattice import TimedProperty, class_born_probability, class_of, translate
+from qprops.lattice import (
+    TimedProperty,
+    class_born_probability,
+    class_implies,
+    class_join,
+    class_meet,
+    class_negate,
+    class_of,
+    translate,
+)
 from qprops.linop import (
     PRUNE_CEILING,
     DensityOperator,
     HermitianOperator,
     Projector,
+    alternating_projection_limit,
     check_projector_stack,
     evolution_operator,
     max_entry_norm,
     ordered_products,
+    projector_from_span,
     stack_matmul,
+    subspace_intersection,
 )
 from qprops.specio import SystemSpec, parse_system_spec
 from qprops.spin import (
@@ -563,6 +583,171 @@ def test_6561_atom_grid_at_dimension_32_stays_small():
     result = json.loads(child.stdout)
     assert result["verdict"] and result["histories"] == 9**4
     assert result["maxrss_kib"] < 300 * 1024
+
+
+def near_commuting_contexts(rng, d, n_times, parts, turn, bump):
+    """Contexts whose atoms, translated to t0 = 0, commute only to about
+    ``turn``, with context laws that hold only to about ``bump``.
+
+    One shared basis is turned by exp(-i s K) per time, with |K| = 1 and
+    |s| < ``turn`` / 2, so that every commutator is within about ``turn``
+    (|[P, [K, Q]]| <= |K| for projectors P, Q); each atom gets a Hermitian
+    perturbation of max-entry size ``bump`` and is pushed forward to its own
+    time.
+    """
+    h = random_hermitian(rng, d)
+    k = random_hermitian(rng, d).matrix
+    generator = HermitianOperator(k / np.linalg.norm(k, 2))
+    basis = random_unitary(rng, d)
+    contexts = []
+    for t in np.cumsum(rng.uniform(0.3, 1.2, size=n_times)):
+        turned = evolution_operator(generator, 0.0, turn * rng.uniform(-0.45, 0.45)).matrix
+        push = evolution_operator(h, 0.0, float(t)).matrix
+        atoms = []
+        for group in random_partition(rng, d, parts):
+            block = turned @ basis[:, group]
+            noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            noise = noise + noise.conj().T
+            atom = block @ block.conj().T + bump * noise / max_entry_norm(noise)
+            atoms.append(Projector(push @ atom @ push.conj().T))
+        contexts.append(Context(float(t), atoms))
+    return h, contexts
+
+
+@given(
+    d=st.integers(2, 16),
+    n_times=st.integers(2, 4),
+    turn_exponent=st.integers(-16, -9),
+    bump_exponent=st.one_of(st.none(), st.integers(-16, -12)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the largest shapes, which the derandomized draws may miss
+@example(d=16, n_times=4, turn_exponent=-9, bump_exponent=None, seed=1)
+@example(d=16, n_times=4, turn_exponent=-15, bump_exponent=-12, seed=2)
+@example(d=2, n_times=4, turn_exponent=-10, bump_exponent=-16, seed=3)
+def test_composed_defect_bound_holds_on_near_commuting_families(
+    d, n_times, turn_exponent, bump_exponent, seed
+):
+    # the bound the build compares with min(proj, herm), from the residuals
+    # it records, against the residuals the skipped checks would measure
+    rng = np.random.default_rng(seed)
+    parts = min(d, 3 if n_times < 4 else 2)
+    bump = 0.0 if bump_exponent is None else 10.0**bump_exponent
+    h, contexts = near_commuting_contexts(
+        rng, d, n_times, parts, 10.0**turn_exponent, bump
+    )
+    tols = DEFAULT_TOLERANCES
+    contexts, stacks = translate_contexts(contexts, 0.0, h)
+    _, epsilon = _commutation_failures(contexts, stacks, tols)
+    assert epsilon <= tols.commute
+    delta = max(ctx._law_residual for ctx in contexts)
+    bound = _composed_defect_bound(epsilon, delta, d, n_times)
+    atoms, _ = ordered_products(stacks, tol=min(tols.proj, tols.herm))
+    residuals = (
+        max_entry_norm(atoms - np.swapaxes(atoms, -1, -2).conj()),
+        max_entry_norm(atoms @ atoms - atoms),
+        einsum_exclusivity_residual(atoms),
+    )
+    assert max(residuals) <= bound, (residuals, bound)
+
+
+def test_accepted_large_grid_is_certified_without_the_checks(monkeypatch):
+    # the LARGE_GRID family: its commutators and context laws clear the
+    # bound, so neither kept-atom check runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bound should have cleared this check")
+
+    monkeypatch.setattr(contexts_module, "check_projector_stack", refuse)
+    monkeypatch.setattr(contexts_module, "_exclusivity_residual", refuse)
+    rng = np.random.default_rng(32)
+    h = random_hermitian(rng, 32)
+    gc = build_generalized_context(shared_basis_contexts(rng, 32, 4, h, parts=9), 0.0, h)
+    assert sum(row is not None for row in gc._index.values()) >= 32
+
+
+def random_class(rng, d, h, rank=None, t=None):
+    """Translation class at t0 = 0 of a random projector at a random time."""
+    t = float(rng.uniform(-2.0, 2.0)) if t is None else t
+    return class_of(TimedProperty(random_projector(rng, d, rank), t), 0.0, h)
+
+
+def same_class(c1, c2):
+    return max_entry_norm(c1.representative.matrix - c2.representative.matrix) <= 1e-8
+
+
+@given(
+    d=st.integers(2, 8),
+    shared=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_meet_routes_agree(d, shared, seed):
+    # criterion 7: the alternating-projection limit equals the geometric
+    # intersection, also when the ranges share a subspace
+    rng = np.random.default_rng(seed)
+    basis = random_unitary(rng, d)
+    common = min(shared, d - 1)
+    ranges = []
+    for _ in range(2):
+        extra = int(rng.integers(0, d - common + 1))
+        other = random_unitary(rng, d - common)[:, :extra]
+        vectors = np.concatenate([basis[:, :common], basis[:, common:] @ other], axis=1)
+        ranges.append(
+            Projector(vectors @ vectors.conj().T) if vectors.shape[1] else Projector.zero(d)
+        )
+    p, q = ranges
+    limit = alternating_projection_limit(p, q)
+    oracle = subspace_intersection(p, q)
+    assert max_entry_norm(limit.matrix - oracle.matrix) <= 1e-8
+    assert oracle.rank >= common
+
+
+@given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_orthocomplement_de_morgan_and_absorption(d, seed):
+    # criterion 7 on generated classes of one dynamical frame
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, d)
+    a, b = random_class(rng, d, h), random_class(rng, d, h)
+    top = class_of(TimedProperty(Projector.identity(d), 0.0), 0.0, h)
+    bottom = class_of(TimedProperty(Projector.zero(d), 0.0), 0.0, h)
+    assert same_class(class_negate(class_negate(a)), a)
+    assert same_class(class_meet(a, class_negate(a)), bottom)
+    assert same_class(class_join(a, class_negate(a)), top)
+    assert same_class(
+        class_negate(class_meet(a, b)), class_join(class_negate(a), class_negate(b))
+    )
+    assert same_class(
+        class_negate(class_join(a, b)), class_meet(class_negate(a), class_negate(b))
+    )
+    assert same_class(class_meet(a, class_join(a, b)), a)
+    assert same_class(class_join(a, class_meet(a, b)), a)
+    assert class_implies(class_meet(a, b), a) and class_implies(a, class_join(a, b))
+
+
+@given(
+    d=st.integers(2, 6),
+    angles=st.tuples(st.floats(0.2, 1.4), st.floats(0.2, 1.4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_non_distributivity_witness(d, angles, seed):
+    # criterion 8: three rank-1 classes in one plane, none parallel, at
+    # different times: a ^ (b v c) = a but (a ^ b) v (a ^ c) = 0
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, d)
+    plane = random_unitary(rng, d)[:, :2]
+    members = [plane[:, 0]] + [
+        plane @ np.array([np.cos(phi), np.sin(phi) * (-1) ** k])
+        for k, phi in enumerate(angles)
+    ]
+    a, b, c = (
+        class_of(translate(TimedProperty(projector_from_span([v]), 0.0), t, h), 0.0, h)
+        for v, t in zip(members, (0.5, 1.0, 1.5))
+    )
+    lhs = class_meet(a, class_join(b, c))
+    rhs = class_join(class_meet(a, b), class_meet(a, c))
+    assert same_class(lhs, a) and lhs.representative.rank == 1
+    assert rhs.representative.rank == 0
+    gap = lhs.representative.matrix - rhs.representative.matrix
+    assert np.linalg.norm(gap, 2) >= 0.9
 
 
 STATE = [[0.5, 0.5], [0.5, 0.5]]

@@ -115,6 +115,16 @@ class TestSphereGrid:
         assert not points.flags.writeable
         assert [Direction(*row) for row in points.tolist()] == list(sphere_grid(300))
 
+    def test_repeat_call_returns_the_cached_grid(self):
+        first = sphere_points(2000)
+        assert sphere_points(2000) is first
+        assert not first.flags.writeable
+        fresh = sphere_points.__wrapped__(2000)
+        assert fresh is not first
+        assert fresh.tobytes() == first.tobytes()
+        bare = sphere_points(2000, include_axes=False)
+        assert bare.tobytes() == fresh[6:].tobytes()
+
     @pytest.mark.parametrize(
         "rows, error",
         [
