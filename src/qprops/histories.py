@@ -49,7 +49,7 @@ __all__ = [
     "history_operators",
     "decoherence_gram",
     "gmh_residuals",
-    "real_part_traces",
+    "consistency_traces",
     "family_from_generalized_context",
     "omnes_implies",
 ]
@@ -264,22 +264,29 @@ def gmh_residuals(gram: np.ndarray) -> np.ndarray:
     The last axis runs over the pairs in row-major order; the swapped trace
     is the complex conjugate, so each unordered pair appears once.
     """
-    a, b = np.triu_indices(gram.shape[-1], 1)
+    return _pair_magnitudes(gram, *np.triu_indices(gram.shape[-1], 1))
+
+
+def _pair_magnitudes(gram: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``gmh_residuals`` for the index pairs (a, b) of ``np.triu_indices``."""
     pairs = gram[..., a, b]
     # hypot rounds like the scalar abs(); numpy's vectorized complex abs can
     # differ from it in the last bit
     return np.hypot(pairs.real, pairs.imag)
 
 
-def real_part_traces(e1, e1_bar, e2, rho) -> np.ndarray:
-    """Signed Re Tr(E1 rho E1c E2) for each entry of broadcast (..., d, d) stacks.
+def consistency_traces(e1, e1_bar, e2, rho) -> np.ndarray:
+    """Complex Tr(E1 rho E1c E2) for each entry of broadcast (..., d, d) stacks.
 
     The product is formed left to right; a single (d, d) ``rho`` or ``e2``
-    multiplies the stack as one GEMM (``linop.stack_matmul``).  The
-    real-part residual is the magnitude, taken by the caller.
+    multiplies the stack as one GEMM (``linop.stack_matmul``).  For an
+    idempotent E2 it is, by cyclicity, the decoherence functional
+    Tr(C_a rho C_b^dag) of the histories C_a = E2 E1 and C_b = E2 E1c
+    (Gell-Mann and Hartle), and its real part is the residual of the
+    real-part condition (Griffiths); the caller takes the magnitude.
     """
     product = stack_matmul(stack_matmul(e1, rho) @ e1_bar, e2)
-    return np.trace(product, axis1=-2, axis2=-1).real
+    return np.trace(product, axis1=-2, axis2=-1)
 
 
 def gmh_check(
@@ -308,9 +315,9 @@ def gmh_check(
         family.heisenberg_atoms, later_left=True, tol=tols.consist
     )
     gram = decoherence_gram(histories, family.initial_state.matrix)
-    residuals = gmh_residuals(gram)
     labels = [grid[k] for k in kept.tolist()]
     a, b = np.triu_indices(len(labels), 1)
+    residuals = _pair_magnitudes(gram, a, b)
     flagged = np.flatnonzero(residuals > tols.consist)
     violations = [
         (labels[i], labels[j], residual)
@@ -343,7 +350,7 @@ def griffiths_check(
             "two atoms per time"
         )
     (e1, e1_bar), (e2, _) = family.heisenberg_atoms
-    trace = real_part_traces(e1, e1_bar, e2, family.initial_state.matrix)
+    trace = consistency_traces(e1, e1_bar, e2, family.initial_state.matrix).real
     residual = abs(float(trace))
     labels1, labels2 = (ctx.labels for ctx in family.contexts)
     violations = []

@@ -20,17 +20,19 @@ The searches are batched, and no per-direction matrix is formed.  The pair
 B = (I, sigma_x, sigma_y, sigma_z) are w_+/-(n) = (1, +/-n)/2, and time
 translation is linear, so only the four basis matrices are moved to the
 initial time (``UnitaryOperator.transform`` of one evolution operator).
-Each residual is then a linear form (``commute``) or a bilinear form
+Each residual is then a linear form (``commute``) or a quadratic form
 (``gmh``, ``griffiths``) in (1, n), whose small coefficient arrays come from
-the kernels ``gmh_check`` and ``griffiths_check`` themselves use, and the
-whole grid is scored by one GEMM of its (N, 4) or (N, 16) weights against
-them.  The pairs are not checked as projectors or as contexts: for a row
-within ``_UNIT_NORM_TOL`` of unit norm the pair is exactly Hermitian, its
-idempotence, exclusivity and completeness residuals are at most
-(|n|^2 - 1)/4, about 5e-13, and conjugation by a checked unitary keeps all
-of this.  No per-direction ``Projector``, ``Context`` or ``HistoryFamily``
-is built, yet every verdict is the one those objects would give, up to
-rounding (the forms sum the same terms in another order).
+the kernels the checks themselves use (``linop.commutators``,
+``histories.consistency_traces``), and the whole grid is scored by one GEMM
+of its (N, 4) weights against them.  The pairs are not checked as
+projectors or as contexts: for a row within ``_UNIT_NORM_TOL`` of unit norm
+the pair is exactly Hermitian, its idempotence, exclusivity and
+completeness residuals are at most (|n|^2 - 1)/4, about 5e-13, and
+conjugation by a checked unitary keeps all of this.  No per-direction
+``Projector``, ``Context`` or ``HistoryFamily`` is built, yet every verdict
+is the one those objects would give, up to rounding (the forms sum the same
+terms in another order) and, for ``gmh``, up to the bound of about 5e-13
+that ``_search_residuals`` derives from that defect of the fixed pair.
 """
 
 from __future__ import annotations
@@ -50,12 +52,7 @@ from .errors import (
     NonUnitDirection,
     TimeOrderViolation,
 )
-from .histories import (
-    decoherence_gram,
-    gmh_residuals,
-    history_operators,
-    real_part_traces,
-)
+from .histories import consistency_traces
 from .linop import (
     DensityOperator,
     HermitianOperator,
@@ -276,15 +273,31 @@ def _search_residuals(
     - ``commute``: the largest entry magnitude of the four cross
       commutators [P_s, F_b] = sum_j x_j S_js [B_j, F_b] (the signed
       ``linop.commutators``), one (N, 4) @ (4, 16) GEMM.
-    - ``gmh``: the largest off-diagonal magnitude of the 4x4 decoherence
-      gram of the histories F_b P_s, a quadratic form in x over the 8x8
-      ``decoherence_gram`` of the basis histories F_b B_j: one
-      (N, 16) @ (16, 16) GEMM of the rows of x x^T, then ``gmh_residuals``.
-    - ``griffiths``: |Re Tr(P_+ rho P_- F_+)| = |x^T R S_- x| with
-      R_jl = Re Tr(B_j rho B_l F_+) (``histories.real_part_traces``).  R is
-      the griffiths conic in the homogeneous coordinates (1, n): for free
+    - ``gmh`` and ``griffiths`` read one complex form per fixed outcome b,
+      q_b(x) = Tr(P_+ rho P_- F_b) = x^T K_b x with
+      K_b[j, l] = S_l- Tr(B_j rho B_l F_b), both b at once from
+      ``histories.consistency_traces``: one (N, 4) @ (4, 16) GEMM gives
+      the rows of x^T K_b and a row-wise dot with x finishes the forms.
+    - ``griffiths``: |Re q_+|, the residual of ``griffiths_check``.  Re K_+
+      is the griffiths conic in the homogeneous coordinates (1, n): for free
       dynamics and rho along n0 the form is ((n0.n2) - (n0.n)(n.n2))/4,
       minus a quarter of ``coplanarity_defect``.
+    - ``gmh``: max_b |q_b|.  ``gmh_check`` would take the largest
+      off-diagonal magnitude of the 4x4 gram of the histories F_b P_s,
+      D[(s, b), (t, c)] = Tr(F_b P_s rho P_t F_c) = Tr(F_c F_b P_s rho P_t).
+      With F_b = U (I + b m.sigma) U^dag / 2 (b = +/-1, m = n2),
+      (I + c m.sigma)(I + b m.sigma) = (1 + bc|m|^2) I + (b + c) m.sigma
+      gives F_c F_b = [b = c] F_b + e_bc I with |e_bc| = |1 - |m|^2|/4
+      exactly, and conjugation by U keeps it.  So the four cross-outcome
+      entries (b != c) are e_bc Tr(P_s rho P_t), and the two same-outcome
+      entries with s != t are q_b + e_bb Tr(P_+ rho P_-) by cyclicity (the
+      (-, b), (+, b) entry is the conjugate).  P_s has the eigenvalues
+      (1 +/- |n|)/2, so for a density rho
+      |Tr(P_s rho P_t)| = |Tr(rho P_t P_s)| <= ((1 + |n|)/2)^2, and every
+      gram residual, hence the largest, lies within
+      E = |1 - |m|^2| / 4 * ((1 + |n|)/2)^2 of this form, plus rounding.
+      With n and m within ``_UNIT_NORM_TOL`` of unit norm, E is at most
+      about 5e-13.
 
     The search keeps the directions whose residual lies within its
     tolerance.
@@ -299,8 +312,8 @@ def _search_residuals(
     )
     count = len(points)
     x = np.concatenate([np.full((count, 1), 0.5), points * 0.5], axis=1)
-    signs = _PAIR_SIGNS.T  # [j, s]
     if mode == "commute":
+        signs = _PAIR_SIGNS.T  # [j, s]
         brackets = commutators(basis[:, None], fixed)  # [B_j, F_b] at [j, b]
         form = signs[:, :, None, None, None] * brackets[:, None]
         return np.abs(_real_gemm(x, form)).max(axis=1)
@@ -313,15 +326,18 @@ def _search_residuals(
         rho = _pure_state_along(n0, tols)
     if rho.dim != 2:
         raise DimensionMismatch("state/Hamiltonian dimension differs from atoms")
-    outer = np.einsum("ni,nj->nij", x, x).reshape(count, 16)
-    if mode == "gmh":
-        gram = decoherence_gram(history_operators([basis, fixed]), rho.matrix)
-        # D[(s, b), (t, c)] = sum_jl x_j x_l S_js S_lt G[(j, b), (l, c)]
-        form = np.einsum("js,lt,jblc->jlsbtc", signs, signs, gram.reshape(4, 2, 4, 2))
-        grams = _real_gemm(outer, form.reshape(16, 16)).reshape(count, 4, 4)
-        return gmh_residuals(grams).max(axis=-1)
-    traces = real_part_traces(basis[:, None], basis[None, :], fixed[0], rho.matrix)
-    return np.abs(outer @ (traces * signs[:, 1]).reshape(16))
+    # K_b[j, l] at [j, l, b]
+    traces = consistency_traces(
+        basis[:, None, None], basis[None, :, None], fixed, rho.matrix
+    )
+    form = traces * _PAIR_SIGNS[1][:, None]
+    # [n, l, (b, re/im)]: the real and imaginary parts of (x^T K_b)_l
+    rows = _real_gemm(x, form).view(np.float64).reshape(count, 4, 4)
+    forms = np.einsum("nl,nlk->nk", x, rows)
+    if mode == "griffiths":
+        return np.abs(forms[:, 0])
+    magnitudes = np.abs(forms.view(np.complex128))
+    return np.maximum(magnitudes[:, 0], magnitudes[:, 1])
 
 
 def _kept(points: np.ndarray, residuals: np.ndarray, tol: float) -> list[Direction]:
@@ -370,7 +386,11 @@ def gmh_directions(
 
     ``rho`` defaults to the pure state along ``n0``.  The verdict per
     direction is that of ``gmh_check`` on the family of the direction's
-    context at ``t1`` and the n2 context at ``t2``.
+    context at ``t1`` and the n2 context at ``t2``, read as
+    max_b |Tr(P_+ rho P_- F_b)| with P_+/- the direction's pair and F_b the
+    n2 pair, all moved to ``t0``.  The n2 pair is exclusive and idempotent
+    up to (|n2|^2 - 1)/4, so the largest off-diagonal gram entry is this
+    value within about 5e-13 (derived in ``_search_residuals``).
     """
     points = _grid_points(grid)
     residuals = _search_residuals(
@@ -395,7 +415,8 @@ def griffiths_directions(
     """Grid directions whose two-time family passes the real-part check.
 
     ``rho`` defaults to the pure state along ``n0``.  The verdict per
-    direction is that of ``griffiths_check``.  For free dynamics the
+    direction is that of ``griffiths_check``, |Re Tr(P_+ rho P_- F_+)|,
+    read off the trace form of ``gmh_directions``.  For free dynamics the
     residual is |``coplanarity_defect(n0, n1, n2)``| / 4, so a direction
     is kept when |(n0.n1)(n1.n2) - n0.n2| <= 4 ``tols.consist``; for n0
     orthogonal to n2 that is a thin band around the two great circles

@@ -98,6 +98,7 @@ from qprops.spin import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _UNIT_NORM_TOL,
     Direction,
     _grid_points,
     _search_residuals,
@@ -189,21 +190,15 @@ def plain_residuals(mode, n2, points, rho, h, t0, t1, t2):
         brackets = basis[:, None] @ fixed - fixed @ basis[:, None]
         form = signs[:, :, None, None, None] * brackets[:, None]
         return np.abs(complex_forms(x, form)).max(axis=1)
-    outer = (x[:, :, None] * x[:, None, :]).reshape(count, 16)
+    # [j, l, b]: S_l- Tr(B_j rho B_l F_b)
+    product = basis[:, None, None] @ rho @ basis[None, :, None] @ fixed
+    form = np.trace(product, axis1=-2, axis2=-1) * signs[:, 1, None]
+    rows = complex_forms(x, form).view(float).reshape(count, 4, 4)
+    # [n, (b, re/im)]: q_b = Tr(P_+ rho P_- F_b)
+    forms = np.einsum("nl,nlk->nk", x, rows)
     if mode == "gmh":
-        histories = (fixed[None] @ basis[:, None]).reshape(8, 4)
-        gram = ((histories.reshape(8, 2, 2) @ rho).reshape(8, 4)) @ histories.conj().T
-        # [j, l, s, b, t, c]: S_js S_lt G[(j, b), (l, c)]
-        form = (
-            signs[:, None, :, None, None, None]
-            * signs[:, None, None, :, None]
-            * gram.reshape(4, 2, 4, 2).transpose(0, 2, 1, 3)[:, :, None, :, None]
-        )
-        grams = complex_forms(outer, form.reshape(16, 16)).reshape(count, 4, 4)
-        return gmh_residuals(grams).max(axis=-1)
-    product = basis[:, None] @ rho @ basis[None] @ fixed[0]
-    traces = np.trace(product, axis1=-2, axis2=-1).real
-    return np.abs(outer @ (traces * signs[:, 1]).reshape(16))
+        return np.abs(forms.view(complex)).max(axis=1)
+    return np.abs(forms[:, 0])
 
 
 def pair_stack_residuals(mode, n2, points, rho, h, t0, t1, t2):
@@ -287,6 +282,50 @@ def test_search_forms_match_the_pair_stack_formulas(count, **case):
         want = pair_stack_residuals(mode, n2, points, rho.matrix, h, t0, t1, t2)
         assert np.max(np.abs(got - want)) <= 1e-14, mode
         clear = np.abs(want - tol) > 1e-12
+        assert np.array_equal((got <= tol)[clear], (want <= tol)[clear]), mode
+
+
+# grid rows and n2 scaled by up to this much off unit norm, still accepted
+UNIT_EDGE = 0.999 * _UNIT_NORM_TOL
+
+
+@given(
+    count=st.integers(0, 500),
+    row_seed=st.integers(0, 2**32 - 1),
+    fixed_scale=st.floats(-UNIT_EDGE, UNIT_EDGE),
+    **SEARCH_CASE,
+)
+@example(
+    count=0,
+    row_seed=0,
+    fixed_scale=UNIT_EDGE,
+    field=(0.0, 0.0, 0.0),
+    offset=0.0,
+    state=(1.0, 0.0, 0.0),
+    fixed=(0.0, 0.0, 1.0),
+    t1=1.0,
+    gap=1.0,
+)
+def test_search_forms_hold_their_bound_at_the_unit_norm_edge(
+    count, row_seed, fixed_scale, **case
+):
+    h, n0, n2, rho, t0, t1, t2 = search_case(**case)
+    n2 = Direction(*(n2.as_array() * (1.0 + fixed_scale)).tolist())
+    points = sphere_points(count)
+    offsets = np.random.default_rng(row_seed).uniform(-1.0, 1.0, len(points))
+    points = _grid_points(points * (1.0 + UNIT_EDGE * offsets)[:, None])
+    # ``_search_residuals``: the gmh form is within E of the gram residual,
+    # the other forms sum the per-pair terms in another order
+    norms = np.linalg.norm(points, axis=1)
+    edge = abs(1.0 - float(n2.as_array() @ n2.as_array())) / 4 * ((1 + norms) / 2) ** 2
+    tols = DEFAULT_TOLERANCES
+    limits = {"commute": tols.commute, "gmh": tols.consist, "griffiths": tols.consist}
+    for mode, tol in limits.items():
+        got = _search_residuals(mode, n0, n2, points, rho, h, 1.0, t0, t1, t2, tols)
+        want = pair_stack_residuals(mode, n2, points, rho.matrix, h, t0, t1, t2)
+        bound = (edge if mode == "gmh" else 0.0) + 1e-14
+        assert np.all(np.abs(got - want) <= bound), mode
+        clear = np.abs(want - tol) > bound
         assert np.array_equal((got <= tol)[clear], (want <= tol)[clear]), mode
 
 
