@@ -3,7 +3,9 @@
 Subcommands read one system description file, run a validation, check, or
 search, and print a report (text or JSON) to standard output; diagnostics go
 to the error stream.  Exit status 0 means every check passed, 1 means a
-check failed, 2 means the input could not be used.
+check failed, 2 means the input could not be used, and 141 (128 + SIGPIPE,
+as the shell reports a process that SIGPIPE ended) means standard output was
+closed before the report was written out.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -60,7 +63,7 @@ from .specio import (
     realize_system,
 )
 
-PASS, FAIL, INPUT_ERROR = 0, 1, 2
+PASS, FAIL, INPUT_ERROR, OUTPUT_CLOSED = 0, 1, 2, 141
 
 # Largest ``spin-search --grid-count``: the searches hold a few (N, 16)
 # arrays at once, a few MiB at this size.
@@ -498,17 +501,20 @@ def main(argv=None) -> int:
         tols = DEFAULT_TOLERANCES.updated(**_tolerance_overrides(args.tol))
         spec = load_system_spec(args.spec)
         report, code = HANDLERS[args.command](spec, args, tols)
+        emit(report, args.format)
+        # a closed reader shows here, not in the flush at exit
+        sys.stdout.flush()
     except (ParseError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return INPUT_ERROR
-    except QpropsError as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return INPUT_ERROR
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return OUTPUT_CLOSED
     except Exception as err:
         # exit 1 is reserved for a check that ran and failed
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return INPUT_ERROR
-    emit(report, args.format)
     return code
 
 

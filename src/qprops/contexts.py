@@ -3,9 +3,10 @@
 A context is a complete family of mutually exclusive atomic projectors at one
 time; it generates a boolean sublattice on which Born probabilities are well
 defined.  Contexts at several times form a generalized context when all their
-atoms commute after translation to a common reference time; the pairwise
-products of the translated atoms ("composed atoms") are then again a complete
-exclusive family, and carry the probabilities of multi-time conjunctions.
+atoms commute after translation to a common reference time; they are then
+one context at that time, whose atoms ("composed atoms", the joint
+eigenspaces of the translated contexts) carry the probabilities of
+multi-time conjunctions.
 """
 
 from __future__ import annotations
@@ -64,14 +65,13 @@ def check_context_laws(
     labels: Sequence[str],
     *,
     tols: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[float, float]:
+) -> None:
     """Exclusivity and completeness of a (k, d, d) atom family, as ``Context``
     checks its atoms.
 
     Raises ``ExclusivityViolation`` with (i, j, residual) per offending atom
     pair, or ``CompletenessViolation`` with the deviation of the atom sum
-    from I.  Returns the worst exclusivity residual (0 for one atom) and the
-    completeness residual.
+    from I.
     """
     pairs = [
         (i, j, max_entry_norm(atoms[i] @ atoms[j]))
@@ -92,17 +92,10 @@ def check_context_laws(
             f"atom sum deviates from identity by {residual:.3e}",
             (residual,),
         )
-    return max((pair[2] for pair in pairs), default=0.0), residual
 
 
 class Context:
-    """A time plus a complete, mutually exclusive family of atomic projectors.
-
-    The context keeps the largest law residual it was checked with: the
-    Hermiticity and idempotence residuals of its atoms and the exclusivity
-    and completeness residuals of the family (``_law_residual``, the delta
-    of ``GeneralizedContext``'s bound).
-    """
+    """A time plus a complete, mutually exclusive family of atomic projectors."""
 
     def __init__(
         self,
@@ -134,16 +127,13 @@ class Context:
                 raise InvariantViolation("atom labels must be unique")
 
         matrices = np.stack([atom.matrix for atom in atoms])
-        family = check_context_laws(matrices, labels, tols=tols)
+        check_context_laws(matrices, labels, tols=tols)
         matrices.setflags(write=False)
 
         self._time = time
         self._atoms = atoms
         self._matrices = matrices
         self._labels = labels
-        self._law_residual = max(
-            *family, *(max(a._hermiticity, a._idempotence) for a in atoms)
-        )
 
     @property
     def time(self) -> float:
@@ -264,15 +254,12 @@ def _commutation_failures(
     contexts: Sequence[Context],
     stacks: Sequence[np.ndarray],
     tols: Tolerances,
-) -> tuple[list[tuple[tuple[int, str], tuple[int, str], float]], float]:
-    """Every translated atom pair whose commutator exceeds ``tols.commute``,
-    and the largest commutator residual of all cross-context pairs (0 for
-    one context)."""
-    failures, peaks = [], []
+) -> list[tuple[tuple[int, str], tuple[int, str], float]]:
+    """Every translated atom pair whose commutator exceeds ``tols.commute``."""
+    failures = []
     for a in range(len(contexts)):
         for b in range(a + 1, len(contexts)):
             residuals = commutator_residuals(stacks[a][:, None], stacks[b][None, :])
-            peaks.append(residuals.max())
             for i, j in zip(*np.nonzero(residuals > tols.commute)):
                 failures.append(
                     (
@@ -281,102 +268,113 @@ def _commutation_failures(
                         float(residuals[i, j]),
                     )
                 )
-    # np.max, unlike max(), keeps a NaN, so it cannot clear a bound
-    return failures, float(np.max(peaks, initial=0.0))
+    return failures
 
 
-def _composed_defect_bound(epsilon: float, delta: float, dim: int, times: int) -> float:
-    """B: a bound on every residual the projector and exclusivity checks
-    could measure on the kept composed atoms of ``times`` contexts.
+def _joint_atoms(stacks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The composed atoms of commuting translated (k_t, d, d) stacks as the
+    spectral projectors of one observable, or None when its spectrum does
+    not sit on the label positions.
 
-    ``epsilon`` is the largest cross-context commutator residual of the
-    translated stacks and ``delta`` the largest law residual of the input
-    contexts (``Context._law_residual``), both max-entry norms as measured.
-    Below, |X| is the operator norm, |X|_max <= |X| <= d |X|_max, and
-    g = 4 (d + 2) eps bounds the rounding of a length-d complex dot product
-    relative to sum |x_k| |y_k|, so fl(X Y) is within g |X| |Y|
-    of X Y in every entry and within d g |X| |Y| in norm.
+    Z = sum_t W_t X_t with X_t = sum_i i S_{t,i} and W_t the product of the
+    later sizes k_s.  On a joint eigenvector of an exactly commuting family,
+    Z reads pos(a) = sum_t W_t a_t, the position of label a in
+    ``itertools.product`` order.  One ``eigh`` of Z, eigenvalues rounded to
+    the nearest integer, gives the kept positions (ascending) and their
+    atoms, each the sum of the outer products of its adjacent eigenvectors:
+    Hermitian, idempotent, exclusive and complete by construction.  When an
+    eigenvalue is not finite, or lies more than 1/4 from a position in
+    [0, N), N = prod k_t, None is returned.
 
-    1. Measured values.  A residual computed from a product understates the
-       exact one by at most 3 g, so every cross-context commutator of the
-       stored stacks is within e = (1 + 4 eps) epsilon + 3 g and every input
-       law within l = (1 + 4 eps) delta + 3 g, in max-entry norm.
-    2. Translated atoms, S = fl(U P U^dag), not checked again.  The
-       transform rounds by at most 2 d g in norm, and |U^dag U - I| <= 5 d g
-       (its own product, plus an ``eigh`` orthogonality defect taken as at
-       most d g; below 0.08 d g measured for d <= 64).  An input atom with
-       Hermiticity and idempotence within l has |P| <= 1 + 3 d l, so with
-       eta = 4.1 d l + 7.5 d g every |S| <= 1 + eta, and |S - S^dag|,
-       |S^2 - S| and |S_i S_j| (i != j, one context) are at most
-       L = 1.01 d l + 12 d g.
-    3. The theorem, for the exact A = S_1 ... S_T.  Swapping two adjacent
-       factors of different contexts changes a product by at most
-       (1 + eta)^(2T) d e.  A^dag becomes A by T uses of Hermiticity and
-       T (T - 1)/2 swaps; A^2 becomes A by T (T - 1)/2 swaps (each second
-       factor moved next to its twin) and T uses of idempotence; A_a A_b
-       with a != b differs at some time s, and its second factor of time s
-       reaches the first after T - 1 swaps, where exclusivity makes it
-       vanish.  So every defect is at most
-       (1 + eta)^(2T) (T (T - 1)/2 d e + T L).
-    4. Rounding of the grid.  The T - 1 products of ``ordered_products`` put
-       each kept atom within 1.02 (T - 1) d g of A, which moves each defect
-       by at most 3.1 times that, and the check's own product adds g.
+    How close this comes to the products A_a = S_{1,a_1} ... S_{T,a_T}.
+    Below |.| is the operator norm, e the largest cross-context commutator
+    residual (max entry, as ``_commutation_failures`` measures it), l a
+    bound on every law residual of the stacks in operator norm (|S - S^dag|,
+    |S^2 - S|, |S_i S_j| within one context, |sum_i S_i - I|; conjugation by
+    a checked unitary keeps the laws of the input contexts, so
+    l <= 1.01 d delta + 16 d g for input residuals delta in max entry, with
+    g = 4 (d + 2) eps), s = (1 + 3 l)^T a bound on the norm of a product,
+    kappa_t = k_t (k_t - 1)/2 and K = sum_t W_t kappa_t <= max k (N - 1)/2.
 
-    With 2 T eta <= 0.01, (1 + eta)^(2T) <= 1.0101 and all of it is within
+    1. Residual.  Moving X_t leftwards past S_{T,a_T}, ..., S_{t+1,a_{t+1}}
+       costs at most kappa_t d e per factor, and S_{t,a_t} X_t is a_t S_{t,a_t}
+       within kappa_t l.  ``eigh`` reads the Hermitian matrix Z' given by
+       Z's lower triangle, within sqrt(d) |Z - Z^dag| <= sqrt(d) K l of Z,
+       and forming Z rounds by at most rho = 2 d (sum_t k_t) K eps.  So
+       |A_a Z' - pos(a) A_a| <= r = s K ((T - 1) d e + (1 + sqrt(d)) l) + rho.
+    2. Eigenvalues.  The nested sums give sum_a A_a^dag A_a >= (1 - phi) I
+       with phi = T (2.01 max k + 1) l.  For Z' v = lambda v, |v| = 1,
+       (pos(a) - lambda) A_a v = (pos(a) A_a - A_a Z') v, so
+       sum_a (pos(a) - lambda)^2 |A_a v|^2 <= N r^2, and some label has
+       |pos(a) - lambda| <= eta = r sqrt(N / (1 - phi)) + d g N, the last
+       term the backward error of ``eigh`` on a matrix of norm about N.
+    3. Atoms.  With eta <= 1/4, let E_p project onto the eigenvalues within
+       1/4 of p = pos(a).  Every other eigenvalue lies at least m - eta from
+       p, m >= 1 the distance of its position, so |A_a (I - E_p)| <=
+       r / (1 - eta) and |A_b E_p| <= r / (|pos(b) - p| - eta) for b != a
+       (each m occurs at most twice).  With E_p = sum_b A_b E_p +
+       (I - sum_b A_b) E_p and |sum_b A_b - I| <= 1.01 T l,
 
-        B = 1.05 (d (T (T - 1)/2 e + T (l + 12 g) + 4 (T - 1) g) + 2 g).
+           |E_p - A_a| <= 4/3 r (3 + 2 ln N) + 1.01 T l,
 
-    Beyond that B is infinite, and the checks run.  B > 0, so a tolerance
-    <= 0 never clears; a NaN input gives a NaN B, which clears nothing.
+       and rounding adds 4 d g N (the eigenvectors, over a gap of at least
+       1/2) and 1.02 (T - 1) d g (the products of ``ordered_products``).
+       Each probability Tr(rho E_p) then moves by at most as much.
+
+    At the default tolerances (e <= 1e-9, l about d 1e-10) eta stays far
+    below 1/4 on every multi_time shape, d <= 32 with N <= 81; a grid of
+    9^4 atoms at d = 32 needs residuals below about 8e-10 for the bound to
+    clear.  The fallback is for a loosened ``commute``: x then z atoms give
+    Z = 1.5 I - sigma_x - sigma_z/2, with eigenvalues 1.5 -+ 1.118.
     """
-    eps = np.finfo(float).eps
-    g = 4 * (dim + 2) * eps
-    e = (1 + 4 * eps) * epsilon + 3 * g
-    l = (1 + 4 * eps) * delta + 3 * g
-    if 2 * times * (4.1 * dim * l + 7.5 * dim * g) > 0.01:
-        return math.inf
-    swaps = times * (times - 1) / 2
-    return 1.05 * (
-        dim * (swaps * e + times * (l + 12 * g) + 4 * (times - 1) * g) + 2 * g
+    sizes = [len(stack) for stack in stacks]
+    weights = np.cumprod([1, *sizes[:0:-1]])[::-1]
+    coefficients = np.concatenate([w * np.arange(k) for w, k in zip(weights, sizes)])
+    values, vectors = np.linalg.eigh(
+        np.tensordot(coefficients, np.concatenate(stacks), axes=1)
     )
+    positions = np.rint(values)
+    # written so that NaN fails
+    if not (
+        np.all(np.abs(values - positions) <= 0.25)
+        and 0 <= positions[0]
+        and positions[-1] < math.prod(sizes)
+    ):
+        return None
+    starts = np.flatnonzero(np.diff(positions, prepend=-1.0))
+    outer = vectors.T[:, :, None] * vectors.T.conj()[:, None, :]
+    return np.add.reduceat(outer, starts, axis=0), positions[starts].astype(np.int64)
 
 
 class GeneralizedContext:
     """Contexts at several times whose atoms commute at a common time.
 
-    Construction translates every atom to ``ref_time``, requires all
-    cross-context commutators to vanish within ``tols.commute``, and builds
-    the composed atoms, earliest time leftmost, in the ``itertools.product``
-    order of the labels.
+    Construction translates every atom to ``ref_time`` and requires all
+    cross-context commutators to vanish within ``tols.commute``.  The
+    commuting translated contexts are then one context at ``ref_time``: its
+    composed atoms, labelled in the ``itertools.product`` order of the
+    context labels, are the spectral projectors of one observable, taken
+    from a single ``eigh`` (``_joint_atoms``, which also bounds how far they
+    sit from the products of the translated atoms, earliest time leftmost).
+    They are projectors, exclusive and complete by construction, so none of
+    these laws is checked again.
 
     There are prod |ctx| composed atoms, but their ranks sum to d, so most
-    of them are zero.  The grid is built by ``linop.ordered_products`` one
-    context at a time, and a prefix whose Frobenius norm is below
-    ``min(tols.proj, tols.herm, linop.PRUNE_CEILING) / 2`` is dropped with
-    all its extensions: that norm bounds every entry, row and column of
-    each extension, so a dropped atom would pass the Hermiticity,
-    idempotence and pairwise exclusivity checks against any kept atom.  A dropped atom
-    reads exactly zero: ``composite_probability`` and ``property_projector``
-    skip it and ``composed_atoms`` maps it to a zero projector.  No atom of
-    nonzero rank is dropped, whatever the tolerances, and ``tols.proj <= 0``
-    or ``tols.herm <= 0`` drops nothing.
+    of them are zero: only the positions that carry an eigenvalue are kept.
+    A dropped atom reads exactly zero: ``composite_probability`` and
+    ``property_projector`` skip it and ``composed_atoms`` maps it to a zero
+    projector.
 
-    The kept atoms are not re-checked as projectors or for exclusivity when
-    the construction already guarantees both.  Theorem: if every
-    cross-context commutator of the translated atoms is within epsilon and
-    every context obeys its own laws within delta (max-entry norms), then
-    each composed atom A = P_1 ... P_T is Hermitian, idempotent and
-    exclusive with every other one within T (T - 1)/2 d epsilon +
-    T d delta, plus rounding: an adjacent swap costs at most d epsilon in
-    operator norm, and each law needs at most T (T - 1)/2 swaps and T uses
-    of the per-context laws.  ``_composed_defect_bound`` turns the measured
-    epsilon and delta, both recorded while checking and not computed again,
-    into B, a bound with the rounding of the translation and of the
-    products included.  When B <= min(tols.proj, tols.herm) the projector
-    and exclusivity checks cannot fail and are skipped; otherwise they run
-    as ``_verify_family_laws`` describes.  Completeness always runs, on the
-    sum of all prod |ctx| atoms, dropped ones included: by distributivity
-    it is the product of the per-context atom sums, formed without the grid.
+    Only when an eigenvalue is not finite or lies more than 1/4 from every
+    label position (which the bound of ``_joint_atoms`` rules out at the
+    default tolerances for 81 atoms at d = 32, and which in practice takes
+    a loosened ``commute``) are the atoms built as products instead.
+    ``linop.ordered_products`` builds them one context at a time and drops a
+    prefix whose Frobenius norm is below
+    ``min(tols.proj, tols.herm, linop.PRUNE_CEILING) / 2`` with all its
+    extensions (no atom of nonzero rank is dropped, and a tolerance <= 0
+    drops nothing); the kept products are then checked as projectors, for
+    completeness and for exclusivity, as ``_verify_family_laws`` describes.
 
     The verdict does not depend on ``ref_time``: moving every atom to another
     time conjugates each commutator by one unitary V, so a commutator that
@@ -395,7 +393,7 @@ class GeneralizedContext:
         tols: Tolerances = DEFAULT_TOLERANCES,
     ):
         contexts, translated = translate_contexts(contexts, ref_time, hamiltonian, hbar)
-        failures, epsilon = _commutation_failures(contexts, translated, tols)
+        failures = _commutation_failures(contexts, translated, tols)
         if failures:
             raise IncompatibleContexts(
                 f"{len(failures)} translated atom pair(s) fail to commute "
@@ -404,12 +402,15 @@ class GeneralizedContext:
                 failures,
             )
 
-        # left-nested ((P_0 P_1) P_2)..., in itertools.product order
-        atoms, kept = ordered_products(translated, tol=min(tols.proj, tols.herm))
-        total = functools.reduce(operator.matmul, [s.sum(axis=0) for s in translated])
-        delta = max(ctx._law_residual for ctx in contexts)
-        bound = _composed_defect_bound(epsilon, delta, hamiltonian.dim, len(contexts))
-        self._verify_family_laws(atoms, total, tols, bound)
+        joint = _joint_atoms(translated)
+        if joint is None:
+            # left-nested ((P_0 P_1) P_2)..., in itertools.product order
+            joint = ordered_products(translated, tol=min(tols.proj, tols.herm))
+            total = functools.reduce(
+                operator.matmul, [s.sum(axis=0) for s in translated]
+            )
+            self._verify_family_laws(joint[0], total, tols)
+        atoms, kept = joint
         atoms.setflags(write=False)
 
         self._contexts = contexts
@@ -426,35 +427,29 @@ class GeneralizedContext:
 
     @staticmethod
     def _verify_family_laws(
-        mats: np.ndarray, total: np.ndarray, tols: Tolerances, bound: float = math.inf
+        mats: np.ndarray, total: np.ndarray, tols: Tolerances
     ) -> None:
         """Projector laws, completeness, then exclusivity of a composed-atom stack.
 
-        ``bound`` is B of ``_composed_defect_bound``: no Hermiticity,
-        idempotence or exclusivity residual of the stack exceeds it.  When
-        B <= min(tols.proj, tols.herm) those checks could not fail and are
-        skipped; otherwise (the default, or a tolerance <= 0) they run.
-        ``total`` is the sum of the whole family, whose distance from I is
-        the completeness residual, checked always.  Exclusivity asks
-        |P_a P_b - delta_ab P_a|_max <= ``tols.proj`` for every pair, but
-        only the pairs ``_exclusivity_residual`` cannot clear by its norm
-        bound are multiplied; see there.
+        ``total`` is the sum of the whole family, dropped atoms included,
+        whose distance from I is the completeness residual: by
+        distributivity it is the product of the per-context atom sums.
+        Exclusivity asks |P_a P_b - delta_ab P_a|_max <= ``tols.proj`` for
+        every pair, but only the pairs ``_exclusivity_residual`` cannot
+        clear by its norm bound are multiplied; see there.
         """
-        certified = bound <= min(tols.proj, tols.herm)
-        if not certified:
-            check_projector_stack(mats, tols=tols)
+        check_projector_stack(mats, tols=tols)
         residual = max_entry_norm(total - np.eye(total.shape[-1]))
         if residual > tols.proj:
             raise InvariantViolation(
                 f"composed atoms do not sum to identity (residual {residual:.3e})"
             )
-        if not certified:
-            residual = _exclusivity_residual(mats, tols.proj)
-            if residual > tols.proj:
-                raise InvariantViolation(
-                    f"composed atoms are not mutually exclusive "
-                    f"(residual {residual:.3e})"
-                )
+        residual = _exclusivity_residual(mats, tols.proj)
+        if residual > tols.proj:
+            raise InvariantViolation(
+                f"composed atoms are not mutually exclusive "
+                f"(residual {residual:.3e})"
+            )
 
     @property
     def contexts(self) -> tuple[Context, ...]:

@@ -97,30 +97,26 @@ class Operator:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
-def _check_hermitian(matrices: np.ndarray, tols: Tolerances) -> float:
+def _check_hermitian(matrices: np.ndarray, tols: Tolerances) -> None:
     """Raise ``NonHermitianInput`` unless each matrix of a (..., d, d) stack
-    is self-adjoint within ``tols.herm``; the message gives the worst one.
-    Returns the worst residual, max |M - M^dag|."""
+    is self-adjoint within ``tols.herm``; the message gives the worst one."""
     residual = max_entry_norm(matrices - np.swapaxes(matrices, -1, -2).conj())
     if not residual <= tols.herm:
         raise NonHermitianInput(
             f"matrix deviates from self-adjointness by {residual:.3e} "
             f"(tolerance {tols.herm:.1e})"
         )
-    return residual
 
 
-def _check_idempotent(matrices: np.ndarray, tols: Tolerances) -> float:
+def _check_idempotent(matrices: np.ndarray, tols: Tolerances) -> None:
     """Raise ``InvariantViolation`` unless each matrix of a (..., d, d) stack
-    satisfies P^2 = P within ``tols.proj``; the message gives the worst one.
-    Returns the worst residual, max |P^2 - P|."""
+    satisfies P^2 = P within ``tols.proj``; the message gives the worst one."""
     residual = max_entry_norm(matrices @ matrices - matrices)
     if not residual <= tols.proj:
         raise InvariantViolation(
             f"matrix is not idempotent: |P^2 - P| = {residual:.3e} "
             f"(tolerance {tols.proj:.1e})"
         )
-    return residual
 
 
 def check_projector_stack(
@@ -146,7 +142,7 @@ class HermitianOperator(Operator):
 
     def __init__(self, matrix, *, tols: Tolerances = DEFAULT_TOLERANCES):
         super().__init__(matrix)
-        self._hermiticity = _check_hermitian(self._matrix, tols)
+        _check_hermitian(self._matrix, tols)
 
     @classmethod
     def zero(cls, dim: int) -> "HermitianOperator":
@@ -162,16 +158,11 @@ class HermitianOperator(Operator):
 
 
 class Projector(HermitianOperator):
-    """Orthogonal projector: Hermitian and idempotent; rank is its trace.
-
-    The Hermiticity and idempotence residuals measured by the check are kept
-    (``_hermiticity``, ``_idempotence``): a ``Context`` bounds the laws of
-    its translated atoms by them.
-    """
+    """Orthogonal projector: Hermitian and idempotent; rank is its trace."""
 
     def __init__(self, matrix, *, tols: Tolerances = DEFAULT_TOLERANCES):
         super().__init__(matrix, tols=tols)
-        self._idempotence = _check_idempotent(self._matrix, tols)
+        _check_idempotent(self._matrix, tols)
         self._rank = int(round(float(np.trace(self._matrix).real)))
 
     @property
@@ -538,7 +529,7 @@ def ordered_products(stacks, *, later_left=False, tol=0.0):
 
 def commutators(a, b) -> np.ndarray:
     """A B - B A per pair of broadcast (..., d, d) stacks."""
-    return stack_matmul(a, b) - stack_matmul(b, a)
+    return a @ b - b @ a
 
 
 def commutator_residuals(a, b) -> np.ndarray:

@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +10,9 @@ import yaml
 
 from qprops import cli
 from qprops.cli import MAX_GRID_COUNT, main
+from qprops.contexts import build_generalized_context, composite_probability
+from qprops.linop import evolution_operator
+from qprops.specio import load_system_spec, realize_system
 from qprops.spin import Direction
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -65,6 +72,35 @@ class TestGcCheck:
         assert payload["tolerances"]["commute"] == 10.0
         table = payload["results"]["probabilities"]
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-10)
+
+    def test_state_is_evolved_to_the_reference_time(self, capsys, tmp_path):
+        # z+ prepared at t = 0 under H = 0.3 sigma_x; z at t = 1 and one
+        # period of U later, asked at t = 0.5
+        doc = {
+            "dimension": 2,
+            "hamiltonian": [[0.0, 0.3], [0.3, 0.0]],
+            "initial_time": 0.0,
+            "reference_time": 0.5,
+            "initial_state": [[1.0, 0.0], [0.0, 0.0]],
+            "contexts": [
+                {"time": 1.0, "direction": [0.0, 0.0, 1.0], "labels": ["a+", "a-"]},
+                {"time": 1.0 + math.pi / 0.3, "direction": [0.0, 0.0, 1.0],
+                 "labels": ["b+", "b-"]},
+            ],
+        }
+        path = write_spec(tmp_path, doc)
+        code, payload, _ = run_json(capsys, "gc-check", path)
+        assert code == 0
+        system = realize_system(load_system_spec(path))
+        gc = build_generalized_context(system.contexts, 0.5, system.hamiltonian)
+        u = evolution_operator(system.hamiltonian, 0.0, 0.5)
+        rho = system.initial_state.evolved(u)
+        want = {
+            ",".join(labels): composite_probability(gc, gc.property([labels]), rho)
+            for labels in gc.label_tuples
+        }
+        assert payload["results"]["probabilities"] == want
+        assert want["a+,b+"] == pytest.approx(math.cos(0.3) ** 2, abs=1e-12)
 
     def test_text_format(self, capsys):
         code = main(["gc-check", ZZ])
@@ -517,6 +553,44 @@ class TestInputErrors:
         assert code == 2
         assert payload is None
         assert err == "error: ValueError: unforeseen\n"
+
+    def test_rendering_fault_is_an_input_error(self, capsys, monkeypatch):
+        def broken_emit(report, fmt):
+            raise ValueError("unrenderable")
+
+        monkeypatch.setattr(cli, "emit", broken_emit)
+        code, payload, err = run_json(capsys, "validate-context", ZZ)
+        assert code == 2
+        assert payload is None
+        assert err == "error: ValueError: unrenderable\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gc-check", XZ, "--format", "json"],
+        ["validate-context", ZZ],
+        ["spin-search", XZ, "--mode", "commute", "--grid-count", "40"],
+    ],
+)
+def test_closed_output_exits_141_without_a_traceback(argv):
+    # the reading end is closed before the child starts, so its first write
+    # meets a broken pipe whatever the verdict
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p
+    ))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "qprops.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == cli.OUTPUT_CLOSED == 141
+    assert child.stderr == b""
 
 
 class TestParserReuse:

@@ -7,6 +7,7 @@ from helpers import (
     KET_X_MINUS,
     KET_X_PLUS,
     einsum_exclusivity_residual,
+    joint_atom_bound,
     outer,
     random_density,
     random_generalized_context,
@@ -202,9 +203,10 @@ def per_atom_grid(gc):
 
 
 class TestComposedGrid:
-    def test_matches_per_atom_products_bit_for_bit(self, rng):
-        # kept atoms bit for bit; dropped ones exactly zero, their products
-        # within the pruning bound
+    def test_matches_per_atom_products_within_the_bound(self, rng):
+        # the joint atoms keep the label order and exactly the products of
+        # nonzero rank, each within the bound of ``_joint_atoms``; dropped
+        # ones read exactly zero, their products within the pruning bound
         cut = min(DEFAULT_TOLERANCES.proj, DEFAULT_TOLERANCES.herm, PRUNE_CEILING) / 2
         grids = [random_generalized_context(rng) for _ in range(15)]
         for dim, n_times in BENCH_SHAPES:
@@ -215,15 +217,18 @@ class TestComposedGrid:
         dropped = 0
         for gc in grids:
             reference = per_atom_grid(gc)
+            _, bound = joint_atom_bound(gc.translated_atoms)
             composed = gc.composed_atoms
             assert list(composed) == list(reference) == list(gc.label_tuples)
             for label, atom in composed.items():
-                if gc._index[label] is None:
+                nonzero = np.trace(reference[label]).real > 0.5
+                assert (gc._index[label] is not None) == nonzero
+                if nonzero:
+                    assert np.linalg.norm(atom.matrix - reference[label], 2) <= bound
+                else:
                     dropped += 1
                     assert not atom.matrix.any()
                     assert np.linalg.norm(reference[label]) < cut
-                else:
-                    assert np.array_equal(atom.matrix, reference[label])
             for ctx, stack in zip(gc.contexts, gc.translated_atoms):
                 assert stack.shape == (len(ctx), gc.dim, gc.dim)
                 assert not stack.flags.writeable
@@ -240,27 +245,57 @@ class TestComposedGrid:
         assert not isinstance(err.value, IncompatibleContexts)
 
     def test_composed_atoms_use_the_context_tolerances(self):
-        # atoms idempotent to 1e-8 only: valid at proj = 1e-6, not at the default
-        loose = DEFAULT_TOLERANCES.updated(proj=1e-6)
-        bump = 1e-4 * np.array([[0.0, 1.0], [1.0, 0.0]])
-        atoms = [
-            Projector(Z_PLUS.matrix + bump, tols=loose),
-            Projector(Z_MINUS.matrix - bump, tols=loose),
-        ]
-        contexts = [Context(t, atoms, ["a", "b"], tols=loose) for t in (1.0, 2.0)]
-        gc = build_generalized_context(contexts, 0.0, H0, tols=loose)
+        # x then z take the product route (Z has eigenvalues 1.5 -+ 1.118):
+        # at these tolerances the products pass, at the default they are not
+        # even Hermitian
+        loose = DEFAULT_TOLERANCES.updated(commute=10.0, proj=10.0, herm=10.0)
+        gc = build_generalized_context(
+            [x_context(1.0), z_context(2.0)], 0.0, H0, tols=loose
+        )
         composed = gc.composed_atoms
         assert len(composed) == 4
+        x_plus = x_pair()[0].matrix
+        assert np.array_equal(composed[("x+", "z+")].matrix, x_plus @ Z_PLUS.matrix)
         with pytest.raises(InvariantViolation):
-            Projector(composed[("a", "a")].matrix)
+            Projector(composed[("x+", "z+")].matrix)
+
+    def test_non_finite_spectrum_takes_the_product_route(self, monkeypatch):
+        stack = np.stack([Z_PLUS.matrix, Z_MINUS.matrix])
+        for bad in (np.nan, np.inf):
+            broken = stack.copy()
+            broken[0, 0, 0] = bad
+            with np.errstate(invalid="ignore"):
+                assert contexts_module._joint_atoms([stack, broken]) is None
+        # an eigenvalue that reads NaN is not accepted: the products are
+        # built and checked instead
+        eigh = np.linalg.eigh
+
+        def nan_eigh(matrix):
+            w, v = eigh(matrix)
+            return np.full_like(w, np.nan), v
+
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+        monkeypatch.setattr(
+            contexts_module,
+            "check_projector_stack",
+            lambda *args, **kwargs: calls.append("checked"),
+        )
+        gc = build_generalized_context([z_context(1.0), z_context(2.0)], 0.0, H0)
+        assert calls == ["checked"]
+        assert [row is not None for row in gc._index.values()] == [
+            True, False, False, True
+        ]
 
     @pytest.mark.parametrize(
         "case",
         ["loose-commute", "loose-proj", "zero-proj", "negative-herm"],
     )
     def test_grid_checks_run_when_the_bound_does_not_clear(self, case, monkeypatch):
+        # the bound is the 1/4 margin of the eigenvalues of Z: the product
+        # grid is built and checked exactly when it does not clear
         calls = []
-        for name in ("check_projector_stack", "_exclusivity_residual"):
+        for name in ("ordered_products", "check_projector_stack", "_exclusivity_residual"):
             original = getattr(contexts_module, name)
 
             def spy(*args, _original=original, _name=name, **kwargs):
@@ -270,11 +305,12 @@ class TestComposedGrid:
             monkeypatch.setattr(contexts_module, name, spy)
         contexts = [z_context(1.0), z_context(2.0)]
         if case == "loose-commute":
-            # commutators up to 1 give a bound far above any tolerance
+            # x then z pass a commutator threshold of 1, but Z's eigenvalues
+            # sit 0.382 from their positions
             tols = DEFAULT_TOLERANCES.updated(commute=1.0)
             contexts = [x_context(1.0), z_context(2.0)]
         elif case == "loose-proj":
-            # atoms idempotent to 1e-8 only: the bound clears proj, not herm
+            # atoms idempotent to 1e-8 only: valid at proj = 1e-6
             tols = DEFAULT_TOLERANCES.updated(proj=1e-6)
             bump = 1e-4 * np.array([[0.0, 1.0], [1.0, 0.0]])
             atoms = [
@@ -283,19 +319,22 @@ class TestComposedGrid:
             ]
             contexts = [Context(t, atoms, ["a", "b"], tols=tols) for t in (1.0, 2.0)]
         elif case == "zero-proj":
-            # exact diagonal atoms pass even a zero tolerance, checked
             tols = DEFAULT_TOLERANCES.updated(proj=0.0)
         else:
             tols = DEFAULT_TOLERANCES.updated(herm=-1.0)
-        if case in ("loose-commute", "negative-herm"):
-            # raised by the projector check, as without the bound
+        if case == "loose-commute":
+            # raised by the projector check of the products
             with pytest.raises(InvariantViolation) as err:
                 build_generalized_context(contexts, 0.0, H0, tols=tols)
             assert not isinstance(err.value, IncompatibleContexts)
-            assert calls == ["check_projector_stack"]
+            assert calls == ["ordered_products", "check_projector_stack"]
         else:
-            build_generalized_context(contexts, 0.0, H0, tols=tols)
-            assert calls == ["check_projector_stack", "_exclusivity_residual"]
+            # the joint atoms are projectors by construction: no tolerance
+            # on proj or herm is consulted, and none fails the build
+            gc = build_generalized_context(contexts, 0.0, H0, tols=tols)
+            assert calls == []
+            kept = [label for label, row in gc._index.items() if row is not None]
+            assert len(kept) == 2 and all(a == b for a, b in kept)
 
     def test_composed_atoms_are_built_once_and_read_only(self, rng, monkeypatch):
         h = random_hermitian(rng, 6)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -328,8 +329,15 @@ class TestFamilyFromGeneralizedContext:
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         gc = build_generalized_context(contexts, 0.0, h)
         assert gmh_check(family_from_generalized_context(gc, rho)).verdict
-        assert len(calls) == 1
+        # H's, shared by every translation, then the joint atoms' Z
+        assert len(calls) == 2
         assert np.array_equal(calls[0], h.matrix)
+        sizes = [len(stack) for stack in gc.translated_atoms]
+        z = sum(
+            math.prod(sizes[t + 1:]) * np.tensordot(np.arange(k), stack, axes=1)
+            for t, (k, stack) in enumerate(zip(sizes, gc.translated_atoms))
+        )
+        assert max_entry_norm(calls[1] - z) < 1e-12
 
     def test_no_projector_objects_are_built(self, rng, monkeypatch):
         h = random_hermitian(rng, 4)

@@ -261,6 +261,27 @@ class TestRoundTrip:
         again = parse_system_spec(yaml.safe_load(text))
         assert again == spec
 
+    def test_atoms_form_round_trips_with_its_labels(self):
+        # complex off-diagonal atoms, once labelled and once not
+        plus = [[[0.5, 0.0], [0.0, -0.5]], [[0.0, 0.5], [0.5, 0.0]]]
+        minus = [[[0.5, 0.0], [0.0, 0.5]], [[0.0, -0.5], [0.5, 0.0]]]
+        doc = base_document(
+            contexts=[
+                {"time": 1.0, "atoms": [plus, minus], "labels": ["y+", "y-"]},
+                {"time": 2.0, "atoms": [minus, plus]},
+            ]
+        )
+        spec = parse_system_spec(doc)
+        entries = yaml.safe_load(dumps_system_spec(spec))["contexts"]
+        assert entries[0]["labels"] == ["y+", "y-"]
+        assert "labels" not in entries[1]
+        again = parse_system_spec({**doc, "contexts": entries})
+        assert again == spec
+        assert again.contexts[0].labels == ("y+", "y-")
+        assert np.array_equal(again.contexts[0].atoms[0], np.array([[0.5, -0.5j], [0.5j, 0.5]]))
+        entries[1]["atoms"].reverse()
+        assert parse_system_spec({**doc, "contexts": entries}) != spec
+
     def test_mapping_uses_re_im_pairs(self):
         spec = parse_system_spec(base_document())
         mapping = spec_to_mapping(spec)
