@@ -16,7 +16,7 @@ import itertools
 import math
 import operator
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,13 +65,15 @@ def check_context_laws(
     labels: Sequence[str],
     *,
     tols: Tolerances = DEFAULT_TOLERANCES,
-) -> None:
+) -> float:
     """Exclusivity and completeness of a (k, d, d) atom family, as ``Context``
     checks its atoms.
 
     Raises ``ExclusivityViolation`` with (i, j, residual) per offending atom
     pair, or ``CompletenessViolation`` with the deviation of the atom sum
-    from I.
+    from I.  Otherwise returns the family's law residual: the largest of
+    the exclusivity, completeness, idempotence (P_i^2 - P_i, from the k
+    diagonal products) and Hermiticity residuals, as max entry.
     """
     pairs = [
         (i, j, max_entry_norm(atoms[i] @ atoms[j]))
@@ -92,6 +94,9 @@ def check_context_laws(
             f"atom sum deviates from identity by {residual:.3e}",
             (residual,),
         )
+    squares = max_entry_norm(atoms @ atoms - atoms)
+    hermiticity = max_entry_norm(atoms - np.swapaxes(atoms, -1, -2).conj())
+    return max(residual, squares, hermiticity, *(pair[2] for pair in pairs))
 
 
 class Context:
@@ -127,13 +132,14 @@ class Context:
                 raise InvariantViolation("atom labels must be unique")
 
         matrices = np.stack([atom.matrix for atom in atoms])
-        check_context_laws(matrices, labels, tols=tols)
+        law_residual = check_context_laws(matrices, labels, tols=tols)
         matrices.setflags(write=False)
 
         self._time = time
         self._atoms = atoms
         self._matrices = matrices
         self._labels = labels
+        self._law_residual = law_residual
 
     @property
     def time(self) -> float:
@@ -150,6 +156,12 @@ class Context:
     @property
     def dim(self) -> int:
         return self._atoms[0].dim
+
+    @property
+    def law_residual(self) -> float:
+        """delta: the largest law residual measured at construction
+        (``check_context_laws``), as max entry."""
+        return self._law_residual
 
     def __len__(self) -> int:
         return len(self._atoms)
@@ -250,58 +262,279 @@ def _exclusivity_residual(mats: np.ndarray, tol: float) -> float:
     return max_entry_norm(blocks)
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _frobenius(matrices: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of an (n, d, d) stack."""
+    flat = np.ascontiguousarray(matrices).reshape(len(matrices), -1).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
+def _label_sums(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """X_t = sum_i i S_{t,i} of each translated (k_t, d, d) stack."""
+    return [
+        (np.arange(len(stack), dtype=float) @ stack.reshape(len(stack), -1)).reshape(
+            stack.shape[1:]
+        )
+        for stack in stacks
+    ]
+
+
+class _ScreenTerms(NamedTuple):
+    """Step 2 of ``_screen_bound`` for one translated stack."""
+
+    x: float  # >= |X - c I|_F
+    w: float  # >= |X|_F
+    xi: float  # >= |X - X^|_F and >= the rounding of X^ - c I
+    eta: float
+    eps: float  # >= |H_i - E_i| for every atom
+    h: float
+    kappa: float
+    s: float  # >= |S_i|_F for every atom
+
+
+def _screen_terms(stack: np.ndarray, total: np.ndarray) -> _ScreenTerms | None:
+    """Step 2 of ``_screen_bound`` for one translated (k, d, d) stack and its
+    label sum X^, or None when its laws are too loose for the step.  Costs
+    one GEMM, the defect S_i (X^ - c) - (i - c) S_i of every atom."""
+    k, dim = len(stack), stack.shape[-1]
+    g = 4 * (dim + 2) * _EPS
+    c = (k - 1) / 2
+    shifted = total - c * np.eye(dim)
+    defects = (stack.reshape(k * dim, dim) @ shifted).reshape(stack.shape)
+    defects -= (np.arange(k) - c)[:, None, None] * stack
+    sigma = 1 + 2 * dim * dim * _EPS
+    sizes = (sigma * _frobenius(stack)).tolist()
+    defect = sigma * float(_frobenius(defects).max())
+    h = sigma * float(_frobenius(stack - stack.conj().swapaxes(1, 2)).max())
+    x_hat, w_hat, loss = (
+        sigma * _frobenius(np.stack([shifted, total, stack.sum(axis=0) - np.eye(dim)]))
+    ).tolist()
+    s = max(sizes)
+    xi = k * _EPS * sum(i * v for i, v in enumerate(sizes)) + _EPS * x_hat
+    x, w = x_hat + xi, w_hat + xi
+    loss += k * _EPS * sum(sizes)
+    kappa = k * c
+    phi = (
+        (1 + _EPS) * defect
+        + s * (xi + g * x + k * _EPS)
+        + h / 2 * (x + c + kappa * (s + 2 * h))
+    )
+    eta = k * phi / (1 - loss)
+    # written so that NaN fails
+    if not (loss < 0.5 and eta <= 0.25):
+        return None
+    eps = loss + (_label_spread(k) + 3) * phi / (1 - eta)
+    return _ScreenTerms(x, w, xi, eta, eps, h, kappa, s)
+
+
+def _law_terms(k: int, dim: int, delta: float) -> _ScreenTerms | None:
+    """Step 2 of ``_screen_bound`` for a translated stack of k atoms from
+    its context's law residual ``delta`` alone, without reading the stack,
+    or None when that is too loose for the step.
+
+    As in ``_joint_atoms``, every law residual of the stored stack is within
+    L = 1.01 d delta' + 16 d g in operator norm, delta' = (1 + 4 eps) delta
+    + 3 g, and |S_i| <= 1 + 3 L.  So h = l = L, the Hermitian parts keep
+    their laws within 2.2 L, phi = 2.2 kappa L, |S_i|_F <= sqrt(d) (1 + 3 L),
+    and the eigenvalues of X_H - c, within eta of [-c, c], give
+    |X - c I|_F <= sqrt(d) (c + eta + kappa L / 2).
+    """
+    g = 4 * (dim + 2) * _EPS
+    laws = 1.01 * dim * ((1 + 4 * _EPS) * delta + 3 * g) + 16 * dim * g
+    c = (k - 1) / 2
+    kappa = k * c
+    phi = 2.2 * kappa * laws
+    eta = k * phi / (1 - laws)
+    # written so that NaN fails
+    if not (laws < 0.5 and eta <= 0.25):
+        return None
+    s = math.sqrt(dim) * (1 + 3 * laws)
+    x = math.sqrt(dim) * (c + eta + kappa * laws / 2)
+    xi = k * _EPS * kappa * s + _EPS * x
+    eps = laws + (_label_spread(k) + 3) * phi / (1 - eta)
+    return _ScreenTerms(x, x + c * math.sqrt(dim), xi, eta, eps, laws, kappa, s)
+
+
+def _label_spread(k: int) -> float:
+    """max_i sum_{n != i} 1 / |n - i| over labels i < k, reached at the middle."""
+    return sum(1 / m for m in range(1, k - k // 2)) + sum(1 / m for m in range(1, k // 2 + 1))
+
+
+def _screen_bound(commutator: float, a: _ScreenTerms, b: _ScreenTerms, dim: int) -> float:
+    """The commutation screen of two translated stacks S_i (context a) and
+    T_j (context b): from the measured |[X^_a, X^_b]|_F, a bound
+    on every [S_i, T_j] in Frobenius, hence in operator and max-entry norm,
+    and on every residual ``commutator_residuals`` computes for them.  It
+    costs one commutator of two d x d matrices per context pair and one
+    GEMM per stack (``_screen_terms``), against 2 k_a k_b products.
+
+    Below S_i (i < k) is one stack as stored, X = sum_i i S_i summed
+    exactly, X^ its ``_label_sums`` matrix, c = (k - 1)/2, |.| the operator
+    and |.|_F the Frobenius norm, and g = 4 (d + 2) eps, so fl(A B) is within
+    g |A|_F |B|_F of A B in |.|_F and within g |row| |column| in each entry.
+    Measured norms carry a factor 1 + 2 d^2 eps for their rounding.
+
+    1. Exact families.  For a Hermitian Y with every eigenvalue within
+       eta < 1/2 of an integer, let E_i project onto those near i.  In Y's
+       eigenbasis the entries of [E_i, M] and [Y, M] are (f(y) - f(y')) M
+       and (y - y') M, with f the indicator of i, which only changes across
+       a gap of at least 1 - 2 eta, so |[E_i, M]|_F <= |[Y, M]|_F / (1 - 2 eta)
+       for every M.  An exact family has Y = X, eta = 0 and E_i = S_i, and
+       applied once per side, |[P_i, Q_j]|_max <= |[P_i, Q_j]|_F <=
+       |[X_a, Q_j]|_F <= |[X_a, X_b]|_F.  Gaps below 1 (weights i/2) break it.
+    2. One stack as stored (``_screen_terms``).  Let H_i be the Hermitian
+       parts, X_H = sum_i i H_i, h >= |S_i - S_i^dag| and
+       l >= |sum_i S_i - I| (measured in |.|_F, l with the rounding of the
+       sum), s >= |S_i|_F, kappa = k (k - 1)/2, and phi >= |F_i| for
+       F_i = H_i X_H - i H_i = H_i (X_H - c) - (i - c) H_i.  phi is measured
+       as the largest |.|_F of S_i (X^ - c) - (i - c) S_i, one GEMM on the
+       stack, plus s (xi + g |X - c|_F + k eps) for its rounding, where
+       xi = k eps sum_i i |S_i|_F + eps |X^ - c|_F bounds that of X^, plus
+       h/2 (|X - c|_F + c + kappa (s + 2 h)) for the Hermitian parts.  Then
+       - X_H v = lambda v, |v| = 1, gives (lambda - i) H_i v = F_i v, and
+         |H_i v| >= (1 - l)/k for some i, so every eigenvalue of X_H is
+         within eta = k phi / (1 - l) of an integer in [0, k);
+       - X_H - n is invertible on the range of E_m, m != n, so
+         H_n E_m = F_n (X_H - n)^-1 E_m has |H_n E_m| <= phi / (|n - m| - eta),
+         and likewise |H_i (I - E_i)| <= phi / (1 - eta);
+       - E_i H_i E_i = E_i + E_i (sum_n H_n - I) E_i - sum_{n != i} E_i H_n E_i,
+         and 1 / (m - eta) <= 1 / (m (1 - eta)) for m >= 1, so with
+         h_k = max_i sum_{n != i} 1 / |n - i|, every |H_i - E_i| is within
+         eps = l + (h_k + 3) phi / (1 - eta).
+       With |S_i - H_i| <= h/2, |X - X_H| <= kappa h/2 and step 1 for X_H,
+         |[S_i, M]|_F <= (|[X, M]|_F + kappa h |M|_F) / (1 - 2 eta)
+                         + (2 eps + h) |M|_F          for every M.
+       The step needs eta <= 1/4 and l < 1/2; a stack beyond that clears
+       nothing.
+    3. Two stacks.  The measured commutator is within 2 g |X_a|_F |X_b|_F
+       + 2 (xi_a |X_b|_F + |X_a|_F xi_b) of |[X_a, X_b]|_F, which is also
+       |[X_a - c_a I, X_b]|_F.  Step 2 for b with M = X_a - c_a I bounds
+       tau >= |[T_j, X_a]|_F for every j, and step 2 for a with M = T_j
+       bounds every |[S_i, T_j]|_F from tau.
+    4. The check's own rounding.  fl(S_i T_j) is within g |S_i| |T_j| of
+       S_i T_j in each entry, |S_i| <= 1 + eps + h/2, so the residual the
+       check computes is at most (1 + 2 eps)(|[S_i, T_j]|_max +
+       2 g |S_i| |T_j|): a pair within ``tols.commute`` here passes it.
+
+    Step 2 can also take its numbers from the law residual delta of the
+    input contexts alone (``_law_terms``), at no cost.  That clears at
+    small d and few atoms, but after the rounding of the translation the
+    stored laws are only known within 16 d g in operator norm (1.5e-11 at
+    d = 32), and step 2 scales them by about kappa (h_k + 3) |X - c|_F,
+    far above 1e-9 for nine atoms; the measured phi sits near the GEMM's
+    rounding instead.
+    """
+    g = 4 * (dim + 2) * _EPS
+    exact = (
+        (1 + 2 * dim * dim * _EPS) * commutator
+        + 2 * g * a.w * b.w
+        + 2 * (a.xi * b.w + a.w * b.xi)
+    )
+    tau = (exact + b.kappa * b.h * a.x) / (1 - 2 * b.eta) + (2 * b.eps + b.h) * a.x
+    pair = (tau + a.kappa * a.h * b.s) / (1 - 2 * a.eta) + (2 * a.eps + a.h) * b.s
+    norms = (1 + a.eps + a.h / 2) * (1 + b.eps + b.h / 2)
+    return (1 + 2 * _EPS) * (pair + 2 * g * norms)
+
+
 def _commutation_failures(
     contexts: Sequence[Context],
     stacks: Sequence[np.ndarray],
+    sums: Sequence[np.ndarray],
     tols: Tolerances,
-) -> list[tuple[tuple[int, str], tuple[int, str], float]]:
-    """Every translated atom pair whose commutator exceeds ``tols.commute``."""
-    failures = []
-    for a in range(len(contexts)):
-        for b in range(a + 1, len(contexts)):
-            residuals = commutator_residuals(stacks[a][:, None], stacks[b][None, :])
-            for i, j in zip(*np.nonzero(residuals > tols.commute)):
-                failures.append(
-                    (
-                        (a, contexts[a].labels[i]),
-                        (b, contexts[b].labels[j]),
-                        float(residuals[i, j]),
-                    )
+) -> tuple[list[tuple[tuple[int, str], tuple[int, str], float]], float]:
+    """Every translated atom pair whose commutator exceeds ``tols.commute``,
+    and a bound e on every cross-context commutator in operator norm.
+
+    A context pair that the screen (``_screen_bound``) clears within
+    ``tols.commute`` has no failing pair and adds its screen value to e.
+    The screen is at least the measured |[X_a, X_b]|_F, so only a pair with
+    that within ``tols.commute`` is screened: first from the contexts' law
+    residuals (``_law_terms``, no work), then, if that does not clear, from
+    the measured defects of both stacks (``_screen_terms``, one GEMM each,
+    once per stack).  Every other pair
+    runs the pairwise check, one atom of context a at a time against the
+    whole stack of b: the residuals are those of one broadcast check, bit
+    for bit, and e takes d ((1 + 4 eps) r + 3 g) from its largest residual
+    r (the check's rounding, ``_screen_bound`` step 4).
+    """
+    dim = stacks[0].shape[-1]
+    laws: dict[int, _ScreenTerms | None] = {}
+    measured: dict[int, _ScreenTerms | None] = {}
+    failures, bound = [], 0.0
+    for a, b in itertools.combinations(range(len(stacks)), 2):
+        commutator = sums[a] @ sums[b] - sums[b] @ sums[a]
+        commutator = math.sqrt(np.vdot(commutator, commutator).real)
+        screen = math.inf
+        if commutator <= tols.commute:
+            for t in (a, b):
+                if t not in laws:
+                    laws[t] = _law_terms(len(stacks[t]), dim, contexts[t].law_residual)
+            if laws[a] is not None and laws[b] is not None:
+                screen = _screen_bound(commutator, laws[a], laws[b], dim)
+        if commutator <= tols.commute and not screen <= tols.commute:
+            for t in (a, b):
+                if t not in measured:
+                    measured[t] = _screen_terms(stacks[t], sums[t])
+            if measured[a] is not None and measured[b] is not None:
+                screen = _screen_bound(commutator, measured[a], measured[b], dim)
+        if screen <= tols.commute:
+            bound = max(bound, screen)
+            continue
+        residuals = np.empty((len(stacks[a]), len(stacks[b])))
+        for i, atom in enumerate(stacks[a]):
+            residuals[i] = commutator_residuals(atom, stacks[b])
+        for i, j in zip(*np.nonzero(residuals > tols.commute)):
+            failures.append(
+                (
+                    (a, contexts[a].labels[i]),
+                    (b, contexts[b].labels[j]),
+                    float(residuals[i, j]),
                 )
-    return failures
+            )
+        worst = float(residuals.max())
+        bound = max(bound, dim * ((1 + 4 * _EPS) * worst + 12 * (dim + 2) * _EPS))
+    return failures, bound
 
 
-def _joint_atoms(stacks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
+def _joint_atoms(
+    sums: Sequence[np.ndarray], sizes: Sequence[int], commutator: float, delta: float
+) -> tuple[np.ndarray, np.ndarray] | None:
     """The composed atoms of commuting translated (k_t, d, d) stacks as the
-    spectral projectors of one observable, or None when its spectrum does
-    not sit on the label positions.
+    spectral projectors of one observable, or None when the bound below
+    does not place its spectrum on the label positions.
 
-    Z = sum_t W_t X_t with X_t = sum_i i S_{t,i} and W_t the product of the
-    later sizes k_s.  On a joint eigenvector of an exactly commuting family,
-    Z reads pos(a) = sum_t W_t a_t, the position of label a in
-    ``itertools.product`` order.  One ``eigh`` of Z, eigenvalues rounded to
-    the nearest integer, gives the kept positions (ascending) and their
-    atoms, each the sum of the outer products of its adjacent eigenvectors:
-    Hermitian, idempotent, exclusive and complete by construction.  When an
-    eigenvalue is not finite, or lies more than 1/4 from a position in
-    [0, N), N = prod k_t, None is returned.
+    Z = sum_t W_t X_t with X_t = sum_i i S_{t,i} (``_label_sums``) and W_t
+    the product of the later sizes k_s.  On a joint eigenvector of an
+    exactly commuting family, Z reads pos(a) = sum_t W_t a_t, the position
+    of label a in ``itertools.product`` order.  One ``eigh`` of Z,
+    eigenvalues rounded to the nearest integer, gives the kept positions
+    (ascending) and their atoms, each the sum of the outer products of its
+    adjacent eigenvectors: Hermitian, idempotent, exclusive and complete by
+    construction.  None is returned when eta (step 2 below, from the
+    ``commutator`` bound e of ``_commutation_failures`` and the largest
+    context law residual ``delta``) exceeds 1/4, or when an eigenvalue is
+    not finite or lies more than 1/4 from a position in [0, N),
+    N = prod k_t.
 
     How close this comes to the products A_a = S_{1,a_1} ... S_{T,a_T}.
-    Below |.| is the operator norm, e the largest cross-context commutator
-    residual (max entry, as ``_commutation_failures`` measures it), l a
-    bound on every law residual of the stacks in operator norm (|S - S^dag|,
-    |S^2 - S|, |S_i S_j| within one context, |sum_i S_i - I|; conjugation by
-    a checked unitary keeps the laws of the input contexts, so
-    l <= 1.01 d delta + 16 d g for input residuals delta in max entry, with
+    Below |.| is the operator norm, e a bound on every cross-context
+    commutator in it, l a bound on every law residual of the stacks in
+    operator norm (|S - S^dag|, |S^2 - S|, |S_i S_j| within one context,
+    |sum_i S_i - I|; conjugation by a checked unitary keeps the laws of
+    the input contexts, so l <= 1.01 d delta' + 16 d g for input residuals
+    measured as delta in max entry, delta' = (1 + 4 eps) delta + 3 g, with
     g = 4 (d + 2) eps), s = (1 + 3 l)^T a bound on the norm of a product,
     kappa_t = k_t (k_t - 1)/2 and K = sum_t W_t kappa_t <= max k (N - 1)/2.
 
     1. Residual.  Moving X_t leftwards past S_{T,a_T}, ..., S_{t+1,a_{t+1}}
-       costs at most kappa_t d e per factor, and S_{t,a_t} X_t is a_t S_{t,a_t}
+       costs at most kappa_t e per factor, and S_{t,a_t} X_t is a_t S_{t,a_t}
        within kappa_t l.  ``eigh`` reads the Hermitian matrix Z' given by
        Z's lower triangle, within sqrt(d) |Z - Z^dag| <= sqrt(d) K l of Z,
-       and forming Z rounds by at most rho = 2 d (sum_t k_t) K eps.  So
-       |A_a Z' - pos(a) A_a| <= r = s K ((T - 1) d e + (1 + sqrt(d)) l) + rho.
+       and forming the X_t and Z rounds by at most
+       rho = 2 d (sum_t k_t + T) K eps.
+       So |A_a Z' - pos(a) A_a| <= r = s K ((T - 1) e + (1 + sqrt(d)) l) + rho.
     2. Eigenvalues.  The nested sums give sum_a A_a^dag A_a >= (1 - phi) I
        with phi = T (2.01 max k + 1) l.  For Z' v = lambda v, |v| = 1,
        (pos(a) - lambda) A_a v = (pos(a) A_a - A_a Z') v, so
@@ -321,24 +554,37 @@ def _joint_atoms(stacks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray] 
        1/2) and 1.02 (T - 1) d g (the products of ``ordered_products``).
        Each probability Tr(rho E_p) then moves by at most as much.
 
-    At the default tolerances (e <= 1e-9, l about d 1e-10) eta stays far
-    below 1/4 on every multi_time shape, d <= 32 with N <= 81; a grid of
-    9^4 atoms at d = 32 needs residuals below about 8e-10 for the bound to
-    clear.  The fallback is for a loosened ``commute``: x then z atoms give
-    Z = 1.5 I - sigma_x - sigma_z/2, with eigenvalues 1.5 -+ 1.118.
+    Only with eta <= 1/4 do the rounded eigenvalues name the labels, so a
+    larger eta takes the products, whatever the spectrum: at a loosened
+    ``commute`` a non-commuting family can have every eigenvalue of Z
+    within 1/4 of a position (z then a direction 150 degrees away: Z's
+    eigenvalues are 2.13 and 0.87).  At the default tolerances eta stays
+    far below 1/4 on every multi_time shape, d <= 32 with N <= 81, and on
+    9^4 atoms at d = 32 with commutators near rounding.
     """
-    sizes = [len(stack) for stack in stacks]
-    weights = np.cumprod([1, *sizes[:0:-1]])[::-1]
-    coefficients = np.concatenate([w * np.arange(k) for w, k in zip(weights, sizes)])
-    values, vectors = np.linalg.eigh(
-        np.tensordot(coefficients, np.concatenate(stacks), axes=1)
-    )
-    positions = np.rint(values)
+    dim, n_times = sums[0].shape[-1], len(sizes)
+    count = math.prod(sizes)
+    eps = np.finfo(float).eps
+    g = 4 * (dim + 2) * eps
+    weights = np.cumprod([1, *sizes[:0:-1]])[::-1].tolist()
+    laws = 1.01 * dim * ((1 + 4 * eps) * delta + 3 * g) + 16 * dim * g
+    pairs = sum(w * k * (k - 1) / 2 for w, k in zip(weights, sizes))
+    residual = (1 + 3 * laws) ** n_times * pairs * (
+        (n_times - 1) * commutator + (1 + math.sqrt(dim)) * laws
+    ) + 2 * dim * (sum(sizes) + n_times) * pairs * eps
+    spread = n_times * (2.01 * max(sizes) + 1) * laws
     # written so that NaN fails
+    if not (
+        spread < 1
+        and residual * math.sqrt(count / (1 - spread)) + dim * g * count <= 0.25
+    ):
+        return None
+    values, vectors = np.linalg.eigh(sum(w * x for w, x in zip(weights, sums)))
+    positions = np.rint(values)
     if not (
         np.all(np.abs(values - positions) <= 0.25)
         and 0 <= positions[0]
-        and positions[-1] < math.prod(sizes)
+        and positions[-1] < count
     ):
         return None
     starts = np.flatnonzero(np.diff(positions, prepend=-1.0))
@@ -350,7 +596,10 @@ class GeneralizedContext:
     """Contexts at several times whose atoms commute at a common time.
 
     Construction translates every atom to ``ref_time`` and requires all
-    cross-context commutators to vanish within ``tols.commute``.  The
+    cross-context commutators to vanish within ``tols.commute``: a context
+    pair is cleared by one commutator of its label sums where the screen's
+    bound allows, and checked atom pair by atom pair otherwise
+    (``_commutation_failures``).  The
     commuting translated contexts are then one context at ``ref_time``: its
     composed atoms, labelled in the ``itertools.product`` order of the
     context labels, are the spectral projectors of one observable, taken
@@ -365,10 +614,11 @@ class GeneralizedContext:
     ``property_projector`` skip it and ``composed_atoms`` maps it to a zero
     projector.
 
-    Only when an eigenvalue is not finite or lies more than 1/4 from every
-    label position (which the bound of ``_joint_atoms`` rules out at the
-    default tolerances for 81 atoms at d = 32, and which in practice takes
-    a loosened ``commute``) are the atoms built as products instead.
+    Only when the derived eta of ``_joint_atoms`` exceeds 1/4, or an
+    eigenvalue is not finite or lies more than 1/4 from every label
+    position (which that bound rules out at the default tolerances for 81
+    atoms at d = 32, and which in practice takes a loosened ``commute``),
+    are the atoms built as products instead.
     ``linop.ordered_products`` builds them one context at a time and drops a
     prefix whose Frobenius norm is below
     ``min(tols.proj, tols.herm, linop.PRUNE_CEILING) / 2`` with all its
@@ -393,7 +643,8 @@ class GeneralizedContext:
         tols: Tolerances = DEFAULT_TOLERANCES,
     ):
         contexts, translated = translate_contexts(contexts, ref_time, hamiltonian, hbar)
-        failures = _commutation_failures(contexts, translated, tols)
+        sums = _label_sums(translated)
+        failures, commutator = _commutation_failures(contexts, translated, sums, tols)
         if failures:
             raise IncompatibleContexts(
                 f"{len(failures)} translated atom pair(s) fail to commute "
@@ -402,7 +653,8 @@ class GeneralizedContext:
                 failures,
             )
 
-        joint = _joint_atoms(translated)
+        delta = max(ctx.law_residual for ctx in contexts)
+        joint = _joint_atoms(sums, [len(s) for s in translated], commutator, delta)
         if joint is None:
             # left-nested ((P_0 P_1) P_2)..., in itertools.product order
             joint = ordered_products(translated, tol=min(tols.proj, tols.herm))

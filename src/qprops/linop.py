@@ -46,6 +46,7 @@ __all__ = [
     "commutator_residuals",
     "stack_matmul",
     "ordered_products",
+    "kept_products",
     "subspace_inclusion",
     "max_entry_norm",
     "check_projector_stack",
@@ -508,7 +509,6 @@ def ordered_products(stacks, *, later_left=False, tol=0.0):
     ``itertools.product`` order.
     """
     product, index = stacks[0], None  # None until a prefix is dropped
-    cut = min(tol, PRUNE_CEILING) / 2
     for level, later in enumerate(stacks):
         if level:
             new, old = later[..., None, :, :, :], product[..., :, None, :, :]
@@ -517,14 +517,24 @@ def ordered_products(stacks, *, later_left=False, tol=0.0):
             product = product.reshape(lead + (m * k, d, d))
             if index is not None:
                 index = (index[:, None] * k + np.arange(k)).reshape(-1)
-        if cut > 0:
-            flat = np.ascontiguousarray(product).reshape(len(product), -1)
-            parts = flat.view(np.float64)
-            keep = np.flatnonzero(~(np.einsum("ij,ij->i", parts, parts) < cut**2))
-            if keep.size < len(product):
-                product = product[keep]
-                index = keep if index is None else index[keep]
+        keep = kept_products(product, tol)
+        if keep is not None:
+            product = product[keep]
+            index = keep if index is None else index[keep]
     return product, np.arange(product.shape[-3]) if index is None else index
+
+
+def kept_products(products, tol):
+    """Positions of the (n, d, d) products that ``ordered_products`` keeps at
+    ``tol`` (Frobenius norm not below ``min(tol, PRUNE_CEILING) / 2``), or
+    None when it keeps every one of them, as always at ``tol <= 0``."""
+    cut = min(tol, PRUNE_CEILING) / 2
+    if not cut > 0:
+        return None
+    flat = np.ascontiguousarray(products).reshape(len(products), -1)
+    parts = flat.view(np.float64)
+    keep = np.flatnonzero(~(np.einsum("ij,ij->i", parts, parts) < cut**2))
+    return keep if keep.size < len(products) else None
 
 
 def commutators(a, b) -> np.ndarray:

@@ -276,8 +276,9 @@ def _search_residuals(
     - ``gmh`` and ``griffiths`` read one complex form per fixed outcome b,
       q_b(x) = Tr(P_+ rho P_- F_b) = x^T K_b x with
       K_b[j, l] = S_l- Tr(B_j rho B_l F_b), both b at once from
-      ``histories.consistency_traces``: one (N, 4) @ (4, 16) GEMM gives
-      the rows of x^T K_b and a row-wise dot with x finishes the forms.
+      ``histories.consistency_traces``: one (16, 4) @ (4, N) GEMM gives
+      the rows of x^T K_b, transposed, and four multiply-adds with x finish
+      the forms.
     - ``griffiths``: |Re q_+|, the residual of ``griffiths_check``.  Re K_+
       is the griffiths conic in the homogeneous coordinates (1, n): for free
       dynamics and rho along n0 the form is ((n0.n2) - (n0.n)(n.n2))/4,
@@ -331,12 +332,17 @@ def _search_residuals(
         basis[:, None, None], basis[None, :, None], fixed, rho.matrix
     )
     form = traces * _PAIR_SIGNS[1][:, None]
-    # [n, l, (b, re/im)]: the real and imaginary parts of (x^T K_b)_l
-    rows = _real_gemm(x, form).view(np.float64).reshape(count, 4, 4)
-    forms = np.einsum("nl,nlk->nk", x, rows)
+    # [l, (b, re/im), n]: the real and imaginary parts of (x^T K_b)_l, from
+    # one (16, 4) @ (4, N) GEMM, so the dot with x is four multiply-adds of
+    # contiguous (4, N) blocks
+    weights = np.ascontiguousarray(x.T)
+    rows = (form.reshape(4, -1).view(np.float64).T @ weights).reshape(4, 4, count)
+    forms = weights[0] * rows[0]
+    for l in range(1, 4):
+        forms += weights[l] * rows[l]
     if mode == "griffiths":
-        return np.abs(forms[:, 0])
-    magnitudes = np.abs(forms.view(np.complex128))
+        return np.abs(forms[0])
+    magnitudes = np.abs(np.ascontiguousarray(forms.T).view(np.complex128))
     return np.maximum(magnitudes[:, 0], magnitudes[:, 1])
 
 

@@ -73,6 +73,31 @@ class TestGcCheck:
         table = payload["results"]["probabilities"]
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-10)
 
+    def test_loose_commute_does_not_label_non_commuting_atoms(self, capsys, tmp_path):
+        # z then a direction 150 degrees away: every eigenvalue of the joint
+        # observable lies within 1/4 of a label position (2.13 and 0.87), but
+        # the commutators (about 0.25) put the derived eta far above 1/4, so
+        # the products are built and fail their projector check
+        doc = {
+            "dimension": 2,
+            "initial_time": 0.0,
+            "reference_time": 0.0,
+            "initial_state": [[1.0, 0.0], [0.0, 0.0]],
+            "contexts": [
+                {"time": 1.0, "direction": [0.0, 0.0, 1.0], "labels": ["z+", "z-"]},
+                {
+                    "time": 2.0,
+                    "direction": [0.5, 0.0, -math.sqrt(3.0) / 2],
+                    "labels": ["n+", "n-"],
+                },
+            ],
+        }
+        path = write_spec(tmp_path, doc)
+        code, payload, err = run_json(capsys, "gc-check", path, "--tol", "commute=10")
+        assert code == 2 and payload is None
+        assert_one_line_error(err)
+        assert "NonHermitianInput" in err
+
     def test_state_is_evolved_to_the_reference_time(self, capsys, tmp_path):
         # z+ prepared at t = 0 under H = 0.3 sigma_x; z at t = 1 and one
         # period of U later, asked at t = 0.5

@@ -21,7 +21,9 @@ near-commuting family that passes the commutation check must be accepted,
 with the product grid's nonzero-rank labels and joint atoms within their
 derived bound of the products, and the class lattice must keep its laws
 (criterion 7) and its non-distributivity witness (criterion 8) on generated
-classes.
+classes.  The commutation screen must bound every pairwise residual, the
+last-atom certificate every gram entry between different last atoms, and
+``gmh_check`` in last-atom blocks must give the full gram's answers.
 """
 
 import copy
@@ -50,10 +52,12 @@ from helpers import (
     shared_basis_contexts,
 )
 from qprops import contexts as contexts_module
+from qprops import histories as histories_module
 from qprops.config import DEFAULT_TOLERANCES
 from qprops.contexts import (
     Context,
     _commutation_failures,
+    _label_sums,
     build_generalized_context,
     check_context_laws,
     composite_probability,
@@ -87,6 +91,8 @@ from qprops.linop import (
     Projector,
     alternating_projection_limit,
     check_projector_stack,
+    commutator_residuals,
+    commutators,
     evolution_operator,
     max_entry_norm,
     ordered_products,
@@ -194,12 +200,16 @@ def plain_residuals(mode, n2, points, rho, h, t0, t1, t2):
     # [j, l, b]: S_l- Tr(B_j rho B_l F_b)
     product = basis[:, None, None] @ rho @ basis[None, :, None] @ fixed
     form = np.trace(product, axis1=-2, axis2=-1) * signs[:, 1, None]
-    rows = complex_forms(x, form).view(float).reshape(count, 4, 4)
-    # [n, (b, re/im)]: q_b = Tr(P_+ rho P_- F_b)
-    forms = np.einsum("nl,nlk->nk", x, rows)
+    # [l, (b, re/im), n], from the transposed product
+    weights = np.ascontiguousarray(x.T)
+    rows = (form.reshape(4, -1).view(float).T @ weights).reshape(4, 4, count)
+    # [(b, re/im), n]: q_b = Tr(P_+ rho P_- F_b), summed over l in order
+    forms = weights[0] * rows[0] + weights[1] * rows[1]
+    forms = forms + weights[2] * rows[2]
+    forms = forms + weights[3] * rows[3]
     if mode == "gmh":
-        return np.abs(forms.view(complex)).max(axis=1)
-    return np.abs(forms[:, 0])
+        return np.abs(np.ascontiguousarray(forms.T).view(complex)).max(axis=1)
+    return np.abs(forms[0])
 
 
 def pair_stack_residuals(mode, n2, points, rho, h, t0, t1, t2):
@@ -688,7 +698,7 @@ def test_near_commuting_families_are_accepted_within_the_bound(
     h, contexts = near_commuting_contexts(rng, d, n_times, parts, turn, bump)
     tols = DEFAULT_TOLERANCES
     contexts, stacks = translate_contexts(contexts, 0.0, h)
-    if _commutation_failures(contexts, stacks, tols):
+    if _commutation_failures(contexts, stacks, _label_sums(stacks), tols)[0]:
         with pytest.raises(IncompatibleContexts):
             build_generalized_context(contexts, 0.0, h)
         return
@@ -701,6 +711,142 @@ def test_near_commuting_families_are_accepted_within_the_bound(
     kept = [p for p, keep in zip(products, nonzero) if keep]
     gap = max(np.linalg.norm(a - p, 2) for a, p in zip(gc._atoms, kept))
     assert gap <= bound, (gap, bound)
+
+
+def frobenius_commutators(a, b):
+    """Frobenius norm of [A_i, B_j] for every pair of two (k, d, d) stacks."""
+    return np.linalg.norm(commutators(a[:, None], b[None, :]), axis=(-2, -1))
+
+
+@given(
+    d=st.integers(2, 16),
+    n_times=st.integers(2, 4),
+    turn=st.sampled_from([1.0, 3.0]).flatmap(
+        lambda m: st.integers(-16, -2).map(lambda x: m * 10.0**x)
+    ),
+    bump_exponent=st.one_of(st.none(), st.integers(-16, -11)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the largest shape with nine atoms, and commutators far above rounding
+@example(d=16, n_times=2, turn=1e-9, bump_exponent=-13, seed=4)
+@example(d=2, n_times=2, turn=1e-6, bump_exponent=None, seed=5)
+def test_screen_bound_holds_above_every_pairwise_residual(
+    d, n_times, turn, bump_exponent, seed
+):
+    # the commutation screen bounds every atom pair's commutator from one
+    # commutator of the label sums, also with perturbed context laws
+    rng = np.random.default_rng(seed)
+    parts = min(d, 9 if n_times == 2 else 3)
+    bump = 0.0 if bump_exponent is None else 10.0**bump_exponent
+    h, contexts = near_commuting_contexts(rng, d, n_times, parts, turn, bump)
+    _, stacks = translate_contexts(contexts, 0.0, h)
+    sums = _label_sums(stacks)
+    measured = [contexts_module._screen_terms(s, x) for s, x in zip(stacks, sums)]
+    assert all(t is not None for t in measured)
+    # the same step from the law residuals alone, where they are tight enough
+    laws = [
+        contexts_module._law_terms(len(s), d, ctx.law_residual)
+        for s, ctx in zip(stacks, contexts)
+    ]
+    for a, b in itertools.combinations(range(n_times), 2):
+        residuals = commutator_residuals(stacks[a][:, None], stacks[b][None, :])
+        frobenius = frobenius_commutators(stacks[a], stacks[b]).max()
+        commutator = np.linalg.norm(sums[a] @ sums[b] - sums[b] @ sums[a])
+        for terms in (measured, laws):
+            if terms[a] is None or terms[b] is None:
+                continue
+            bound = contexts_module._screen_bound(commutator, terms[a], terms[b], d)
+            assert residuals.max() <= bound, (residuals.max(), bound)
+            assert frobenius <= bound
+
+
+@given(
+    d=st.integers(2, 8),
+    n_times=st.integers(2, 4),
+    turn=st.sampled_from([1e-12, 1e-6, 1e-2, 1.0]),
+    bump_exponent=st.one_of(st.none(), st.integers(-14, -11)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cross_last_atom_entries_lie_within_the_block_certificate(
+    d, n_times, turn, bump_exponent, seed
+):
+    # entries of the full gram between histories that end in different last
+    # atoms, with perturbed context laws, stay within the certificate
+    rng = np.random.default_rng(seed)
+    bump = 0.0 if bump_exponent is None else 10.0**bump_exponent
+    h, contexts = near_commuting_contexts(rng, d, n_times, min(d, 3), turn, bump)
+    rho = random_density(rng, d)
+    family = HistoryFamily(contexts, h, 0.0, rho)
+    gram = decoherence_gram(history_operators(family.heisenberg_atoms), rho.matrix)
+    last = np.arange(len(gram)) % len(contexts[-1])
+    cross = np.abs(gram[last[:, None] != last[None, :]]).max()
+    delta = max(ctx.law_residual for ctx in contexts)
+    bound = histories_module._cross_block_bound(d, n_times, delta, rho.matrix)
+    assert cross <= bound, (cross, bound)
+
+
+def full_gram_report(family, tols, monkeypatch):
+    """``gmh_check`` with the last-atom certificate refused: the full gram."""
+    with monkeypatch.context() as patch:
+        patch.setattr(histories_module, "_cross_block_bound", lambda *args: np.inf)
+        return gmh_check(family, tols=tols)
+
+
+@given(rank=st.integers(1, 8), **PRUNED_CASE)
+def test_blocked_gmh_check_matches_the_full_gram(d, n_times, shared, seed, rank):
+    rng, h, contexts = drawn_contexts(d, n_times, shared, seed)
+    family = HistoryFamily(contexts, h, 0.0, low_rank_density(rng, d, min(rank, d)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        full = full_gram_report(family, DEFAULT_TOLERANCES, monkeypatch)
+    blocked = gmh_check(family)
+    assert blocked.verdict == full.verdict
+    assert [v[:2] for v in blocked.violations] == [v[:2] for v in full.violations]
+    _, _, slack = unpruned_gmh(family, DEFAULT_TOLERANCES)
+    for (_, _, got), (_, _, want), (a, b, _) in zip(
+        blocked.violations, full.violations, full.violations
+    ):
+        assert abs(got - want) <= slack[a] + slack[b]
+    assert list(blocked.probabilities) == list(full.probabilities)
+    for label, want in full.probabilities.items():
+        assert abs(blocked.probabilities[label] - want) <= slack[label]
+
+
+@pytest.mark.parametrize("case", ["default", "negative-consist", "loose-last-context"])
+def test_last_atom_blocks_need_the_certificate(case, rng, monkeypatch):
+    # the gram is taken in last-atom blocks only when the certificate clears
+    h = random_hermitian(rng, 4)
+    contexts = shared_basis_contexts(rng, 4, 3, h, parts=2)
+    tols = DEFAULT_TOLERANCES
+    if case == "negative-consist":
+        tols = tols.updated(consist=-1.0)
+    elif case == "loose-last-context":
+        # a last context idempotent and exclusive to 1e-8 only (the square
+        # of the bump): valid at proj = 1e-6
+        loose = tols.updated(proj=1e-6)
+        upper = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+        upper[0, 2] = upper[2, 0] = 1e-4
+        atoms = [Projector(upper, tols=loose), Projector(np.eye(4) - upper, tols=loose)]
+        contexts[-1] = Context(contexts[-1].time, atoms, tols=loose)
+    family = HistoryFamily(contexts, h, 0.0, random_density(rng, 4))
+    lengths = []
+    original = histories_module.ordered_products
+
+    def spy(stacks, **kwargs):
+        lengths.append(len(stacks))
+        return original(stacks, **kwargs)
+
+    monkeypatch.setattr(histories_module, "ordered_products", spy)
+    report = gmh_check(family, tols=tols)
+    assert lengths == ([2] if case == "default" else [3])
+    full = full_gram_report(family, tols, monkeypatch)
+    if case == "default":
+        # GEMMs of another shape: the weights agree up to their rounding
+        assert report.verdict and full.verdict
+        assert report.probabilities == pytest.approx(full.probabilities, abs=1e-15)
+    else:
+        # the same route, bit for bit
+        assert report.violations == full.violations
+        assert report.probabilities == full.probabilities
 
 
 def test_accepted_large_grid_is_certified_without_the_checks(monkeypatch):
