@@ -265,6 +265,30 @@ def _exclusivity_residual(mats: np.ndarray, tol: float) -> float:
 _EPS = float(np.finfo(float).eps)
 
 
+# The per-context paths (the commutation screen here, the last-atom grams of
+# ``histories.gmh_check``) run from this dimension on.  Each replaces one
+# broadcast call by a few dozen small numpy calls, which costs more than it
+# saves below it: measured crossover between d = 16 and d = 32 on the
+# multi_time shapes, see ROADMAP.md.
+_PER_CONTEXT_MIN_DIM = 24
+
+
+def _gemm_rounding(dim: int) -> float:
+    """g = 4 (d + 2) eps: fl(A B) of d x d matrices is within g |A|_F |B|_F
+    of A B in Frobenius norm and within g |row| |column| in each entry."""
+    return 4 * (dim + 2) * _EPS
+
+
+def _translated_laws(dim: int, delta: float) -> float:
+    """l = 1.01 d delta' + 16 d g, delta' = (1 + 4 eps) delta + 3 g: a bound in
+    operator norm on every law residual (|S - S^dag|, |S^2 - S|, |S_i S_j|
+    within one context, |sum_i S_i - I|) of translated atom stacks whose
+    input contexts measured theirs within delta in max entry; see
+    ``_joint_atoms``."""
+    g = _gemm_rounding(dim)
+    return 1.01 * dim * ((1 + 4 * _EPS) * delta + 3 * g) + 16 * dim * g
+
+
 def _frobenius(matrices: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of an (n, d, d) stack."""
     flat = np.ascontiguousarray(matrices).reshape(len(matrices), -1).view(np.float64)
@@ -299,7 +323,7 @@ def _screen_terms(stack: np.ndarray, total: np.ndarray) -> _ScreenTerms | None:
     label sum X^, or None when its laws are too loose for the step.  Costs
     one GEMM, the defect S_i (X^ - c) - (i - c) S_i of every atom."""
     k, dim = len(stack), stack.shape[-1]
-    g = 4 * (dim + 2) * _EPS
+    g = _gemm_rounding(dim)
     c = (k - 1) / 2
     shifted = total - c * np.eye(dim)
     defects = (stack.reshape(k * dim, dim) @ shifted).reshape(stack.shape)
@@ -327,34 +351,6 @@ def _screen_terms(stack: np.ndarray, total: np.ndarray) -> _ScreenTerms | None:
         return None
     eps = loss + (_label_spread(k) + 3) * phi / (1 - eta)
     return _ScreenTerms(x, w, xi, eta, eps, h, kappa, s)
-
-
-def _law_terms(k: int, dim: int, delta: float) -> _ScreenTerms | None:
-    """Step 2 of ``_screen_bound`` for a translated stack of k atoms from
-    its context's law residual ``delta`` alone, without reading the stack,
-    or None when that is too loose for the step.
-
-    As in ``_joint_atoms``, every law residual of the stored stack is within
-    L = 1.01 d delta' + 16 d g in operator norm, delta' = (1 + 4 eps) delta
-    + 3 g, and |S_i| <= 1 + 3 L.  So h = l = L, the Hermitian parts keep
-    their laws within 2.2 L, phi = 2.2 kappa L, |S_i|_F <= sqrt(d) (1 + 3 L),
-    and the eigenvalues of X_H - c, within eta of [-c, c], give
-    |X - c I|_F <= sqrt(d) (c + eta + kappa L / 2).
-    """
-    g = 4 * (dim + 2) * _EPS
-    laws = 1.01 * dim * ((1 + 4 * _EPS) * delta + 3 * g) + 16 * dim * g
-    c = (k - 1) / 2
-    kappa = k * c
-    phi = 2.2 * kappa * laws
-    eta = k * phi / (1 - laws)
-    # written so that NaN fails
-    if not (laws < 0.5 and eta <= 0.25):
-        return None
-    s = math.sqrt(dim) * (1 + 3 * laws)
-    x = math.sqrt(dim) * (c + eta + kappa * laws / 2)
-    xi = k * _EPS * kappa * s + _EPS * x
-    eps = laws + (_label_spread(k) + 3) * phi / (1 - eta)
-    return _ScreenTerms(x, x + c * math.sqrt(dim), xi, eta, eps, laws, kappa, s)
 
 
 def _label_spread(k: int) -> float:
@@ -417,16 +413,8 @@ def _screen_bound(commutator: float, a: _ScreenTerms, b: _ScreenTerms, dim: int)
        S_i T_j in each entry, |S_i| <= 1 + eps + h/2, so the residual the
        check computes is at most (1 + 2 eps)(|[S_i, T_j]|_max +
        2 g |S_i| |T_j|): a pair within ``tols.commute`` here passes it.
-
-    Step 2 can also take its numbers from the law residual delta of the
-    input contexts alone (``_law_terms``), at no cost.  That clears at
-    small d and few atoms, but after the rounding of the translation the
-    stored laws are only known within 16 d g in operator norm (1.5e-11 at
-    d = 32), and step 2 scales them by about kappa (h_k + 3) |X - c|_F,
-    far above 1e-9 for nine atoms; the measured phi sits near the GEMM's
-    rounding instead.
     """
-    g = 4 * (dim + 2) * _EPS
+    g = _gemm_rounding(dim)
     exact = (
         (1 + 2 * dim * dim * _EPS) * commutator
         + 2 * g * a.w * b.w
@@ -441,50 +429,45 @@ def _screen_bound(commutator: float, a: _ScreenTerms, b: _ScreenTerms, dim: int)
 def _commutation_failures(
     contexts: Sequence[Context],
     stacks: Sequence[np.ndarray],
-    sums: Sequence[np.ndarray],
     tols: Tolerances,
 ) -> tuple[list[tuple[tuple[int, str], tuple[int, str], float]], float]:
     """Every translated atom pair whose commutator exceeds ``tols.commute``,
-    and a bound e on every cross-context commutator in operator norm.
+    and, when there is none, a bound e on every cross-context commutator in
+    operator norm.
 
-    A context pair that the screen (``_screen_bound``) clears within
-    ``tols.commute`` has no failing pair and adds its screen value to e.
-    The screen is at least the measured |[X_a, X_b]|_F, so only a pair with
-    that within ``tols.commute`` is screened: first from the contexts' law
-    residuals (``_law_terms``, no work), then, if that does not clear, from
-    the measured defects of both stacks (``_screen_terms``, one GEMM each,
-    once per stack).  Every other pair
-    runs the pairwise check, one atom of context a at a time against the
-    whole stack of b: the residuals are those of one broadcast check, bit
-    for bit, and e takes d ((1 + 4 eps) r + 3 g) from its largest residual
-    r (the check's rounding, ``_screen_bound`` step 4).
+    From d = ``_PER_CONTEXT_MIN_DIM`` on, a context pair that the screen
+    (``_screen_bound``, from the measured defects of both stacks,
+    ``_screen_terms``, once per stack) clears within ``tols.commute`` has no
+    failing pair and adds its screen value to e.  The screen is at least the
+    measured |[X_a, X_b]|_F, so only a pair with that within
+    ``tols.commute`` is screened.  Every other pair runs the pairwise
+    check, from that d on one atom of context a at a time against the whole
+    stack of b, which avoids four (k_a, k_b, d, d) temporaries: the
+    residuals are those of one broadcast check, bit for bit.  e takes
+    d ((1 + 4 eps) r + 3 g) from the largest residual r of a checked pair
+    (the check's rounding, ``_screen_bound`` step 4).
     """
     dim = stacks[0].shape[-1]
-    laws: dict[int, _ScreenTerms | None] = {}
+    screened = dim >= _PER_CONTEXT_MIN_DIM
+    sums = _label_sums(stacks) if screened else None
     measured: dict[int, _ScreenTerms | None] = {}
     failures, bound = [], 0.0
     for a, b in itertools.combinations(range(len(stacks)), 2):
-        commutator = sums[a] @ sums[b] - sums[b] @ sums[a]
-        commutator = math.sqrt(np.vdot(commutator, commutator).real)
-        screen = math.inf
-        if commutator <= tols.commute:
-            for t in (a, b):
-                if t not in laws:
-                    laws[t] = _law_terms(len(stacks[t]), dim, contexts[t].law_residual)
-            if laws[a] is not None and laws[b] is not None:
-                screen = _screen_bound(commutator, laws[a], laws[b], dim)
-        if commutator <= tols.commute and not screen <= tols.commute:
-            for t in (a, b):
-                if t not in measured:
-                    measured[t] = _screen_terms(stacks[t], sums[t])
-            if measured[a] is not None and measured[b] is not None:
-                screen = _screen_bound(commutator, measured[a], measured[b], dim)
-        if screen <= tols.commute:
-            bound = max(bound, screen)
-            continue
-        residuals = np.empty((len(stacks[a]), len(stacks[b])))
-        for i, atom in enumerate(stacks[a]):
-            residuals[i] = commutator_residuals(atom, stacks[b])
+        if not screened:
+            residuals = commutator_residuals(stacks[a][:, None], stacks[b][None, :])
+        else:
+            commutator = sums[a] @ sums[b] - sums[b] @ sums[a]
+            commutator = math.sqrt(np.vdot(commutator, commutator).real)
+            if commutator <= tols.commute:
+                for t in (a, b):
+                    if t not in measured:
+                        measured[t] = _screen_terms(stacks[t], sums[t])
+                if measured[a] is not None and measured[b] is not None:
+                    screen = _screen_bound(commutator, measured[a], measured[b], dim)
+                    if screen <= tols.commute:
+                        bound = max(bound, screen)
+                        continue
+            residuals = np.stack([commutator_residuals(atom, stacks[b]) for atom in stacks[a]])
         for i, j in zip(*np.nonzero(residuals > tols.commute)):
             failures.append(
                 (
@@ -493,20 +476,21 @@ def _commutation_failures(
                     float(residuals[i, j]),
                 )
             )
-        worst = float(residuals.max())
-        bound = max(bound, dim * ((1 + 4 * _EPS) * worst + 12 * (dim + 2) * _EPS))
+        if not failures:
+            worst = float(residuals.max())
+            bound = max(bound, dim * ((1 + 4 * _EPS) * worst + 3 * _gemm_rounding(dim)))
     return failures, bound
 
 
 def _joint_atoms(
-    sums: Sequence[np.ndarray], sizes: Sequence[int], commutator: float, delta: float
+    stacks: Sequence[np.ndarray], commutator: float, delta: float
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The composed atoms of commuting translated (k_t, d, d) stacks as the
     spectral projectors of one observable, or None when the bound below
     does not place its spectrum on the label positions.
 
-    Z = sum_t W_t X_t with X_t = sum_i i S_{t,i} (``_label_sums``) and W_t
-    the product of the later sizes k_s.  On a joint eigenvector of an
+    Z = sum_t W_t X_t with X_t = sum_i i S_{t,i} and W_t the product of the
+    later sizes k_s.  On a joint eigenvector of an
     exactly commuting family, Z reads pos(a) = sum_t W_t a_t, the position
     of label a in ``itertools.product`` order.  One ``eigh`` of Z,
     eigenvalues rounded to the nearest integer, gives the kept positions
@@ -532,8 +516,7 @@ def _joint_atoms(
        costs at most kappa_t e per factor, and S_{t,a_t} X_t is a_t S_{t,a_t}
        within kappa_t l.  ``eigh`` reads the Hermitian matrix Z' given by
        Z's lower triangle, within sqrt(d) |Z - Z^dag| <= sqrt(d) K l of Z,
-       and forming the X_t and Z rounds by at most
-       rho = 2 d (sum_t k_t + T) K eps.
+       and forming Z rounds by at most rho = 2 d (sum_t k_t) K eps.
        So |A_a Z' - pos(a) A_a| <= r = s K ((T - 1) e + (1 + sqrt(d)) l) + rho.
     2. Eigenvalues.  The nested sums give sum_a A_a^dag A_a >= (1 - phi) I
        with phi = T (2.01 max k + 1) l.  For Z' v = lambda v, |v| = 1,
@@ -562,16 +545,16 @@ def _joint_atoms(
     far below 1/4 on every multi_time shape, d <= 32 with N <= 81, and on
     9^4 atoms at d = 32 with commutators near rounding.
     """
-    dim, n_times = sums[0].shape[-1], len(sizes)
+    sizes = [len(stack) for stack in stacks]
+    dim, n_times = stacks[0].shape[-1], len(sizes)
     count = math.prod(sizes)
-    eps = np.finfo(float).eps
-    g = 4 * (dim + 2) * eps
+    g = _gemm_rounding(dim)
     weights = np.cumprod([1, *sizes[:0:-1]])[::-1].tolist()
-    laws = 1.01 * dim * ((1 + 4 * eps) * delta + 3 * g) + 16 * dim * g
+    laws = _translated_laws(dim, delta)
     pairs = sum(w * k * (k - 1) / 2 for w, k in zip(weights, sizes))
     residual = (1 + 3 * laws) ** n_times * pairs * (
         (n_times - 1) * commutator + (1 + math.sqrt(dim)) * laws
-    ) + 2 * dim * (sum(sizes) + n_times) * pairs * eps
+    ) + 2 * dim * sum(sizes) * pairs * _EPS
     spread = n_times * (2.01 * max(sizes) + 1) * laws
     # written so that NaN fails
     if not (
@@ -579,7 +562,10 @@ def _joint_atoms(
         and residual * math.sqrt(count / (1 - spread)) + dim * g * count <= 0.25
     ):
         return None
-    values, vectors = np.linalg.eigh(sum(w * x for w, x in zip(weights, sums)))
+    coefficients = np.concatenate([w * np.arange(k) for w, k in zip(weights, sizes)])
+    values, vectors = np.linalg.eigh(
+        np.tensordot(coefficients, np.concatenate(stacks), axes=1)
+    )
     positions = np.rint(values)
     if not (
         np.all(np.abs(values - positions) <= 0.25)
@@ -596,9 +582,10 @@ class GeneralizedContext:
     """Contexts at several times whose atoms commute at a common time.
 
     Construction translates every atom to ``ref_time`` and requires all
-    cross-context commutators to vanish within ``tols.commute``: a context
-    pair is cleared by one commutator of its label sums where the screen's
-    bound allows, and checked atom pair by atom pair otherwise
+    cross-context commutators to vanish within ``tols.commute``: from
+    d = ``_PER_CONTEXT_MIN_DIM`` on, a context pair is cleared by one
+    commutator of its label sums where the screen's bound allows, and every
+    other pair is checked atom pair by atom pair
     (``_commutation_failures``).  The
     commuting translated contexts are then one context at ``ref_time``: its
     composed atoms, labelled in the ``itertools.product`` order of the
@@ -643,8 +630,7 @@ class GeneralizedContext:
         tols: Tolerances = DEFAULT_TOLERANCES,
     ):
         contexts, translated = translate_contexts(contexts, ref_time, hamiltonian, hbar)
-        sums = _label_sums(translated)
-        failures, commutator = _commutation_failures(contexts, translated, sums, tols)
+        failures, commutator = _commutation_failures(contexts, translated, tols)
         if failures:
             raise IncompatibleContexts(
                 f"{len(failures)} translated atom pair(s) fail to commute "
@@ -654,7 +640,7 @@ class GeneralizedContext:
             )
 
         delta = max(ctx.law_residual for ctx in contexts)
-        joint = _joint_atoms(sums, [len(s) for s in translated], commutator, delta)
+        joint = _joint_atoms(translated, commutator, delta)
         if joint is None:
             # left-nested ((P_0 P_1) P_2)..., in itertools.product order
             joint = ordered_products(translated, tol=min(tols.proj, tols.herm))

@@ -19,7 +19,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .contexts import Context, GeneralizedContext, LabelTuple, translate_contexts
+from .contexts import (
+    _EPS,
+    _PER_CONTEXT_MIN_DIM,
+    Context,
+    GeneralizedContext,
+    LabelTuple,
+    _gemm_rounding,
+    _translated_laws,
+    translate_contexts,
+)
 from .errors import (
     ConditionOnNull,
     DimensionMismatch,
@@ -257,7 +266,7 @@ def decoherence_gram(histories: np.ndarray, rho: np.ndarray) -> np.ndarray:
     lead, n, d = histories.shape[:-3], histories.shape[-3], histories.shape[-1]
     weighted = stack_matmul(histories, rho).reshape(lead + (n, d * d))
     flat = histories.reshape(lead + (n, d * d))
-    return weighted @ flat.conj().swapaxes(-1, -2)
+    return weighted @ np.swapaxes(flat.conj(), -1, -2)
 
 
 def gmh_residuals(gram: np.ndarray) -> np.ndarray:
@@ -296,11 +305,11 @@ def _cross_block_bound(dim: int, times: int, delta: float, rho: np.ndarray) -> f
     histories that end in different atoms Q_j, Q_j' of the last context.
 
     Below |.| is the operator norm, |.|_F the Frobenius norm,
-    g = 4 (d + 2) eps, and l = 1.01 d delta' + 16 d g (delta' =
-    (1 + 4 eps) delta + 3 g, delta the largest context law residual) bounds
-    every law residual of the translated atoms in |.|, as in
-    ``contexts._joint_atoms``, so |Q| <= 1 + 3 l and a computed prefix
-    A = fl(P_{T-1} ... P_1) has |A| <= p = ((1 + 3 l)(1 + d g))^(T - 1).
+    g = 4 (d + 2) eps (``contexts._gemm_rounding``), and l
+    (``contexts._translated_laws`` of delta, the largest context law
+    residual) bounds every law residual of the translated atoms in |.|, so
+    |Q| <= 1 + 3 l and a computed prefix A = fl(P_{T-1} ... P_1) has
+    |A| <= p = ((1 + 3 l)(1 + d g))^(T - 1).
 
     1. Exactness.  C_a = Q_j A and C_b = Q_j' B give
        D(a, b) = Tr(Q_j A rho B^dag Q_j'^dag) = Tr(Q_j'^dag Q_j A rho B^dag),
@@ -319,63 +328,52 @@ def _cross_block_bound(dim: int, times: int, delta: float, rho: np.ndarray) -> f
     delta near rounding; it is positive, so ``tols.consist <= 0`` never
     clears, and a NaN clears nothing.
     """
-    eps = np.finfo(float).eps
-    g = 4 * (dim + 2) * eps
-    laws = 1.01 * dim * ((1 + 4 * eps) * delta + 3 * g) + 16 * dim * g
+    g = _gemm_rounding(dim)
+    laws = _translated_laws(dim, delta)
     prefix = ((1 + 3 * laws) * (1 + dim * g)) ** (times - 1)
     atom = math.sqrt(dim) * (1 + 3 * laws)
     span = math.sqrt(dim) * prefix
     history = (1 + 3 * laws) * span + g * atom * span
     moved = g * atom * span
-    return (1 + 2 * eps) * float(np.linalg.norm(rho)) * (
+    return (1 + 2 * _EPS) * float(np.linalg.norm(rho)) * (
         (2 * laws + 3 * laws**2) * prefix**2 * math.sqrt(dim)
         + 2 * moved * history
         + moved**2
         + g * history**2
-        + 2 * (dim * dim + 2) * eps * (1 + g) * history**2
+        + 2 * (dim * dim + 2) * _EPS * (1 + g) * history**2
     )
 
 
-def _grams(family: HistoryFamily, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The grams ``gmh_check`` scans, as a (B, m, m) stack, and the (B, m)
-    label-grid positions of their rows.
+def _last_atom_grams(
+    family: HistoryFamily, tol: float
+) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """The grams of the histories that share a last atom, one per last atom
+    Q_j, each with the label-grid positions of its rows; or None unless
+    d >= ``contexts._PER_CONTEXT_MIN_DIM``, the family has at least two
+    times and ``_cross_block_bound`` clears within ``tol``.
 
-    With at least two times and a last context whose cross-atom entries
-    ``_cross_block_bound`` clears within ``tol``, there is one block per
-    last atom Q_j: the histories Q_j A for the pruned earlier prefixes A,
-    formed last atom major so that each block is contiguous (the products
-    of ``ordered_products`` over all times, bit for bit), pruned by the
-    same rule (``linop.kept_products``) and weighted by rho in one GEMM.
-    Only the blocks' own grams are formed, at most k_T m^2 entries instead
-    of (k_T m)^2 for m prefixes.  Row p of block j is prefix p; a row whose
-    history was dropped stays zero, so it reads weight 0 and no violation,
-    as a dropped history does.  Otherwise there is one gram of every kept
-    history.
+    Block j holds the histories Q_j A for the pruned earlier prefixes A of
+    ``ordered_products``, formed one per-matrix product each as there,
+    pruned by the same rule (``linop.kept_products``) and weighted by rho.
+    Only these blocks are held at a time and only their grams are formed:
+    at most k_T m^2 entries instead of (k_T m)^2 for m prefixes.
     """
-    rho = family.initial_state.matrix
+    if family.dim < _PER_CONTEXT_MIN_DIM or len(family.contexts) < 2:
+        return None
     *earlier, last = family.heisenberg_atoms
+    rho = family.initial_state.matrix
     delta = max(ctx.law_residual for ctx in family.contexts)
-    if not (
-        earlier and _cross_block_bound(family.dim, len(earlier) + 1, delta, rho) <= tol
-    ):
-        histories, kept = ordered_products(family.heisenberg_atoms, later_left=True, tol=tol)
-        return decoherence_gram(histories, rho)[None], kept[None]
+    if not _cross_block_bound(family.dim, len(family.contexts), delta, rho) <= tol:
+        return None
     prefixes, first = ordered_products(earlier, later_left=True, tol=tol)
-    size, count = len(last), len(prefixes)
-    histories = (last[:, None] @ prefixes[None]).reshape(size * count, *prefixes.shape[1:])
-    rows = kept_products(histories, tol)
-    if rows is None:
-        rows = np.arange(size * count)
-    else:
-        histories = histories[rows]
-    weighted = stack_matmul(histories, rho).reshape(len(rows), -1)
-    flat = histories.reshape(len(rows), -1)
-    bounds = np.searchsorted(rows, np.arange(size + 1) * count).tolist()
-    grams = np.zeros((size, count, count), dtype=np.complex128)
-    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        block = rows[lo:hi] - j * count
-        grams[j, block[:, None], block] = weighted[lo:hi] @ flat[lo:hi].conj().T
-    return grams, first * size + np.arange(size)[:, None]
+    grams = []
+    for j, atom in enumerate(last):
+        block, rows = atom @ prefixes, first
+        keep = kept_products(block, tol)
+        if keep is not None:
+            block, rows = block[keep], first[keep]
+        grams.append((decoherence_gram(block, rho), rows * len(last) + j))
+    return grams
 
 
 def gmh_check(
@@ -400,32 +398,41 @@ def gmh_check(
     ``PRUNE_CEILING**2 / 4``).  ``tols.consist <= 0`` drops nothing.
 
     Histories that end in different atoms of the last context have a
-    vanishing functional for an exclusive last family.  When
-    ``_cross_block_bound`` places every such entry within ``tols.consist``
-    only the grams of the blocks of one last atom are formed (``_grams``);
-    otherwise it is the gram of all kept histories.  Violations come in the same order
-    either way: by the pair's positions in the label grid.
+    vanishing functional for an exclusive last family.  From
+    d = ``contexts._PER_CONTEXT_MIN_DIM`` on, when ``_cross_block_bound``
+    places every such entry within ``tols.consist``, only the grams of the
+    histories of one last atom are formed, one last atom at a time
+    (``_last_atom_grams``); otherwise it is the gram of all kept histories.
+    Violations come in the same order either way: by the pair's positions
+    in the label grid.
     """
     grid = family.label_grid
-    grams, positions = _grams(family, tols.consist)
-    a, b = np.triu_indices(grams.shape[-1], 1)
-    residuals = _pair_magnitudes(grams, a, b)
-    block, pair = np.nonzero(residuals > tols.consist)
-    first, second = positions[block, a[pair]], positions[block, b[pair]]
-    # by the pair's positions in the label grid, as one gram lists them
-    order = np.lexsort((second, first))
-    violations = tuple(
-        (grid[i], grid[j], residual)
-        for i, j, residual in zip(
-            first[order].tolist(),
-            second[order].tolist(),
-            residuals[block, pair][order].tolist(),
+    grams = _last_atom_grams(family, tols.consist)
+    if grams is None:
+        histories, kept = ordered_products(
+            family.heisenberg_atoms, later_left=True, tol=tols.consist
         )
-    )
+        grams = [(decoherence_gram(histories, family.initial_state.matrix), kept)]
+    pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    violations = []
     probabilities = dict.fromkeys(grid, 0.0)
-    weights = grams.diagonal(axis1=1, axis2=2).real
-    for k, weight in zip(positions.ravel().tolist(), weights.ravel().tolist()):
-        probabilities[grid[k]] = max(0.0, weight)
+    for gram, kept in grams:
+        if len(kept) not in pairs:
+            pairs[len(kept)] = np.triu_indices(len(kept), 1)
+        a, b = pairs[len(kept)]
+        residuals = _pair_magnitudes(gram, a, b)
+        flagged = np.flatnonzero(residuals > tols.consist)
+        violations += zip(
+            kept[a[flagged]].tolist(),
+            kept[b[flagged]].tolist(),
+            residuals[flagged].tolist(),
+        )
+        for k, weight in zip(kept.tolist(), gram.diagonal().real.tolist()):
+            probabilities[grid[k]] = max(0.0, weight)
+    if len(grams) > 1:
+        # by the pairs' positions in the label grid, as one gram lists them
+        violations.sort()
+    violations = tuple([(grid[i], grid[j], residual) for i, j, residual in violations])
     return ConsistencyReport("gmh", not violations, violations, probabilities)
 
 

@@ -212,6 +212,27 @@ def plain_residuals(mode, n2, points, rho, h, t0, t1, t2):
     return np.abs(forms[0])
 
 
+def einsum_residuals(mode, n2, points, rho, h, t0, t1, t2):
+    """The gmh or griffiths forms in their earlier order, an (N, 4) @ (4, 16)
+    GEMM then a row-wise ``einsum`` with x, and per point the sum of the
+    magnitudes of their terms, which bounds the rounding of either order."""
+    u1 = evolution_operator(h, t1, t0).matrix
+    u2 = evolution_operator(h, t2, t0).matrix
+    basis = u1 @ BASIS @ u1.conj().T
+    fixed = u2 @ _spin_pairs(n2.as_array()) @ u2.conj().T
+    count = len(points)
+    x = np.concatenate([np.full((count, 1), 0.5), points * 0.5], axis=1)
+    product = basis[:, None, None] @ rho @ basis[None, :, None] @ fixed
+    form = np.trace(product, axis1=-2, axis2=-1) * PAIR_SIGNS.T[:, 1, None]
+    rows = complex_forms(x, form).view(float).reshape(count, 4, 4)
+    forms = np.einsum("nl,nlk->nk", x, rows)
+    terms = np.abs(x) @ np.abs(form.reshape(4, -1).view(float))
+    scale = np.einsum("nl,nlk->nk", np.abs(x), terms.reshape(count, 4, 4)).max(axis=1)
+    if mode == "gmh":
+        return np.abs(forms.view(complex)).max(axis=1), scale
+    return np.abs(forms[:, 0]), scale
+
+
 def pair_stack_residuals(mode, n2, points, rho, h, t0, t1, t2):
     """The per-pair formulas on the (N, 2, 2, 2) stack of translated pairs,
     per-matrix ``@`` throughout: the reference for the forms."""
@@ -271,6 +292,11 @@ def test_searches_on_point_array_match_the_direction_grid(count, default_state, 
         )
         want = plain_residuals(mode, n2, points, rho.matrix, h, t0, t1, t2)
         assert residuals.tobytes() == want.tobytes(), mode
+        if mode != "commute":
+            # the reordered sum stays within a few rounding units of its terms
+            # of the earlier order, under every BLAS kernel
+            before, scale = einsum_residuals(mode, n2, points, rho.matrix, h, t0, t1, t2)
+            assert np.all(np.abs(residuals - before) <= 16 * np.finfo(float).eps * scale)
     passed_rho = None if default_state else rho
     kept = compatible_directions(n2, points, h, 1.0, t1, t2, t0)
     assert exact(kept) == exact(compatible_directions(n2, grid, h, 1.0, t1, t2, t0))
@@ -698,7 +724,7 @@ def test_near_commuting_families_are_accepted_within_the_bound(
     h, contexts = near_commuting_contexts(rng, d, n_times, parts, turn, bump)
     tols = DEFAULT_TOLERANCES
     contexts, stacks = translate_contexts(contexts, 0.0, h)
-    if _commutation_failures(contexts, stacks, _label_sums(stacks), tols)[0]:
+    if _commutation_failures(contexts, stacks, tols)[0]:
         with pytest.raises(IncompatibleContexts):
             build_generalized_context(contexts, 0.0, h)
         return
@@ -741,23 +767,47 @@ def test_screen_bound_holds_above_every_pairwise_residual(
     h, contexts = near_commuting_contexts(rng, d, n_times, parts, turn, bump)
     _, stacks = translate_contexts(contexts, 0.0, h)
     sums = _label_sums(stacks)
-    measured = [contexts_module._screen_terms(s, x) for s, x in zip(stacks, sums)]
-    assert all(t is not None for t in measured)
-    # the same step from the law residuals alone, where they are tight enough
-    laws = [
-        contexts_module._law_terms(len(s), d, ctx.law_residual)
-        for s, ctx in zip(stacks, contexts)
-    ]
+    terms = [contexts_module._screen_terms(s, x) for s, x in zip(stacks, sums)]
+    assert all(t is not None for t in terms)
     for a, b in itertools.combinations(range(n_times), 2):
         residuals = commutator_residuals(stacks[a][:, None], stacks[b][None, :])
         frobenius = frobenius_commutators(stacks[a], stacks[b]).max()
         commutator = np.linalg.norm(sums[a] @ sums[b] - sums[b] @ sums[a])
-        for terms in (measured, laws):
-            if terms[a] is None or terms[b] is None:
-                continue
-            bound = contexts_module._screen_bound(commutator, terms[a], terms[b], d)
-            assert residuals.max() <= bound, (residuals.max(), bound)
-            assert frobenius <= bound
+        bound = contexts_module._screen_bound(commutator, terms[a], terms[b], d)
+        assert residuals.max() <= bound, (residuals.max(), bound)
+        assert frobenius <= bound
+
+
+@given(
+    d=st.integers(2, 8),
+    n_times=st.integers(2, 4),
+    turn=st.sampled_from([1e-12, 1e-9, 3e-9, 1e-6, 1.0]),
+    bump_exponent=st.one_of(st.none(), st.integers(-14, -11)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screened_commutation_check_matches_the_broadcast_check(
+    d, n_times, turn, bump_exponent, seed
+):
+    # with the screen and the one-atom-at-a-time check forced on at every d,
+    # the failing pairs and their residuals are those of the broadcast check
+    # bit for bit, and without a failing pair the commutator bound stays
+    # above every residual
+    rng = np.random.default_rng(seed)
+    bump = 0.0 if bump_exponent is None else 10.0**bump_exponent
+    h, contexts = near_commuting_contexts(rng, d, n_times, min(d, 3), turn, bump)
+    contexts, stacks = translate_contexts(contexts, 0.0, h)
+    tols = DEFAULT_TOLERANCES
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contexts_module, "_PER_CONTEXT_MIN_DIM", 2**31)
+        broadcast, _ = _commutation_failures(contexts, stacks, tols)
+        patch.setattr(contexts_module, "_PER_CONTEXT_MIN_DIM", 0)
+        screened, bound = _commutation_failures(contexts, stacks, tols)
+    assert screened == broadcast
+    if screened:
+        return
+    for a, b in itertools.combinations(range(n_times), 2):
+        worst = np.abs(commutators(stacks[a][:, None], stacks[b][None, :])).max()
+        assert worst <= bound, (worst, bound)
 
 
 @given(
@@ -797,8 +847,9 @@ def test_blocked_gmh_check_matches_the_full_gram(d, n_times, shared, seed, rank)
     rng, h, contexts = drawn_contexts(d, n_times, shared, seed)
     family = HistoryFamily(contexts, h, 0.0, low_rank_density(rng, d, min(rank, d)))
     with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(histories_module, "_PER_CONTEXT_MIN_DIM", 0)
         full = full_gram_report(family, DEFAULT_TOLERANCES, monkeypatch)
-    blocked = gmh_check(family)
+        blocked = gmh_check(family)
     assert blocked.verdict == full.verdict
     assert [v[:2] for v in blocked.violations] == [v[:2] for v in full.violations]
     _, _, slack = unpruned_gmh(family, DEFAULT_TOLERANCES)
@@ -811,12 +862,17 @@ def test_blocked_gmh_check_matches_the_full_gram(d, n_times, shared, seed, rank)
         assert abs(blocked.probabilities[label] - want) <= slack[label]
 
 
-@pytest.mark.parametrize("case", ["default", "negative-consist", "loose-last-context"])
+@pytest.mark.parametrize(
+    "case", ["default", "negative-consist", "loose-last-context", "below-the-dimension"]
+)
 def test_last_atom_blocks_need_the_certificate(case, rng, monkeypatch):
-    # the gram is taken in last-atom blocks only when the certificate clears
+    # the gram is taken in last-atom blocks only from the screen dimension on
+    # and when the certificate clears
     h = random_hermitian(rng, 4)
     contexts = shared_basis_contexts(rng, 4, 3, h, parts=2)
     tols = DEFAULT_TOLERANCES
+    if case != "below-the-dimension":
+        monkeypatch.setattr(histories_module, "_PER_CONTEXT_MIN_DIM", 4)
     if case == "negative-consist":
         tols = tols.updated(consist=-1.0)
     elif case == "loose-last-context":
