@@ -37,6 +37,7 @@ from .linop import (
     check_projector_stack,
     commutator_residuals,
     evolution_operator,
+    frobenius_squares,
     max_entry_norm,
     ordered_products,
 )
@@ -265,12 +266,12 @@ def _exclusivity_residual(mats: np.ndarray, tol: float) -> float:
 _EPS = float(np.finfo(float).eps)
 
 
-# The per-context paths (the commutation screen here, the last-atom grams of
-# ``histories.gmh_check``) run from this dimension on.  Each replaces one
-# broadcast call by a few dozen small numpy calls, which costs more than it
-# saves below it: measured crossover between d = 16 and d = 32 on the
-# multi_time shapes, see ROADMAP.md.
-_PER_CONTEXT_MIN_DIM = 24
+# The pairwise commutation check takes one atom of context a at a time when
+# the broadcast call's four (k_a, k_b, d, d) temporaries would each hold more
+# entries than this (1 MiB): below it the one broadcast call is faster,
+# above it the temporaries leave the cache.  Measured crossover between
+# 63 504 and 82 944 entries, see ROADMAP.md.
+_BROADCAST_MAX_ENTRIES = 2**16
 
 
 def _gemm_rounding(dim: int) -> float:
@@ -279,194 +280,161 @@ def _gemm_rounding(dim: int) -> float:
     return 4 * (dim + 2) * _EPS
 
 
-def _translated_laws(dim: int, delta: float) -> float:
-    """l = 1.01 d delta' + 16 d g, delta' = (1 + 4 eps) delta + 3 g: a bound in
-    operator norm on every law residual (|S - S^dag|, |S^2 - S|, |S_i S_j|
-    within one context, |sum_i S_i - I|) of translated atom stacks whose
-    input contexts measured theirs within delta in max entry; see
-    ``_joint_atoms``."""
-    g = _gemm_rounding(dim)
-    return 1.01 * dim * ((1 + 4 * _EPS) * delta + 3 * g) + 16 * dim * g
+class _JointBasis(NamedTuple):
+    """One ``eigh`` of Z and what it certifies (``_joint_atoms``)."""
+
+    vectors: np.ndarray  # the eigenvectors of Z, one per column
+    positions: np.ndarray  # their eigenvalues rounded to integers, ascending
+    pairs: list[float]  # per context pair, >= every residual of the pairwise check
+    gap: float  # >= |E_p - fl(A_p)| for every label position p
+
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kept atoms E_p, each the sum of the outer products of the
+        eigenvectors at position p, and their positions, ascending."""
+        starts = np.flatnonzero(np.diff(self.positions, prepend=-1.0))
+        outer = self.vectors.T[:, :, None] * self.vectors.T.conj()[:, None, :]
+        return np.add.reduceat(outer, starts, axis=0), self.positions[starts].astype(np.int64)
 
 
-def _frobenius(matrices: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of an (n, d, d) stack."""
-    flat = np.ascontiguousarray(matrices).reshape(len(matrices), -1).view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+def _joint_atoms(stacks: Sequence[np.ndarray]) -> _JointBasis:
+    """The joint eigenbasis of translated (k_t, d, d) stacks S_{t,i} and the
+    certificate that reads their composed atoms from it.
 
-
-def _label_sums(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """X_t = sum_i i S_{t,i} of each translated (k_t, d, d) stack."""
-    return [
-        (np.arange(len(stack), dtype=float) @ stack.reshape(len(stack), -1)).reshape(
-            stack.shape[1:]
-        )
-        for stack in stacks
-    ]
-
-
-class _ScreenTerms(NamedTuple):
-    """Step 2 of ``_screen_bound`` for one translated stack."""
-
-    x: float  # >= |X - c I|_F
-    w: float  # >= |X|_F
-    xi: float  # >= |X - X^|_F and >= the rounding of X^ - c I
-    eta: float
-    eps: float  # >= |H_i - E_i| for every atom
-    h: float
-    kappa: float
-    s: float  # >= |S_i|_F for every atom
-
-
-def _screen_terms(stack: np.ndarray, total: np.ndarray) -> _ScreenTerms | None:
-    """Step 2 of ``_screen_bound`` for one translated (k, d, d) stack and its
-    label sum X^, or None when its laws are too loose for the step.  Costs
-    one GEMM, the defect S_i (X^ - c) - (i - c) S_i of every atom."""
-    k, dim = len(stack), stack.shape[-1]
-    g = _gemm_rounding(dim)
-    c = (k - 1) / 2
-    shifted = total - c * np.eye(dim)
-    defects = (stack.reshape(k * dim, dim) @ shifted).reshape(stack.shape)
-    defects -= (np.arange(k) - c)[:, None, None] * stack
-    sigma = 1 + 2 * dim * dim * _EPS
-    sizes = (sigma * _frobenius(stack)).tolist()
-    defect = sigma * float(_frobenius(defects).max())
-    h = sigma * float(_frobenius(stack - stack.conj().swapaxes(1, 2)).max())
-    x_hat, w_hat, loss = (
-        sigma * _frobenius(np.stack([shifted, total, stack.sum(axis=0) - np.eye(dim)]))
-    ).tolist()
-    s = max(sizes)
-    xi = k * _EPS * sum(i * v for i, v in enumerate(sizes)) + _EPS * x_hat
-    x, w = x_hat + xi, w_hat + xi
-    loss += k * _EPS * sum(sizes)
-    kappa = k * c
-    phi = (
-        (1 + _EPS) * defect
-        + s * (xi + g * x + k * _EPS)
-        + h / 2 * (x + c + kappa * (s + 2 * h))
-    )
-    eta = k * phi / (1 - loss)
-    # written so that NaN fails
-    if not (loss < 0.5 and eta <= 0.25):
-        return None
-    eps = loss + (_label_spread(k) + 3) * phi / (1 - eta)
-    return _ScreenTerms(x, w, xi, eta, eps, h, kappa, s)
-
-
-def _label_spread(k: int) -> float:
-    """max_i sum_{n != i} 1 / |n - i| over labels i < k, reached at the middle."""
-    return sum(1 / m for m in range(1, k - k // 2)) + sum(1 / m for m in range(1, k // 2 + 1))
-
-
-def _screen_bound(commutator: float, a: _ScreenTerms, b: _ScreenTerms, dim: int) -> float:
-    """The commutation screen of two translated stacks S_i (context a) and
-    T_j (context b): from the measured |[X^_a, X^_b]|_F, a bound
-    on every [S_i, T_j] in Frobenius, hence in operator and max-entry norm,
-    and on every residual ``commutator_residuals`` computes for them.  It
-    costs one commutator of two d x d matrices per context pair and one
-    GEMM per stack (``_screen_terms``), against 2 k_a k_b products.
-
-    Below S_i (i < k) is one stack as stored, X = sum_i i S_i summed
-    exactly, X^ its ``_label_sums`` matrix, c = (k - 1)/2, |.| the operator
-    and |.|_F the Frobenius norm, and g = 4 (d + 2) eps, so fl(A B) is within
-    g |A|_F |B|_F of A B in |.|_F and within g |row| |column| in each entry.
-    Measured norms carry a factor 1 + 2 d^2 eps for their rounding.
-
-    1. Exact families.  For a Hermitian Y with every eigenvalue within
-       eta < 1/2 of an integer, let E_i project onto those near i.  In Y's
-       eigenbasis the entries of [E_i, M] and [Y, M] are (f(y) - f(y')) M
-       and (y - y') M, with f the indicator of i, which only changes across
-       a gap of at least 1 - 2 eta, so |[E_i, M]|_F <= |[Y, M]|_F / (1 - 2 eta)
-       for every M.  An exact family has Y = X, eta = 0 and E_i = S_i, and
-       applied once per side, |[P_i, Q_j]|_max <= |[P_i, Q_j]|_F <=
-       |[X_a, Q_j]|_F <= |[X_a, X_b]|_F.  Gaps below 1 (weights i/2) break it.
-    2. One stack as stored (``_screen_terms``).  Let H_i be the Hermitian
-       parts, X_H = sum_i i H_i, h >= |S_i - S_i^dag| and
-       l >= |sum_i S_i - I| (measured in |.|_F, l with the rounding of the
-       sum), s >= |S_i|_F, kappa = k (k - 1)/2, and phi >= |F_i| for
-       F_i = H_i X_H - i H_i = H_i (X_H - c) - (i - c) H_i.  phi is measured
-       as the largest |.|_F of S_i (X^ - c) - (i - c) S_i, one GEMM on the
-       stack, plus s (xi + g |X - c|_F + k eps) for its rounding, where
-       xi = k eps sum_i i |S_i|_F + eps |X^ - c|_F bounds that of X^, plus
-       h/2 (|X - c|_F + c + kappa (s + 2 h)) for the Hermitian parts.  Then
-       - X_H v = lambda v, |v| = 1, gives (lambda - i) H_i v = F_i v, and
-         |H_i v| >= (1 - l)/k for some i, so every eigenvalue of X_H is
-         within eta = k phi / (1 - l) of an integer in [0, k);
-       - X_H - n is invertible on the range of E_m, m != n, so
-         H_n E_m = F_n (X_H - n)^-1 E_m has |H_n E_m| <= phi / (|n - m| - eta),
-         and likewise |H_i (I - E_i)| <= phi / (1 - eta);
-       - E_i H_i E_i = E_i + E_i (sum_n H_n - I) E_i - sum_{n != i} E_i H_n E_i,
-         and 1 / (m - eta) <= 1 / (m (1 - eta)) for m >= 1, so with
-         h_k = max_i sum_{n != i} 1 / |n - i|, every |H_i - E_i| is within
-         eps = l + (h_k + 3) phi / (1 - eta).
-       With |S_i - H_i| <= h/2, |X - X_H| <= kappa h/2 and step 1 for X_H,
-         |[S_i, M]|_F <= (|[X, M]|_F + kappa h |M|_F) / (1 - 2 eta)
-                         + (2 eps + h) |M|_F          for every M.
-       The step needs eta <= 1/4 and l < 1/2; a stack beyond that clears
-       nothing.
-    3. Two stacks.  The measured commutator is within 2 g |X_a|_F |X_b|_F
-       + 2 (xi_a |X_b|_F + |X_a|_F xi_b) of |[X_a, X_b]|_F, which is also
-       |[X_a - c_a I, X_b]|_F.  Step 2 for b with M = X_a - c_a I bounds
-       tau >= |[T_j, X_a]|_F for every j, and step 2 for a with M = T_j
-       bounds every |[S_i, T_j]|_F from tau.
-    4. The check's own rounding.  fl(S_i T_j) is within g |S_i| |T_j| of
-       S_i T_j in each entry, |S_i| <= 1 + eps + h/2, so the residual the
-       check computes is at most (1 + 2 eps)(|[S_i, T_j]|_max +
-       2 g |S_i| |T_j|): a pair within ``tols.commute`` here passes it.
+    Z = sum_t W_t X_t with X_t = sum_i i S_{t,i} and W_t the product of the
+    later sizes k_s.  On a joint eigenvector of an exactly commuting family,
+    Z reads pos(a) = sum_t W_t a_t, the position of label a in
+    ``itertools.product`` order, so the digit of context t at position p is
+    a_t(p) = floor(p / W_t) mod k_t.  One ``eigh`` of Z gives V, and its
+    eigenvalues rounded to integers give each column m a position p_m.  The
+    kept atoms E_p (``_JointBasis.atoms``) sum the outer products of the
+    columns at p: Hermitian, idempotent, exclusive and complete by
+    construction.  Whether they are the atoms of these stacks is measured,
+    not derived (``_basis_bounds``).
     """
+    sizes = [len(stack) for stack in stacks]
+    weights = np.cumprod([1, *sizes[:0:-1]])[::-1].tolist()
+    every = np.concatenate(stacks)
+    coefficients = np.concatenate([w * np.arange(k) for w, k in zip(weights, sizes)])
+    values, vectors = np.linalg.eigh(np.tensordot(coefficients, every, axes=1))
+    positions = np.rint(values)
+    return _JointBasis(vectors, positions, *_basis_bounds(every, sizes, vectors, positions))
+
+
+def _basis_bounds(
+    every: np.ndarray, sizes: Sequence[int], vectors: np.ndarray, positions: np.ndarray
+) -> tuple[list[float], float]:
+    """The certificate of a basis V (``vectors``) whose columns carry label
+    ``positions``, for the translated stacks concatenated in ``every``, k_t
+    atoms each: the pair bounds and the atom gap of ``_JointBasis``.
+
+    Below |.| is the operator and |.|_F the Frobenius norm, D_{t,i} the 0/1
+    diagonal of the columns whose digit a_t is i, and g = 4 (d + 2) eps.
+
+    1. Measured, each with the rounding of its norm: f >= |V^dag V - I|
+       from its largest absolute row sum (which bounds the operator norm of
+       a Hermitian matrix), one GEMM plus d g (1 + f) for its rounding, as
+       |V|_F^2 <= d (1 + f) = u^2; and the norm m_{t,i} of the computed
+       S_{t,i} V - V D_{t,i}, one GEMM of all stacks by V.
+    2. With f < 1, |V| <= sqrt(1 + f) and |V^-1| <= w = 1 / sqrt(1 - f).
+       The GEMM rounds by g |S|_F u, and |S|_F <= (r + u) w for
+       r = |S V - V D|_F, so r <= (m + g u^2 w) / (1 - g u w).  The
+       P'_{t,i} = V D_{t,i} V^-1 commute exactly, |P'| <= c =
+       sqrt((1 + f) / (1 - f)), and S_{t,i} - P'_{t,i} =
+       (S_{t,i} V - V D_{t,i}) V^-1 has |.|_F <= rho_t = w max_i r_{t,i}.
+    3. Pairs.  With S = P' + E and T = Q' + F, [S, T] = [E, Q'] + [P', F]
+       + [E, F], so |[S_i, T_j]|_max <= |[S_i, T_j]|_F <=
+       2 (c (rho_a + rho_b) + rho_a rho_b).  The pairwise check's own
+       products round by g |S| |T| in each entry, |S| <= c + rho, so a pair
+       bound within ``tols.commute`` means that check would pass every
+       residual of the pair.
+    4. Atoms.  A position p < N names one label a, and P'_{1,a_1} ...
+       P'_{T,a_T} = V D_p V^-1, D_p the columns at p (zero where none
+       sits).  Telescoping, the product A_p = S_{1,a_1} ... S_{T,a_T} is
+       within T s^(T-1) max rho of it, s = c + max rho, and
+       |V D_p V^dag - V D_p V^-1| <= |V| |V^dag V - I| |V^-1| <= f c.
+       ``ordered_products`` rounds A_p by at most 1.01 (T - 1) d g s^T and
+       the sums of outer products round E_p by (d + 4) eps d (1 + f).  The
+       gap adds these four terms: every kept E_p is within it of fl(A_p),
+       and every dropped product within it of zero.
+
+    A position that is not finite or not in [0, N), or f >= 1, certifies
+    nothing: both bounds are infinite.  A final 1 + 16 eps covers the
+    rounding of the pairwise check's subtraction and of the bounds.
+    """
+    n_times, dim = len(sizes), every.shape[-1]
     g = _gemm_rounding(dim)
-    exact = (
-        (1 + 2 * dim * dim * _EPS) * commutator
-        + 2 * g * a.w * b.w
-        + 2 * (a.xi * b.w + a.w * b.xi)
+    overlap = np.abs(vectors.conj().T @ vectors - np.eye(dim)).sum(axis=1).max()
+    f = ((1 + (dim + 8) * _EPS) * float(overlap) + dim * g) / (1 - dim * g)
+    # written so that NaN fails; the positions are ascending
+    if not (f < 1 and 0 <= positions[0] and positions[-1] < math.prod(sizes)):
+        return [math.inf] * (n_times * (n_times - 1) // 2), math.inf
+    weights = np.cumprod([1, *sizes[:0:-1]])[::-1]
+    digits = positions.astype(np.int64) // weights[:, None] % np.array(sizes)[:, None]
+    starts = np.cumsum([0, *sizes[:-1]])
+    # rows[t, m]: the atom of context t that the digit of column m names
+    rows = starts[:, None] + digits
+    defects = (every.reshape(-1, dim) @ vectors).reshape(every.shape)
+    defects[rows, :, np.arange(dim)] -= vectors.T
+    squares = frobenius_squares(defects).tolist()
+    sigma = 1 + (2 * dim * dim + 2) * _EPS
+    u, w = math.sqrt(dim * (1 + f)), 1 / math.sqrt(1 - f)
+    rho = [
+        w * (sigma * math.sqrt(max(squares[t : t + k])) + g * u * u * w) / (1 - g * u * w)
+        for t, k in zip(starts.tolist(), sizes)
+    ]
+    c = math.sqrt((1 + f) / (1 - f))
+    pairs = [
+        (1 + 16 * _EPS) * (2 * (c * (a + b) + a * b) + 2 * g * (c + a) * (c + b))
+        for a, b in itertools.combinations(rho, 2)
+    ]
+    s = c + max(rho)
+    gap = (1 + 16 * _EPS) * (
+        n_times * s ** (n_times - 1) * max(rho)
+        + f * c
+        + 1.01 * (n_times - 1) * dim * g * s**n_times
+        + (dim + 4) * _EPS * dim * (1 + f)
     )
-    tau = (exact + b.kappa * b.h * a.x) / (1 - 2 * b.eta) + (2 * b.eps + b.h) * a.x
-    pair = (tau + a.kappa * a.h * b.s) / (1 - 2 * a.eta) + (2 * a.eps + a.h) * b.s
-    norms = (1 + a.eps + a.h / 2) * (1 + b.eps + b.h / 2)
-    return (1 + 2 * _EPS) * (pair + 2 * g * norms)
+    return pairs, gap
 
 
 def _commutation_failures(
     contexts: Sequence[Context],
     stacks: Sequence[np.ndarray],
     tols: Tolerances,
-) -> tuple[list[tuple[tuple[int, str], tuple[int, str], float]], float]:
+) -> tuple[list[tuple[tuple[int, str], tuple[int, str], float]], _JointBasis | None]:
     """Every translated atom pair whose commutator exceeds ``tols.commute``,
-    and, when there is none, a bound e on every cross-context commutator in
-    operator norm.
+    and the joint basis (``_joint_atoms``) when it was taken.
 
-    From d = ``_PER_CONTEXT_MIN_DIM`` on, a context pair that the screen
-    (``_screen_bound``, from the measured defects of both stacks,
-    ``_screen_terms``, once per stack) clears within ``tols.commute`` has no
-    failing pair and adds its screen value to e.  The screen is at least the
-    measured |[X_a, X_b]|_F, so only a pair with that within
-    ``tols.commute`` is screened.  Every other pair runs the pairwise
-    check, from that d on one atom of context a at a time against the whole
-    stack of b, which avoids four (k_a, k_b, d, d) temporaries: the
-    residuals are those of one broadcast check, bit for bit.  e takes
-    d ((1 + 4 eps) r + 3 g) from the largest residual r of a checked pair
-    (the check's rounding, ``_screen_bound`` step 4).
+    With X_t = sum_i i S_{t,i}, an exactly commuting family has
+    [X_a, X_b] = 0, so only when every |[X_a, X_b]|_F is within
+    ``tols.commute`` is the ``eigh`` taken here: a family that fails at the
+    label sums never pays for it.  A context pair whose certificate bound
+    is within ``tols.commute`` has no failing pair.  Every other pair runs
+    the pairwise check: one broadcast call, or one atom of context a at a
+    time against the whole stack of b when the broadcast's temporaries
+    would exceed ``_BROADCAST_MAX_ENTRIES`` entries; the residuals are the
+    same bit for bit.
     """
     dim = stacks[0].shape[-1]
-    screened = dim >= _PER_CONTEXT_MIN_DIM
-    sums = _label_sums(stacks) if screened else None
-    measured: dict[int, _ScreenTerms | None] = {}
-    failures, bound = [], 0.0
-    for a, b in itertools.combinations(range(len(stacks)), 2):
-        if not screened:
+    # X_t = sum_i i S_{t,i}
+    sums = [np.tensordot(np.arange(len(stack), dtype=float), stack, axes=1) for stack in stacks]
+    pairs = list(itertools.combinations(range(len(stacks)), 2))
+
+    def label_commutator(a, b):
+        commutator = sums[a] @ sums[b] - sums[b] @ sums[a]
+        return math.sqrt(np.vdot(commutator, commutator).real)
+
+    basis = None
+    if all(label_commutator(a, b) <= tols.commute for a, b in pairs):
+        basis = _joint_atoms(stacks)
+    bounds = [math.inf] * len(pairs) if basis is None else basis.pairs
+    failures = []
+    for (a, b), bound in zip(pairs, bounds):
+        if bound <= tols.commute:
+            continue
+        if len(stacks[a]) * len(stacks[b]) * dim * dim <= _BROADCAST_MAX_ENTRIES:
             residuals = commutator_residuals(stacks[a][:, None], stacks[b][None, :])
         else:
-            commutator = sums[a] @ sums[b] - sums[b] @ sums[a]
-            commutator = math.sqrt(np.vdot(commutator, commutator).real)
-            if commutator <= tols.commute:
-                for t in (a, b):
-                    if t not in measured:
-                        measured[t] = _screen_terms(stacks[t], sums[t])
-                if measured[a] is not None and measured[b] is not None:
-                    screen = _screen_bound(commutator, measured[a], measured[b], dim)
-                    if screen <= tols.commute:
-                        bound = max(bound, screen)
-                        continue
             residuals = np.stack([commutator_residuals(atom, stacks[b]) for atom in stacks[a]])
         for i, j in zip(*np.nonzero(residuals > tols.commute)):
             failures.append(
@@ -476,124 +444,25 @@ def _commutation_failures(
                     float(residuals[i, j]),
                 )
             )
-        if not failures:
-            worst = float(residuals.max())
-            bound = max(bound, dim * ((1 + 4 * _EPS) * worst + 3 * _gemm_rounding(dim)))
-    return failures, bound
-
-
-def _joint_atoms(
-    stacks: Sequence[np.ndarray], commutator: float, delta: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The composed atoms of commuting translated (k_t, d, d) stacks as the
-    spectral projectors of one observable, or None when the bound below
-    does not place its spectrum on the label positions.
-
-    Z = sum_t W_t X_t with X_t = sum_i i S_{t,i} and W_t the product of the
-    later sizes k_s.  On a joint eigenvector of an
-    exactly commuting family, Z reads pos(a) = sum_t W_t a_t, the position
-    of label a in ``itertools.product`` order.  One ``eigh`` of Z,
-    eigenvalues rounded to the nearest integer, gives the kept positions
-    (ascending) and their atoms, each the sum of the outer products of its
-    adjacent eigenvectors: Hermitian, idempotent, exclusive and complete by
-    construction.  None is returned when eta (step 2 below, from the
-    ``commutator`` bound e of ``_commutation_failures`` and the largest
-    context law residual ``delta``) exceeds 1/4, or when an eigenvalue is
-    not finite or lies more than 1/4 from a position in [0, N),
-    N = prod k_t.
-
-    How close this comes to the products A_a = S_{1,a_1} ... S_{T,a_T}.
-    Below |.| is the operator norm, e a bound on every cross-context
-    commutator in it, l a bound on every law residual of the stacks in
-    operator norm (|S - S^dag|, |S^2 - S|, |S_i S_j| within one context,
-    |sum_i S_i - I|; conjugation by a checked unitary keeps the laws of
-    the input contexts, so l <= 1.01 d delta' + 16 d g for input residuals
-    measured as delta in max entry, delta' = (1 + 4 eps) delta + 3 g, with
-    g = 4 (d + 2) eps), s = (1 + 3 l)^T a bound on the norm of a product,
-    kappa_t = k_t (k_t - 1)/2 and K = sum_t W_t kappa_t <= max k (N - 1)/2.
-
-    1. Residual.  Moving X_t leftwards past S_{T,a_T}, ..., S_{t+1,a_{t+1}}
-       costs at most kappa_t e per factor, and S_{t,a_t} X_t is a_t S_{t,a_t}
-       within kappa_t l.  ``eigh`` reads the Hermitian matrix Z' given by
-       Z's lower triangle, within sqrt(d) |Z - Z^dag| <= sqrt(d) K l of Z,
-       and forming Z rounds by at most rho = 2 d (sum_t k_t) K eps.
-       So |A_a Z' - pos(a) A_a| <= r = s K ((T - 1) e + (1 + sqrt(d)) l) + rho.
-    2. Eigenvalues.  The nested sums give sum_a A_a^dag A_a >= (1 - phi) I
-       with phi = T (2.01 max k + 1) l.  For Z' v = lambda v, |v| = 1,
-       (pos(a) - lambda) A_a v = (pos(a) A_a - A_a Z') v, so
-       sum_a (pos(a) - lambda)^2 |A_a v|^2 <= N r^2, and some label has
-       |pos(a) - lambda| <= eta = r sqrt(N / (1 - phi)) + d g N, the last
-       term the backward error of ``eigh`` on a matrix of norm about N.
-    3. Atoms.  With eta <= 1/4, let E_p project onto the eigenvalues within
-       1/4 of p = pos(a).  Every other eigenvalue lies at least m - eta from
-       p, m >= 1 the distance of its position, so |A_a (I - E_p)| <=
-       r / (1 - eta) and |A_b E_p| <= r / (|pos(b) - p| - eta) for b != a
-       (each m occurs at most twice).  With E_p = sum_b A_b E_p +
-       (I - sum_b A_b) E_p and |sum_b A_b - I| <= 1.01 T l,
-
-           |E_p - A_a| <= 4/3 r (3 + 2 ln N) + 1.01 T l,
-
-       and rounding adds 4 d g N (the eigenvectors, over a gap of at least
-       1/2) and 1.02 (T - 1) d g (the products of ``ordered_products``).
-       Each probability Tr(rho E_p) then moves by at most as much.
-
-    Only with eta <= 1/4 do the rounded eigenvalues name the labels, so a
-    larger eta takes the products, whatever the spectrum: at a loosened
-    ``commute`` a non-commuting family can have every eigenvalue of Z
-    within 1/4 of a position (z then a direction 150 degrees away: Z's
-    eigenvalues are 2.13 and 0.87).  At the default tolerances eta stays
-    far below 1/4 on every multi_time shape, d <= 32 with N <= 81, and on
-    9^4 atoms at d = 32 with commutators near rounding.
-    """
-    sizes = [len(stack) for stack in stacks]
-    dim, n_times = stacks[0].shape[-1], len(sizes)
-    count = math.prod(sizes)
-    g = _gemm_rounding(dim)
-    weights = np.cumprod([1, *sizes[:0:-1]])[::-1].tolist()
-    laws = _translated_laws(dim, delta)
-    pairs = sum(w * k * (k - 1) / 2 for w, k in zip(weights, sizes))
-    residual = (1 + 3 * laws) ** n_times * pairs * (
-        (n_times - 1) * commutator + (1 + math.sqrt(dim)) * laws
-    ) + 2 * dim * sum(sizes) * pairs * _EPS
-    spread = n_times * (2.01 * max(sizes) + 1) * laws
-    # written so that NaN fails
-    if not (
-        spread < 1
-        and residual * math.sqrt(count / (1 - spread)) + dim * g * count <= 0.25
-    ):
-        return None
-    coefficients = np.concatenate([w * np.arange(k) for w, k in zip(weights, sizes)])
-    values, vectors = np.linalg.eigh(
-        np.tensordot(coefficients, np.concatenate(stacks), axes=1)
-    )
-    positions = np.rint(values)
-    if not (
-        np.all(np.abs(values - positions) <= 0.25)
-        and 0 <= positions[0]
-        and positions[-1] < count
-    ):
-        return None
-    starts = np.flatnonzero(np.diff(positions, prepend=-1.0))
-    outer = vectors.T[:, :, None] * vectors.T.conj()[:, None, :]
-    return np.add.reduceat(outer, starts, axis=0), positions[starts].astype(np.int64)
+    return failures, basis
 
 
 class GeneralizedContext:
     """Contexts at several times whose atoms commute at a common time.
 
     Construction translates every atom to ``ref_time`` and requires all
-    cross-context commutators to vanish within ``tols.commute``: from
-    d = ``_PER_CONTEXT_MIN_DIM`` on, a context pair is cleared by one
-    commutator of its label sums where the screen's bound allows, and every
-    other pair is checked atom pair by atom pair
-    (``_commutation_failures``).  The
-    commuting translated contexts are then one context at ``ref_time``: its
-    composed atoms, labelled in the ``itertools.product`` order of the
-    context labels, are the spectral projectors of one observable, taken
-    from a single ``eigh`` (``_joint_atoms``, which also bounds how far they
-    sit from the products of the translated atoms, earliest time leftmost).
-    They are projectors, exclusive and complete by construction, so none of
-    these laws is checked again.
+    cross-context commutators to vanish within ``tols.commute``
+    (``_commutation_failures``).  The commuting translated contexts are then
+    one context at ``ref_time``: its composed atoms, labelled in the
+    ``itertools.product`` order of the context labels, are the spectral
+    projectors of one observable, taken from a single ``eigh``
+    (``_joint_atoms``).  The same ``eigh`` carries a measured certificate:
+    how far each context's atoms are from being diagonal in its eigenbasis.
+    That bounds every cross-context commutator, so a context pair it clears
+    skips the pairwise check, and how far each composed atom sits from the
+    product of its translated atoms, earliest time leftmost.  The atoms are
+    projectors, exclusive and complete by construction, so none of these
+    laws is checked again.
 
     There are prod |ctx| composed atoms, but their ranks sum to d, so most
     of them are zero: only the positions that carry an eigenvalue are kept.
@@ -601,11 +470,9 @@ class GeneralizedContext:
     ``property_projector`` skip it and ``composed_atoms`` maps it to a zero
     projector.
 
-    Only when the derived eta of ``_joint_atoms`` exceeds 1/4, or an
-    eigenvalue is not finite or lies more than 1/4 from every label
-    position (which that bound rules out at the default tolerances for 81
-    atoms at d = 32, and which in practice takes a loosened ``commute``),
-    are the atoms built as products instead.
+    Only when that certified distance exceeds 1/4, or an eigenvalue is not
+    finite or does not round to a label position (which in practice takes a
+    loosened ``commute``), are the atoms built as products instead.
     ``linop.ordered_products`` builds them one context at a time and drops a
     prefix whose Frobenius norm is below
     ``min(tols.proj, tols.herm, linop.PRUNE_CEILING) / 2`` with all its
@@ -630,7 +497,7 @@ class GeneralizedContext:
         tols: Tolerances = DEFAULT_TOLERANCES,
     ):
         contexts, translated = translate_contexts(contexts, ref_time, hamiltonian, hbar)
-        failures, commutator = _commutation_failures(contexts, translated, tols)
+        failures, basis = _commutation_failures(contexts, translated, tols)
         if failures:
             raise IncompatibleContexts(
                 f"{len(failures)} translated atom pair(s) fail to commute "
@@ -639,9 +506,11 @@ class GeneralizedContext:
                 failures,
             )
 
-        delta = max(ctx.law_residual for ctx in contexts)
-        joint = _joint_atoms(translated, commutator, delta)
-        if joint is None:
+        if basis is None:
+            basis = _joint_atoms(translated)
+        if basis.gap <= 0.25:
+            joint = basis.atoms()
+        else:
             # left-nested ((P_0 P_1) P_2)..., in itertools.product order
             joint = ordered_products(translated, tol=min(tols.proj, tols.herm))
             total = functools.reduce(
@@ -777,6 +646,11 @@ class CompositeProperty:
             )
         self._parent = parent
         self._selected = selected
+        # kept-atom rows of the selection in ascending (grid) order, so every
+        # sum over a selection adds its atoms in one fixed order; a dropped
+        # atom is zero and adds nothing
+        rows = (parent._index[label] for label in selected)
+        self._rows = sorted(row for row in rows if row is not None)
 
     @property
     def parent(self) -> GeneralizedContext:
@@ -797,21 +671,13 @@ def _require_same_parent(a: CompositeProperty, b: CompositeProperty) -> None:
         )
 
 
-def _kept_rows(prop: CompositeProperty) -> list[int]:
-    """Kept-atom rows of the selected label tuples in ascending (grid) order,
-    so every sum over a selection adds its atoms in one fixed order; a
-    dropped atom is zero and adds nothing."""
-    rows = (prop.parent._index[label] for label in prop.selected)
-    return sorted(row for row in rows if row is not None)
-
-
 def property_projector(
     prop: CompositeProperty, *, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> Projector:
     """Projector represented by the property: the sum of its composed atoms."""
     gc = prop.parent
     total = np.zeros((gc.dim, gc.dim), dtype=np.complex128)
-    for row in _kept_rows(prop):
+    for row in prop._rows:
         total += gc._atoms[row]
     return Projector(total, tols=tols)
 
@@ -833,7 +699,7 @@ def composite_probability(
     if rho.dim != gc.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs context dim {gc.dim}")
     value = 0.0
-    for row in _kept_rows(prop):
+    for row in prop._rows:
         # Re Tr(rho Pi) = Re Tr(Pi^dag rho) for Hermitian rho: O(d^2), no product
         value += float(np.vdot(gc._atoms[row], rho.matrix).real)
     if value < -tols.prob or value > 1.0 + tols.prob:

@@ -21,12 +21,10 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .contexts import (
     _EPS,
-    _PER_CONTEXT_MIN_DIM,
     Context,
     GeneralizedContext,
     LabelTuple,
     _gemm_rounding,
-    _translated_laws,
     translate_contexts,
 )
 from .errors import (
@@ -300,13 +298,32 @@ def consistency_traces(e1, e1_bar, e2, rho) -> np.ndarray:
     return np.trace(product, axis1=-2, axis2=-1)
 
 
+# ``gmh_check`` forms the grams of the histories that share a last atom, one
+# last atom at a time, from this dimension on.  Each block costs a few dozen
+# small numpy calls where the full gram is one or two, which costs more than
+# it saves below it: measured crossover between d = 16 and d = 32 on the
+# multi_time shapes, see ROADMAP.md.
+_PER_CONTEXT_MIN_DIM = 24
+
+
+def _translated_laws(dim: int, delta: float) -> float:
+    """l = 1.01 d delta' + 16 d g, delta' = (1 + 4 eps) delta + 3 g: a bound in
+    operator norm on every law residual (|S - S^dag|, |S^2 - S|, |S_i S_j|
+    within one context, |sum_i S_i - I|) of translated atom stacks whose
+    input contexts measured theirs within delta in max entry: conjugation by
+    a checked unitary keeps the laws of the input contexts, up to its
+    rounding."""
+    g = _gemm_rounding(dim)
+    return 1.01 * dim * ((1 + 4 * _EPS) * delta + 3 * g) + 16 * dim * g
+
+
 def _cross_block_bound(dim: int, times: int, delta: float, rho: np.ndarray) -> float:
     """A bound on every gram entry ``gmh_check`` would compute for two
     histories that end in different atoms Q_j, Q_j' of the last context.
 
     Below |.| is the operator norm, |.|_F the Frobenius norm,
     g = 4 (d + 2) eps (``contexts._gemm_rounding``), and l
-    (``contexts._translated_laws`` of delta, the largest context law
+    (``_translated_laws`` of delta, the largest context law
     residual) bounds every law residual of the translated atoms in |.|, so
     |Q| <= 1 + 3 l and a computed prefix A = fl(P_{T-1} ... P_1) has
     |A| <= p = ((1 + 3 l)(1 + d g))^(T - 1).
@@ -349,7 +366,7 @@ def _last_atom_grams(
 ) -> list[tuple[np.ndarray, np.ndarray]] | None:
     """The grams of the histories that share a last atom, one per last atom
     Q_j, each with the label-grid positions of its rows; or None unless
-    d >= ``contexts._PER_CONTEXT_MIN_DIM``, the family has at least two
+    d >= ``_PER_CONTEXT_MIN_DIM``, the family has at least two
     times and ``_cross_block_bound`` clears within ``tol``.
 
     Block j holds the histories Q_j A for the pruned earlier prefixes A of
@@ -399,7 +416,7 @@ def gmh_check(
 
     Histories that end in different atoms of the last context have a
     vanishing functional for an exclusive last family.  From
-    d = ``contexts._PER_CONTEXT_MIN_DIM`` on, when ``_cross_block_bound``
+    d = ``_PER_CONTEXT_MIN_DIM`` on, when ``_cross_block_bound``
     places every such entry within ``tols.consist``, only the grams of the
     histories of one last atom are formed, one last atom at a time
     (``_last_atom_grams``); otherwise it is the gram of all kept histories.

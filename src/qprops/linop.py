@@ -47,6 +47,7 @@ __all__ = [
     "stack_matmul",
     "ordered_products",
     "kept_products",
+    "frobenius_squares",
     "subspace_inclusion",
     "max_entry_norm",
     "check_projector_stack",
@@ -531,10 +532,15 @@ def kept_products(products, tol):
     cut = min(tol, PRUNE_CEILING) / 2
     if not cut > 0:
         return None
-    flat = np.ascontiguousarray(products).reshape(len(products), -1)
-    parts = flat.view(np.float64)
-    keep = np.flatnonzero(~(np.einsum("ij,ij->i", parts, parts) < cut**2))
+    keep = np.flatnonzero(~(frobenius_squares(products) < cut**2))
     return keep if keep.size < len(products) else None
+
+
+def frobenius_squares(matrices) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of an (n, d, d) complex stack,
+    one einsum over its float view."""
+    parts = np.ascontiguousarray(matrices).reshape(len(matrices), -1).view(np.float64)
+    return np.einsum("ij,ij->i", parts, parts)
 
 
 def commutators(a, b) -> np.ndarray:

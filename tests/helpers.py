@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from qprops.contexts import Context, GeneralizedContext
@@ -11,7 +9,6 @@ from qprops.linop import (
     DensityOperator,
     HermitianOperator,
     Projector,
-    commutator_residuals,
     evolution_operator,
     max_entry_norm,
 )
@@ -46,41 +43,6 @@ def einsum_exclusivity_residual(mats):
     products = np.einsum("aij,bjk->abik", mats, mats)
     products[np.arange(len(mats)), np.arange(len(mats))] -= mats
     return max_entry_norm(products)
-
-
-def joint_atom_bound(stacks):
-    """(eta, D) of ``contexts._joint_atoms`` for translated (k_t, d, d) stacks:
-    how far an eigenvalue of Z may sit from its label position, and how far
-    a joint atom may sit from the ordered product of its label's atoms, in
-    operator norm.  e and l are measured here, with the rounding of the
-    measurement added, and put into the formulas derived there.
-    """
-    d, n_times = stacks[0].shape[-1], len(stacks)
-    eps = np.finfo(float).eps
-    g = 4 * (d + 2) * eps
-    e = max(
-        (commutator_residuals(a[:, None], b[None, :]).max()
-         for k, a in enumerate(stacks) for b in stacks[k + 1:]),
-        default=0.0,
-    ) * (1 + 4 * eps) + 3 * g
-    laws = []
-    for s in stacks:
-        pairs = s[:, None] @ s[None, :]
-        pairs[np.arange(len(s)), np.arange(len(s))] -= s
-        laws += [s - np.swapaxes(s, -1, -2).conj(), pairs.reshape(-1, d, d),
-                 (s.sum(axis=0) - np.eye(d))[None]]
-    l = max(np.linalg.norm(x, 2, axis=(-2, -1)).max() for x in laws) + 3 * d * g
-    sizes = [len(s) for s in stacks]
-    n = math.prod(sizes)
-    weights = np.cumprod([1, *sizes[:0:-1]])[::-1]
-    k_sum = sum(w * k * (k - 1) / 2 for w, k in zip(weights, sizes))
-    rounding = 2 * d * sum(sizes) * k_sum * eps
-    r = (1 + 3 * l) ** n_times * k_sum * ((n_times - 1) * d * e + (1 + d**0.5) * l) + rounding
-    phi = n_times * (2.01 * max(sizes) + 1) * l
-    eta = r * math.sqrt(n / (1 - phi)) + d * g * n
-    bound = (4 / 3 * r * (3 + 2 * math.log(n)) + 1.01 * n_times * l
-             + 4 * d * g * n + 1.02 * (n_times - 1) * d * g)
-    return eta, bound
 
 
 def random_hermitian(rng, dim, scale=1.0) -> HermitianOperator:

@@ -76,8 +76,9 @@ class TestGcCheck:
     def test_loose_commute_does_not_label_non_commuting_atoms(self, capsys, tmp_path):
         # z then a direction 150 degrees away: every eigenvalue of the joint
         # observable lies within 1/4 of a label position (2.13 and 0.87), but
-        # the commutators (about 0.25) put the derived eta far above 1/4, so
-        # the products are built and fail their projector check
+        # its eigenvectors are far from diagonalizing either context (the
+        # certified gap is about 2), so the products are built and fail
+        # their projector check
         doc = {
             "dimension": 2,
             "initial_time": 0.0,

@@ -7,7 +7,6 @@ from helpers import (
     KET_X_MINUS,
     KET_X_PLUS,
     einsum_exclusivity_residual,
-    joint_atom_bound,
     outer,
     random_density,
     random_generalized_context,
@@ -205,7 +204,7 @@ def per_atom_grid(gc):
 class TestComposedGrid:
     def test_matches_per_atom_products_within_the_bound(self, rng):
         # the joint atoms keep the label order and exactly the products of
-        # nonzero rank, each within the bound of ``_joint_atoms``; dropped
+        # nonzero rank, each within the certified gap of ``_joint_atoms``; dropped
         # ones read exactly zero, their products within the pruning bound
         cut = min(DEFAULT_TOLERANCES.proj, DEFAULT_TOLERANCES.herm, PRUNE_CEILING) / 2
         grids = [random_generalized_context(rng) for _ in range(15)]
@@ -217,7 +216,7 @@ class TestComposedGrid:
         dropped = 0
         for gc in grids:
             reference = per_atom_grid(gc)
-            _, bound = joint_atom_bound(gc.translated_atoms)
+            bound = contexts_module._joint_atoms(gc.translated_atoms).gap
             composed = gc.composed_atoms
             assert list(composed) == list(reference) == list(gc.label_tuples)
             for label, atom in composed.items():
@@ -245,9 +244,9 @@ class TestComposedGrid:
         assert not isinstance(err.value, IncompatibleContexts)
 
     def test_composed_atoms_use_the_context_tolerances(self):
-        # x then z take the product route (Z has eigenvalues 1.5 -+ 1.118):
-        # at these tolerances the products pass, at the default they are not
-        # even Hermitian
+        # x then z take the product route (Z's eigenvectors diagonalize
+        # neither context): at these tolerances the products pass, at the
+        # default they are not even Hermitian
         loose = DEFAULT_TOLERANCES.updated(commute=10.0, proj=10.0, herm=10.0)
         gc = build_generalized_context(
             [x_context(1.0), z_context(2.0)], 0.0, H0, tols=loose
@@ -265,7 +264,9 @@ class TestComposedGrid:
             broken = stack.copy()
             broken[0, 0, 0] = bad
             with np.errstate(invalid="ignore"):
-                assert contexts_module._joint_atoms([stack, broken], 0.0, 0.0) is None
+                basis = contexts_module._joint_atoms([stack, broken])
+            # certifies nothing: no pair is cleared, no atom is taken
+            assert basis.gap == np.inf and basis.pairs == [np.inf]
         # an eigenvalue that reads NaN is not accepted: the products are
         # built and checked instead
         eigh = np.linalg.eigh
@@ -292,8 +293,8 @@ class TestComposedGrid:
         ["loose-commute", "loose-proj", "zero-proj", "negative-herm"],
     )
     def test_grid_checks_run_when_the_bound_does_not_clear(self, case, monkeypatch):
-        # the bound is the 1/4 margin of the eigenvalues of Z: the product
-        # grid is built and checked exactly when it does not clear
+        # the bound is the certified gap of Z's eigenbasis, at most 1/4:
+        # the product grid is built and checked exactly when it does not clear
         calls = []
         for name in ("ordered_products", "check_projector_stack", "_exclusivity_residual"):
             original = getattr(contexts_module, name)
@@ -305,8 +306,8 @@ class TestComposedGrid:
             monkeypatch.setattr(contexts_module, name, spy)
         contexts = [z_context(1.0), z_context(2.0)]
         if case == "loose-commute":
-            # x then z pass a commutator threshold of 1, but Z's eigenvalues
-            # sit 0.382 from their positions
+            # x then z pass a commutator threshold of 1, but Z's eigenvectors
+            # diagonalize neither context (certified gap about 2.6)
             tols = DEFAULT_TOLERANCES.updated(commute=1.0)
             contexts = [x_context(1.0), z_context(2.0)]
         elif case == "loose-proj":

@@ -19,10 +19,11 @@ and probabilities (up to GEMM rounding) as the unpruned gram gives them; and
 ``evolution_operator`` must be unitary without its removed re-check.  Every
 near-commuting family that passes the commutation check must be accepted,
 with the product grid's nonzero-rank labels and joint atoms within their
-derived bound of the products, and the class lattice must keep its laws
+certified gap of the products, and the class lattice must keep its laws
 (criterion 7) and its non-distributivity witness (criterion 8) on generated
-classes.  The commutation screen must bound every pairwise residual, the
-last-atom certificate every gram entry between different last atoms, and
+classes.  The eigenbasis certificate must bound every pairwise residual and
+leave the failing pairs of the broadcast check as they are, the last-atom
+certificate must bound every gram entry between different last atoms, and
 ``gmh_check`` in last-atom blocks must give the full gram's answers.
 """
 
@@ -43,7 +44,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
-    joint_atom_bound,
     random_density,
     random_hermitian,
     random_partition,
@@ -57,7 +57,7 @@ from qprops.config import DEFAULT_TOLERANCES
 from qprops.contexts import (
     Context,
     _commutation_failures,
-    _label_sums,
+    _joint_atoms,
     build_generalized_context,
     check_context_laws,
     composite_probability,
@@ -549,12 +549,13 @@ def test_pruned_composed_atoms_are_the_nonzero_products(d, n_times, seed):
     gc = build_generalized_context(contexts, 0.0, h)
     cut = min(DEFAULT_TOLERANCES.proj, DEFAULT_TOLERANCES.herm, PRUNE_CEILING) / 2
     reference = loop_products(gc.translated_atoms, later_left=False)
-    _, bound = joint_atom_bound(gc.translated_atoms)
+    bound = _joint_atoms(gc.translated_atoms).gap
     for (label, atom), product in zip(gc.composed_atoms.items(), reference):
         # kept exactly when the product has nonzero rank
         if gc._index[label] is None:
             assert atom.rank == 0 and not atom.matrix.any()
             assert np.linalg.norm(product) < cut
+            assert np.linalg.norm(product, 2) <= bound
         else:
             assert atom.rank == round(np.trace(product).real) > 0
             assert np.linalg.norm(atom.matrix - product, 2) <= bound
@@ -716,8 +717,9 @@ def test_near_commuting_families_are_accepted_within_the_bound(
     d, n_times, turn, bump_exponent, seed
 ):
     # every family that passes the commutation check is accepted, keeps the
-    # product grid's nonzero-rank labels, and its atoms lie within the bound
-    # of ``contexts._joint_atoms`` of the products
+    # product grid's nonzero-rank labels, and its atoms lie within the
+    # certified gap of ``contexts._joint_atoms`` of the products, the
+    # dropped products within it of zero
     rng = np.random.default_rng(seed)
     parts = min(d, 3 if n_times < 4 else 2)
     bump = 0.0 if bump_exponent is None else 10.0**bump_exponent
@@ -729,14 +731,16 @@ def test_near_commuting_families_are_accepted_within_the_bound(
             build_generalized_context(contexts, 0.0, h)
         return
     gc = build_generalized_context(contexts, 0.0, h)
-    eta, bound = joint_atom_bound(stacks)
-    assert eta <= 0.25
+    bound = _joint_atoms(stacks).gap
+    assert bound <= 0.25
     products = loop_products(stacks, later_left=False)
     nonzero = [np.trace(p).real > 0.5 for p in products]
     assert [row is not None for row in gc._index.values()] == nonzero
     kept = [p for p, keep in zip(products, nonzero) if keep]
     gap = max(np.linalg.norm(a - p, 2) for a, p in zip(gc._atoms, kept))
     assert gap <= bound, (gap, bound)
+    for p, keep in zip(products, nonzero):
+        assert keep or np.linalg.norm(p, 2) <= bound
 
 
 def frobenius_commutators(a, b):
@@ -756,26 +760,48 @@ def frobenius_commutators(a, b):
 # the largest shape with nine atoms, and commutators far above rounding
 @example(d=16, n_times=2, turn=1e-9, bump_exponent=-13, seed=4)
 @example(d=2, n_times=2, turn=1e-6, bump_exponent=None, seed=5)
-def test_screen_bound_holds_above_every_pairwise_residual(
+def test_certificate_bounds_every_pairwise_residual(
     d, n_times, turn, bump_exponent, seed
 ):
-    # the commutation screen bounds every atom pair's commutator from one
-    # commutator of the label sums, also with perturbed context laws
+    # the eigenbasis certificate bounds every atom pair's commutator, also
+    # with perturbed context laws, and from any basis of the same columns:
+    # scaled by 1/10, the basis is far from unitary and f carries the bound
     rng = np.random.default_rng(seed)
     parts = min(d, 9 if n_times == 2 else 3)
     bump = 0.0 if bump_exponent is None else 10.0**bump_exponent
     h, contexts = near_commuting_contexts(rng, d, n_times, parts, turn, bump)
     _, stacks = translate_contexts(contexts, 0.0, h)
-    sums = _label_sums(stacks)
-    terms = [contexts_module._screen_terms(s, x) for s, x in zip(stacks, sums)]
-    assert all(t is not None for t in terms)
-    for a, b in itertools.combinations(range(n_times), 2):
+    basis = _joint_atoms(stacks)
+    sizes = [len(s) for s in stacks]
+    scaled, _ = contexts_module._basis_bounds(
+        np.concatenate(stacks), sizes, basis.vectors / 10, basis.positions
+    )
+    pairs = itertools.combinations(range(n_times), 2)
+    for (a, b), bound, loose in zip(pairs, basis.pairs, scaled):
         residuals = commutator_residuals(stacks[a][:, None], stacks[b][None, :])
         frobenius = frobenius_commutators(stacks[a], stacks[b]).max()
-        commutator = np.linalg.norm(sums[a] @ sums[b] - sums[b] @ sums[a])
-        bound = contexts_module._screen_bound(commutator, terms[a], terms[b], d)
-        assert residuals.max() <= bound, (residuals.max(), bound)
-        assert frobenius <= bound
+        for value in (bound, loose):
+            assert residuals.max() <= value, (residuals.max(), value)
+            assert frobenius <= value
+    if turn <= 1e-12 and bump <= 1e-13:
+        # the labels are read right: a commuting family clears every pair
+        assert max(basis.pairs, default=0.0) <= DEFAULT_TOLERANCES.commute
+
+
+def reference_failures(contexts, stacks, tols):
+    """The failing pairs of one broadcast check of every context pair."""
+    failures = []
+    for a, b in itertools.combinations(range(len(stacks)), 2):
+        residuals = commutator_residuals(stacks[a][:, None], stacks[b][None, :])
+        for i, j in zip(*np.nonzero(residuals > tols.commute)):
+            failures.append(
+                (
+                    (a, contexts[a].labels[i]),
+                    (b, contexts[b].labels[j]),
+                    float(residuals[i, j]),
+                )
+            )
+    return failures
 
 
 @given(
@@ -785,29 +811,21 @@ def test_screen_bound_holds_above_every_pairwise_residual(
     bump_exponent=st.one_of(st.none(), st.integers(-14, -11)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_screened_commutation_check_matches_the_broadcast_check(
+def test_certified_commutation_check_matches_the_broadcast_check(
     d, n_times, turn, bump_exponent, seed
 ):
-    # with the screen and the one-atom-at-a-time check forced on at every d,
-    # the failing pairs and their residuals are those of the broadcast check
-    # bit for bit, and without a failing pair the commutator bound stays
-    # above every residual
+    # with the one-atom-at-a-time check forced on at every size, the pairs
+    # the certificate leaves to it give the failing pairs and residuals of
+    # one broadcast check of every pair, bit for bit
     rng = np.random.default_rng(seed)
     bump = 0.0 if bump_exponent is None else 10.0**bump_exponent
     h, contexts = near_commuting_contexts(rng, d, n_times, min(d, 3), turn, bump)
     contexts, stacks = translate_contexts(contexts, 0.0, h)
     tols = DEFAULT_TOLERANCES
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(contexts_module, "_PER_CONTEXT_MIN_DIM", 2**31)
-        broadcast, _ = _commutation_failures(contexts, stacks, tols)
-        patch.setattr(contexts_module, "_PER_CONTEXT_MIN_DIM", 0)
-        screened, bound = _commutation_failures(contexts, stacks, tols)
-    assert screened == broadcast
-    if screened:
-        return
-    for a, b in itertools.combinations(range(n_times), 2):
-        worst = np.abs(commutators(stacks[a][:, None], stacks[b][None, :])).max()
-        assert worst <= bound, (worst, bound)
+        patch.setattr(contexts_module, "_BROADCAST_MAX_ENTRIES", 0)
+        failures, _ = _commutation_failures(contexts, stacks, tols)
+    assert failures == reference_failures(contexts, stacks, tols)
 
 
 @given(
@@ -866,8 +884,8 @@ def test_blocked_gmh_check_matches_the_full_gram(d, n_times, shared, seed, rank)
     "case", ["default", "negative-consist", "loose-last-context", "below-the-dimension"]
 )
 def test_last_atom_blocks_need_the_certificate(case, rng, monkeypatch):
-    # the gram is taken in last-atom blocks only from the screen dimension on
-    # and when the certificate clears
+    # the gram is taken in last-atom blocks only from d =
+    # ``histories._PER_CONTEXT_MIN_DIM`` on and when the certificate clears
     h = random_hermitian(rng, 4)
     contexts = shared_basis_contexts(rng, 4, 3, h, parts=2)
     tols = DEFAULT_TOLERANCES
