@@ -281,12 +281,19 @@ def _gemm_rounding(dim: int) -> float:
 
 
 class _JointBasis(NamedTuple):
-    """One ``eigh`` of Z and what it certifies (``_joint_atoms``)."""
+    """One ``eigh`` of Z and what it certifies (``_joint_atoms``): the
+    context pairs that commute, how far each composed atom sits from its
+    product, and, through f, how far the atoms E_p = V D_p V^dag are from
+    exclusive (E_q E_p = V D_q (V^dag V - I) D_p V^dag) and idempotent.  A
+    ``GeneralizedContext`` whose atoms it gave keeps it, and a gmh check of
+    that context's history family reads its consistency from it
+    (``_history_bound``)."""
 
     vectors: np.ndarray  # the eigenvectors of Z, one per column
     positions: np.ndarray  # their eigenvalues rounded to integers, ascending
     pairs: list[float]  # per context pair, >= every residual of the pairwise check
     gap: float  # >= |E_p - fl(A_p)| for every label position p
+    overlap: float  # f >= |V^dag V - I|, which E_q E_p and E_p^2 - E_p inherit
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """The kept atoms E_p, each the sum of the outer products of the
@@ -322,10 +329,10 @@ def _joint_atoms(stacks: Sequence[np.ndarray]) -> _JointBasis:
 
 def _basis_bounds(
     every: np.ndarray, sizes: Sequence[int], vectors: np.ndarray, positions: np.ndarray
-) -> tuple[list[float], float]:
+) -> tuple[list[float], float, float]:
     """The certificate of a basis V (``vectors``) whose columns carry label
     ``positions``, for the translated stacks concatenated in ``every``, k_t
-    atoms each: the pair bounds and the atom gap of ``_JointBasis``.
+    atoms each: the pair bounds, the atom gap and f of ``_JointBasis``.
 
     Below |.| is the operator and |.|_F the Frobenius norm, D_{t,i} the 0/1
     diagonal of the columns whose digit a_t is i, and g = 4 (d + 2) eps.
@@ -367,7 +374,7 @@ def _basis_bounds(
     f = ((1 + (dim + 8) * _EPS) * float(overlap) + dim * g) / (1 - dim * g)
     # written so that NaN fails; the positions are ascending
     if not (f < 1 and 0 <= positions[0] and positions[-1] < math.prod(sizes)):
-        return [math.inf] * (n_times * (n_times - 1) // 2), math.inf
+        return [math.inf] * (n_times * (n_times - 1) // 2), math.inf, f
     weights = np.cumprod([1, *sizes[:0:-1]])[::-1]
     digits = positions.astype(np.int64) // weights[:, None] % np.array(sizes)[:, None]
     starts = np.cumsum([0, *sizes[:-1]])
@@ -394,7 +401,51 @@ def _basis_bounds(
         + 1.01 * (n_times - 1) * dim * g * s**n_times
         + (dim + 4) * _EPS * dim * (1 + f)
     )
-    return pairs, gap
+    return pairs, gap, f
+
+
+def _history_bound(basis: _JointBasis, rho: np.ndarray) -> float:
+    """A bound B on every off-diagonal gram entry ``gmh_check`` would compute
+    for the history family of a generalized context whose atoms came from
+    ``basis``, and on how far each history's weight there can sit from its
+    composed atom's weight Re ``vdot``(fl(E_p), rho).
+
+    Below |.| is the operator norm, |.|_F the Frobenius norm, g = 4 (d + 2)
+    eps, gamma the certificate's ``gap`` and f its ``overlap``
+    (``_basis_bounds``); E_p = V D_p V^dag for the computed
+    eigenvectors V, so |E_p| <= 1 + f.
+
+    1. Histories.  The P'_{t,i} = V D_{t,i} V^-1 commute exactly, so the
+       telescoping of the certificate's step 4 holds in either factor
+       order: every computed history C_p (latest time leftmost, a label p
+       without an eigenvector included, E_p = 0) is within gamma of E_p.
+    2. Exactness.  For p != q, D_q D_p = 0 gives
+       E_q E_p = V D_q (V^dag V - I) D_p V^dag, |.| <= f (1 + f), and
+       E_p^2 - E_p = V D_p (V^dag V - I) D_p V^dag likewise.  With
+       C = E + Delta, |Delta| <= gamma, C_q^dag C_p lies within
+       f (1 + f) + 2 (1 + f) gamma + gamma^2 of 0 (p != q) or of E_p
+       (p = q), and E_p within (d + 4) eps d (1 + f) <= gamma of the computed
+       atom.  So |D(p, q)| and |D(p, p) - Tr(fl(E_p) rho)| are at most
+       (f (1 + f) + (3 + 2 f) gamma + gamma^2) |rho|_tr, with
+       |rho|_tr <= sqrt(d) |rho|_F whatever tolerances the state was
+       checked with.
+    3. Rounding.  |C_p|_F <= c = sqrt(d) (1 + f + gamma).  As in step 2 of
+       ``histories._cross_block_bound``, the gram rounds each entry by
+       (g + 2 (d^2 + 2) eps (1 + g)) c^2 |rho|_F, and the ``vdot`` of a
+       weight by no more; both are added.
+
+    A bound within ``tols.consist`` thus means the gram route finds no
+    violation, with every probability within B of the weight.  B is
+    positive, so ``tols.consist <= 0`` never clears, and a NaN clears
+    nothing.
+    """
+    dim = rho.shape[-1]
+    gap, f = basis.gap, basis.overlap
+    g = _gemm_rounding(dim)
+    frobenius = float(np.linalg.norm(rho))
+    exact = f * (1 + f) + (3 + 2 * f) * gap + gap * gap
+    rounding = (g + 2 * (dim * dim + 2) * _EPS * (1 + g)) * dim * (1 + f + gap) ** 2
+    return (1 + 16 * _EPS) * frobenius * (math.sqrt(dim) * exact + 2 * rounding)
 
 
 def _commutation_failures(
@@ -511,6 +562,7 @@ class GeneralizedContext:
         if basis.gap <= 0.25:
             joint = basis.atoms()
         else:
+            basis = None
             # left-nested ((P_0 P_1) P_2)..., in itertools.product order
             joint = ordered_products(translated, tol=min(tols.proj, tols.herm))
             total = functools.reduce(
@@ -527,10 +579,32 @@ class GeneralizedContext:
         self._tols = tols
         self._translated = translated
         self._atoms = atoms
+        # the joint basis the atoms came from, None for the product route
+        self._basis = basis
         self._labels = tuple(itertools.product(*(ctx.labels for ctx in contexts)))
         # label tuple -> row of its kept atom, None for a dropped one
         rows = dict(zip(kept.tolist(), range(len(kept))))
         self._index = {label: rows.get(k) for k, label in enumerate(self._labels)}
+
+    def _certified_probabilities(
+        self, rho: DensityOperator, tol: float
+    ) -> dict[LabelTuple, float] | None:
+        """The gmh probabilities of this context's history family for the
+        state ``rho`` at the reference time, when the eigenbasis certificate
+        places every off-diagonal entry of its gram, and each history's
+        weight's distance from its composed atom's, within ``tol``
+        (``_history_bound``); None otherwise, and always on the product
+        route.  Each label reads Re ``vdot``(E, rho) of its kept atom
+        E, as ``composite_probability`` sums them, clipped below at 0, and a
+        label without a kept atom reads 0."""
+        if self._basis is None or not _history_bound(self._basis, rho.matrix) <= tol:
+            return None
+        # Re Tr(rho E) = Re Tr(E^dag rho) for Hermitian rho: O(d^2), no product
+        weights = [float(np.vdot(atom, rho.matrix).real) for atom in self._atoms]
+        return {
+            label: 0.0 if row is None else max(0.0, weights[row])
+            for label, row in self._index.items()
+        }
 
     @staticmethod
     def _verify_family_laws(
@@ -692,7 +766,10 @@ def composite_probability(
     """Born probability of a composite property, state given at ref_time.
 
     Sums Tr(rho Pi) over the selected composed atoms; additive over disjoint
-    selections, and the full selection carries probability one.
+    selections, and the full selection carries probability one.  Each
+    atom's term is Re ``vdot``(Pi, rho), the same float a certified gmh
+    report of the context's family reads for its label
+    (``GeneralizedContext._certified_probabilities``).
     """
     if prop.parent is not gc:
         raise ForeignProperty("property does not belong to this generalized context")

@@ -123,6 +123,9 @@ class HistoryFamily:
         self._initial_time = float(initial_time)
         self._initial_state = initial_state
         self._atoms_ref = atoms_ref
+        # the generalized context this family was built from
+        # (``family_from_generalized_context``), else None
+        self._context: GeneralizedContext | None = None
 
     @property
     def contexts(self) -> tuple[Context, ...]:
@@ -422,7 +425,20 @@ def gmh_check(
     (``_last_atom_grams``); otherwise it is the gram of all kept histories.
     Violations come in the same order either way: by the pair's positions
     in the label grid.
+
+    A family built by ``family_from_generalized_context`` from a context
+    whose atoms came from its eigenbasis is consistent by the paper's
+    theorem, and its certificate says by how much: when
+    ``contexts._history_bound`` is within ``tols.consist``, the report
+    passes with no violations and its probabilities are the composed atoms'
+    weights (``GeneralizedContext._certified_probabilities``), within that
+    bound of the gram's; no history or gram is formed.
     """
+    gc = family._context
+    if gc is not None:
+        certified = gc._certified_probabilities(family.initial_state, tols.consist)
+        if certified is not None:
+            return ConsistencyReport("gmh", True, (), certified)
     grid = family.label_grid
     grams = _last_atom_grams(family, tols.consist)
     if grams is None:
@@ -499,12 +515,16 @@ def family_from_generalized_context(
     state is taken at the reference time, which must precede the first
     context time.  Its Heisenberg atoms are the context's
     ``translated_atoms``: the same contexts moved to the same time by the
-    same Hamiltonian, so translating again would give the same bits.
+    same Hamiltonian, so translating again would give the same bits.  The
+    family keeps the context: when its atoms came from its eigenbasis,
+    ``gmh_check`` reads the certificate instead of forming the histories
+    and their gram.
     """
     family = HistoryFamily.__new__(HistoryFamily)
     family._setup(
         gc.contexts, gc.translated_atoms, gc.hamiltonian, gc.ref_time, rho, gc.hbar
     )
+    family._context = gc
     return family
 
 

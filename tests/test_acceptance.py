@@ -168,11 +168,20 @@ def test_criterion_5_multi_time_descriptions_are_consistent_histories(random_gcs
         if not check.verdict:
             failures.append((gc, "consistency", check.max_residual()))
             continue
+        # a family built from the contexts alone forms every history and the
+        # gram, so the theorem is not checked against the weights it reads
+        direct = gmh_check(HistoryFamily(gc.contexts, gc.hamiltonian, gc.ref_time, rho, gc.hbar))
+        if not direct.verdict:
+            failures.append((gc, "gram consistency", direct.max_residual()))
+            continue
         for choices in gc.label_tuples:
             lhs = check.probabilities[choices]
             rhs = composite_probability(gc, gc.property([choices]), rho)
             if abs(lhs - rhs) > 1e-10:
                 failures.append((gc, choices, abs(lhs - rhs)))
+            gram = direct.probabilities[choices]
+            if abs(gram - rhs) > 1e-10:
+                failures.append((gc, ("gram", choices), abs(gram - rhs)))
     ok = not failures
     _report(5, ok, f"100 random multi-time descriptions double as consistent families")
     assert not failures, failures[:3]

@@ -370,9 +370,17 @@ class TestFamilyFromGeneralizedContext:
             family = family_from_generalized_context(gc, rho)
             report = gmh_check(family)
             assert report.verdict
+            # the gram route: a family built from the contexts alone
+            direct = gmh_check(
+                HistoryFamily(gc.contexts, gc.hamiltonian, gc.ref_time, rho, gc.hbar)
+            )
+            assert direct.verdict
             for choices in gc.label_tuples:
                 composite = composite_probability(gc, gc.property([choices]), rho)
                 assert report.probabilities[choices] == pytest.approx(
+                    composite, abs=1e-10
+                )
+                assert direct.probabilities[choices] == pytest.approx(
                     composite, abs=1e-10
                 )
 

@@ -24,13 +24,19 @@ certified gap of the products, and the class lattice must keep its laws
 classes.  The eigenbasis certificate must bound every pairwise residual and
 leave the failing pairs of the broadcast check as they are, the last-atom
 certificate must bound every gram entry between different last atoms, and
-``gmh_check`` in last-atom blocks must give the full gram's answers.
+``gmh_check`` in last-atom blocks must give the full gram's answers.  The
+history bound of a context-built family must cover every off-diagonal entry
+of its unpruned gram, so that the report read from the certificate has the
+gram's verdict and violations and probabilities within the bound, and its f
+and rounding terms must each cover the gram of the atoms of a basis off
+unitary or exact.
 """
 
 import copy
 import functools
 import itertools
 import json
+import math
 import operator
 import os
 import subprocess
@@ -56,8 +62,10 @@ from qprops import histories as histories_module
 from qprops.config import DEFAULT_TOLERANCES
 from qprops.contexts import (
     Context,
+    GeneralizedContext,
     _commutation_failures,
     _joint_atoms,
+    _JointBasis,
     build_generalized_context,
     check_context_laws,
     composite_probability,
@@ -111,6 +119,7 @@ from qprops.spin import (
     _search_residuals,
     _spin_pairs,
     compatible_directions,
+    direction_context,
     gmh_directions,
     griffiths_directions,
     sphere_grid,
@@ -388,10 +397,14 @@ def test_generalized_context_is_a_consistent_family(d, n_times, pure, seed):
     rho = random_density(rng, d, pure=pure)
     family = family_from_generalized_context(gc, rho)
     assert gmh_check(family).verdict
+    # the gram route: a family built from the contexts alone
+    direct = gmh_check(HistoryFamily(gc.contexts, gc.hamiltonian, gc.ref_time, rho, gc.hbar))
+    assert direct.verdict
     for label in gc.label_tuples:
         history = family.history(label)
         composite = composite_probability(gc, gc.property([label]), rho)
         assert abs(history_probability(history) - composite) <= 1e-9
+        assert abs(direct.probabilities[label] - composite) <= 1e-9
         want = loop_history_operator(family, label)
         assert history_operator(history).matrix.tobytes() == want.tobytes()
 
@@ -637,18 +650,23 @@ import json
 import numpy as np
 from helpers import random_density, random_hermitian, shared_basis_contexts
 from qprops.contexts import build_generalized_context
-from qprops.histories import family_from_generalized_context, gmh_check
+from qprops.histories import HistoryFamily, family_from_generalized_context, gmh_check
 
 rng = np.random.default_rng(32)
 h = random_hermitian(rng, 32)
 gc = build_generalized_context(shared_basis_contexts(rng, 32, 4, h, parts=9), 0.0, h)
-report = gmh_check(family_from_generalized_context(gc, random_density(rng, 32)))
+rho = random_density(rng, 32)
+report = gmh_check(family_from_generalized_context(gc, rho))
+# built from the contexts alone, the family takes the pruned gram
+direct = gmh_check(HistoryFamily(gc.contexts, h, 0.0, rho))
 # the child's own peak: ru_maxrss would start at the parent's high-water mark
 with open("/proc/self/status") as status:
     peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 print(json.dumps({
     "verdict": report.verdict,
     "histories": len(report.probabilities),
+    "direct_verdict": direct.verdict,
+    "direct_histories": len(direct.probabilities),
     "peak_kib": peak,
 }))
 """
@@ -665,6 +683,7 @@ def test_6561_atom_grid_at_dimension_32_stays_small():
     )
     result = json.loads(child.stdout)
     assert result["verdict"] and result["histories"] == 9**4
+    assert result["direct_verdict"] and result["direct_histories"] == 9**4
     assert result["peak_kib"] < 300 * 1024
 
 
@@ -773,7 +792,7 @@ def test_certificate_bounds_every_pairwise_residual(
     _, stacks = translate_contexts(contexts, 0.0, h)
     basis = _joint_atoms(stacks)
     sizes = [len(s) for s in stacks]
-    scaled, _ = contexts_module._basis_bounds(
+    scaled, *_ = contexts_module._basis_bounds(
         np.concatenate(stacks), sizes, basis.vectors / 10, basis.positions
     )
     pairs = itertools.combinations(range(n_times), 2)
@@ -925,16 +944,167 @@ def test_last_atom_blocks_need_the_certificate(case, rng, monkeypatch):
 
 def test_accepted_large_grid_is_certified_without_the_checks(monkeypatch):
     # the LARGE_GRID family: its joint atoms come from one eigh, so neither
-    # the product grid nor a projector or exclusivity check runs
+    # the product grid nor a projector or exclusivity check runs; and its
+    # gmh report is read from the eigenbasis certificate and the composed
+    # atoms' weights, so no history or gram is formed
     def refuse(*args, **kwargs):
-        raise AssertionError("the joint atoms need no product grid or check")
+        raise AssertionError("a certified context needs no product grid, check or gram")
 
     for name in ("ordered_products", "check_projector_stack", "_exclusivity_residual"):
         monkeypatch.setattr(contexts_module, name, refuse)
+    for name in ("ordered_products", "decoherence_gram", "_last_atom_grams"):
+        monkeypatch.setattr(histories_module, name, refuse)
     rng = np.random.default_rng(32)
     h = random_hermitian(rng, 32)
     gc = build_generalized_context(shared_basis_contexts(rng, 32, 4, h, parts=9), 0.0, h)
     assert sum(row is not None for row in gc._index.values()) >= 32
+    rho = random_density(rng, 32)
+    report = gmh_check(family_from_generalized_context(gc, rho))
+    assert report.verdict and report.violations == ()
+    weights = [float(np.vdot(atom, rho.matrix).real) for atom in gc._atoms]
+    assert report.probabilities == {
+        label: 0.0 if row is None else max(0.0, weights[row])
+        for label, row in gc._index.items()
+    }
+
+
+def gram_route_report(family, tols):
+    """``gmh_check`` with the certified report refused: the gram route."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GeneralizedContext, "_certified_probabilities", lambda *args: None)
+        return gmh_check(family, tols=tols)
+
+
+@given(
+    d=st.integers(2, 16),
+    n_times=st.integers(2, 4),
+    turn=st.sampled_from([1.0, 3.0]).flatmap(
+        lambda m: st.integers(-16, -9).map(lambda x: m * 10.0**x)
+    ),
+    bump_exponent=st.one_of(st.none(), st.integers(-16, -12)),
+    pure=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the largest shape at the loosest turn and bump the strategy draws
+@example(d=16, n_times=4, turn=3e-9, bump_exponent=-12, pure=False, seed=0)
+@example(d=16, n_times=2, turn=1e-16, bump_exponent=None, pure=True, seed=1)
+def test_certified_gmh_report_matches_the_gram(d, n_times, turn, bump_exponent, pure, seed):
+    # the history bound covers every off-diagonal entry of the unpruned
+    # gram; where it clears, the report has the gram's verdict and
+    # violations and each probability lies within the bound of the gram's
+    # weight, and where it does not, the gram route runs bit for bit
+    rng = np.random.default_rng(seed)
+    parts = min(d, 3 if n_times < 4 else 2)
+    bump = 0.0 if bump_exponent is None else 10.0**bump_exponent
+    h, contexts = near_commuting_contexts(rng, d, n_times, parts, turn, bump)
+    try:
+        gc = build_generalized_context(contexts, 0.0, h)
+    except IncompatibleContexts:
+        return
+    rho = random_density(rng, d, pure=pure)
+    family = family_from_generalized_context(gc, rho)
+    tols = DEFAULT_TOLERANCES
+    report = gmh_check(family)
+    assert gc._basis is not None  # a default build takes the eigh atoms
+    bound = contexts_module._history_bound(gc._basis, rho.matrix)
+    gram = decoherence_gram(history_operators(family.heisenberg_atoms), rho.matrix)
+    off_diagonal = np.abs(gram[~np.eye(len(gram), dtype=bool)]).max()
+    assert off_diagonal <= bound, (off_diagonal, bound)
+    if not bound <= tols.consist:
+        assert report == gram_route_report(family, tols)
+        return
+    violations, probabilities, slack = unpruned_gmh(family, tols)
+    assert report.verdict and not violations and report.violations == ()
+    assert list(report.probabilities) == list(probabilities)
+    for label, want in probabilities.items():
+        got = report.probabilities[label]
+        assert abs(got - want) <= bound + slack[label], (label, got, want, bound)
+
+
+def hadamard_basis(d):
+    """The Sylvester-Hadamard basis, columns scaled to unit norm: exact in
+    floating point for d = 4 and 16 (entries +-1/2, +-1/4)."""
+    matrix = np.ones((1, 1))
+    while len(matrix) < d:
+        matrix = np.block([[matrix, matrix], [matrix, -matrix]])
+    return (matrix / math.sqrt(d)).astype(complex)
+
+
+@given(
+    d=st.sampled_from([4, 16]),
+    parts=st.integers(2, 4),
+    exponent=st.one_of(st.none(), st.integers(-12, -3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_history_bound_covers_the_atoms_of_any_basis(d, parts, exponent, seed):
+    # the atoms E_p = V D_p V^dag taken as their own histories, which sit
+    # from E_p by only the rounding of their sums: the gram of an exact
+    # Hadamard basis is all rounding, which the bound's rounding term must
+    # carry, and off unitary by about 10^exponent, E_q E_p is of the size
+    # of f, which the bound's f term must carry
+    rng = np.random.default_rng(seed)
+    basis = hadamard_basis(d)
+    positions = np.sort(rng.integers(0, parts, size=d)).astype(float)
+    if exponent is not None:
+        noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        basis = basis + 10.0**exponent * noise
+    atoms, _ = _JointBasis(basis, positions, [], 0.0, 0.0).atoms()
+    if exponent is None:
+        # V^dag V = I exactly, and the atoms' sums of +-1/d are exact
+        assert np.array_equal(basis.conj().T @ basis, np.eye(d))
+        gap, overlap = 0.0, 0.0
+    else:
+        # f as the certificate measures it, and the rounding of the sums
+        *_, overlap = contexts_module._basis_bounds(atoms, [len(atoms)], basis, positions)
+        gap = (1 + 16 * np.finfo(float).eps) * (d + 4) * np.finfo(float).eps * d * (1 + overlap)
+    rho = random_density(rng, d)
+    bound = contexts_module._history_bound(
+        _JointBasis(basis, positions, [], gap, overlap), rho.matrix
+    )
+    gram = decoherence_gram(atoms, rho.matrix)
+    off_diagonal = np.abs(gram[~np.eye(len(gram), dtype=bool)]).max(initial=0.0)
+    assert off_diagonal <= bound, (off_diagonal, bound)
+    weights = np.array([np.vdot(atom, rho.matrix).real for atom in atoms])
+    assert np.abs(gram.diagonal().real - weights).max() <= bound
+
+
+@pytest.mark.parametrize(
+    "case", ["zero-consist", "negative-consist", "product-route", "direct"]
+)
+def test_gmh_check_takes_the_gram_route_without_a_certificate(case, rng, monkeypatch):
+    # a context-built family at consist <= 0, the family of a context whose
+    # atoms are products, and a family built from the contexts alone form
+    # their histories and gram, and report what the gram route gives
+    tols = DEFAULT_TOLERANCES
+    if case == "product-route":
+        h = HermitianOperator.zero(2)
+        contexts = [
+            direction_context(Direction(1.0, 0.0, 0.0), 1.0),
+            direction_context(Direction(0.0, 0.0, 1.0), 2.0),
+        ]
+        loose = tols.updated(commute=10.0, proj=10.0, herm=10.0)
+        gc = build_generalized_context(contexts, 0.0, h, tols=loose)
+        assert gc._basis is None
+    else:
+        h = random_hermitian(rng, 4)
+        gc = build_generalized_context(shared_basis_contexts(rng, 4, 3, h, parts=2), 0.0, h)
+    rho = random_density(rng, gc.dim)
+    family = family_from_generalized_context(gc, rho)
+    if case == "direct":
+        family = HistoryFamily(gc.contexts, h, 0.0, rho)
+    elif case.endswith("consist"):
+        tols = tols.updated(consist=0.0 if case == "zero-consist" else -1.0)
+    calls = []
+    original = histories_module.ordered_products
+
+    def spy(stacks, **kwargs):
+        calls.append(len(stacks))
+        return original(stacks, **kwargs)
+
+    monkeypatch.setattr(histories_module, "ordered_products", spy)
+    report = gmh_check(family, tols=tols)
+    assert calls
+    assert report == gram_route_report(family, tols)
 
 
 def random_class(rng, d, h, rank=None, t=None):
