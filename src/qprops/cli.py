@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -140,13 +141,13 @@ def _probability_table(pairs) -> dict[str, float]:
     return {",".join(labels): float(value) for labels, value in pairs}
 
 
-def _state_at_reference(system, tols: Tolerances):
+def _state_at_reference(system):
     if system.reference_time == system.initial_time:
         return system.initial_state
     u = evolution_operator(
         system.hamiltonian, system.initial_time, system.reference_time, system.hbar
     )
-    return system.initial_state.evolved(u, tols=tols)
+    return system.initial_state.evolved(u)
 
 
 def cmd_validate_context(spec: SystemSpec, args, tols: Tolerances):
@@ -204,7 +205,7 @@ def cmd_gc_check(spec: SystemSpec, args, tols: Tolerances):
         results["max_commutator"] = max(v[2] for v in err.pairs)
         return Report("gc-check", False, tols.as_dict(), results), FAIL
 
-    rho = _state_at_reference(system, tols)
+    rho = _state_at_reference(system)
     table = [
         (labels, composite_probability(gc, gc.property([labels]), rho, tols=tols))
         for labels in gc.label_tuples
@@ -286,7 +287,7 @@ def _parse_atom_ref(text: str, system) -> tuple[int, int]:
         ) from err
     if not 0 <= ctx_idx < len(system.contexts):
         raise ValidationError(f"context index {ctx_idx} out of range")
-    if not 0 <= atom_idx < len(system.contexts[ctx_idx].atoms):
+    if not 0 <= atom_idx < len(system.contexts[ctx_idx]):
         raise ValidationError(f"atom index {atom_idx} out of range")
     return ctx_idx, atom_idx
 
@@ -313,12 +314,10 @@ def cmd_lattice(spec: SystemSpec, args, tols: Tolerances):
         "left": left_info,
     }
     def to_class(prop):
-        return class_of(
-            prop, system.reference_time, system.hamiltonian, system.hbar, tols=tols
-        )
+        return class_of(prop, system.reference_time, system.hamiltonian, system.hbar)
 
     if args.op == "neg":
-        outcome = class_negate(to_class(left), tols=tols)
+        outcome = class_negate(to_class(left))
     else:
         right_ref = _parse_atom_ref(args.right, system)
         right, right_info = _timed_property(system, right_ref)
@@ -433,15 +432,23 @@ def _tolerance_overrides(pairs: list[str] | None) -> dict[str, float]:
     return overrides
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` (subcommand parsers included) whose errors get
+    the one-line diagnostic of every exit 2, not the usage block."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: ``parse_args``
     leaves it unchanged and returns a fresh namespace on every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qprops",
         description="Validate multi-time quantum property descriptions.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("spec", help="system description file (YAML)")
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
@@ -495,26 +502,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(message) -> str:
+    return " ".join(line.strip() for line in str(message).splitlines())
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        tols = DEFAULT_TOLERANCES.updated(**_tolerance_overrides(args.tol))
-        spec = load_system_spec(args.spec)
-        report, code = HANDLERS[args.command](spec, args, tols)
-        emit(report, args.format)
-        # a closed reader shows here, not in the flush at exit
-        sys.stdout.flush()
-    except (ParseError, ValidationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return INPUT_ERROR
-    except BrokenPipeError:
-        # what is still buffered goes nowhere, so the flush at exit succeeds
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return OUTPUT_CLOSED
-    except Exception as err:
-        # exit 1 is reserved for a check that ran and failed
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return INPUT_ERROR
+    # warnings are held until the report is out, so that an exit 2 prints
+    # its one-line diagnostic alone
+    with warnings.catch_warnings(record=True) as held:
+        try:
+            args = build_parser().parse_args(argv)
+            tols = DEFAULT_TOLERANCES.updated(**_tolerance_overrides(args.tol))
+            spec = load_system_spec(args.spec)
+            report, code = HANDLERS[args.command](spec, args, tols)
+            emit(report, args.format)
+            # a closed reader shows here, not in the flush at exit
+            sys.stdout.flush()
+        except (ParseError, ValidationError) as err:
+            print(f"error: {_one_line(err)}", file=sys.stderr)
+            return INPUT_ERROR
+        except BrokenPipeError:
+            # what is still buffered goes nowhere, so the flush at exit succeeds
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return OUTPUT_CLOSED
+        except Exception as err:
+            # exit 1 is reserved for a check that ran and failed
+            print(f"error: {type(err).__name__}: {_one_line(err)}", file=sys.stderr)
+            return INPUT_ERROR
+    for warning in held:
+        print(f"warning: {_one_line(warning.message)}", file=sys.stderr)
     return code
 
 

@@ -137,7 +137,6 @@ class Context:
         matrices.setflags(write=False)
 
         self._time = time
-        self._atoms = atoms
         self._matrices = matrices
         self._labels = labels
         self._law_residual = law_residual
@@ -148,7 +147,9 @@ class Context:
 
     @property
     def atoms(self) -> tuple[Projector, ...]:
-        return self._atoms
+        """The atoms as new ``Projector``s, one per row of the checked
+        (k, d, d) stack that the context keeps, not checked again."""
+        return tuple(Projector._derived(atom) for atom in self._matrices)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -156,7 +157,7 @@ class Context:
 
     @property
     def dim(self) -> int:
-        return self._atoms[0].dim
+        return self._matrices.shape[-1]
 
     @property
     def law_residual(self) -> float:
@@ -165,7 +166,7 @@ class Context:
         return self._law_residual
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return len(self._matrices)
 
     def translated(
         self,
@@ -185,7 +186,7 @@ class Context:
         return moved
 
     def __repr__(self) -> str:
-        return f"Context(time={self._time}, atoms={len(self._atoms)}, dim={self.dim})"
+        return f"Context(time={self._time}, atoms={len(self)}, dim={self.dim})"
 
 
 def validate_context(
@@ -745,15 +746,14 @@ def _require_same_parent(a: CompositeProperty, b: CompositeProperty) -> None:
         )
 
 
-def property_projector(
-    prop: CompositeProperty, *, tols: Tolerances = DEFAULT_TOLERANCES
-) -> Projector:
-    """Projector represented by the property: the sum of its composed atoms."""
+def property_projector(prop: CompositeProperty) -> Projector:
+    """Projector represented by the property: the sum of its composed atoms,
+    which are exclusive projectors, so the sum is not checked again."""
     gc = prop.parent
     total = np.zeros((gc.dim, gc.dim), dtype=np.complex128)
     for row in prop._rows:
         total += gc._atoms[row]
-    return Projector(total, tols=tols)
+    return Projector._derived(total)
 
 
 def composite_probability(

@@ -70,18 +70,14 @@ def heisenberg_projector(
     ref_time: float,
     hamiltonian: HermitianOperator,
     hbar: float = 1.0,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> Projector:
     """Conjugate an atom into the Heisenberg picture at the reference time.
 
     Returns exp(+iH(t-t0)/hbar) E exp(-iH(t-t0)/hbar), which is
     ``lattice.translate`` of the property from its event time to the
-    reference time.
+    reference time (not checked again).
     """
-    return translate(
-        TimedProperty(E, event_time), ref_time, hamiltonian, hbar, tols=tols
-    ).projector
+    return translate(TimedProperty(E, event_time), ref_time, hamiltonian, hbar).projector
 
 
 class HistoryFamily:
@@ -569,7 +565,7 @@ def omnes_implies(
             f"(max residual {report.max_residual():.3e})"
         )
     pr_a = sum(report.probabilities[choices] for choices in set_a)
-    if pr_a <= tols.prob:
+    if pr_a < tols.prob:
         raise ConditionOnNull(
             f"conditioning set has probability {pr_a!r} below {tols.prob:.1e}"
         )

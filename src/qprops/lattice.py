@@ -84,20 +84,19 @@ def translate(
     t_to: float,
     hamiltonian: HermitianOperator,
     hbar: float = 1.0,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> TimedProperty:
     """Move a property to another time by conjugating with the evolution.
 
     Returns the projector U(t_to, t) P U(t_to, t)^-1 tagged with ``t_to``;
-    the rank is preserved.
+    the rank is preserved.  Conjugation by a unitary maps a projector to a
+    projector, so the result is not checked again and no tolerance is read.
     """
     if p.projector.dim != hamiltonian.dim:
         raise DimensionMismatch(
             f"projector dim {p.projector.dim} vs Hamiltonian dim {hamiltonian.dim}"
         )
     u = evolution_operator(hamiltonian, p.time, t_to, hbar)
-    return TimedProperty(Projector(u.transform(p.projector.matrix), tols=tols), t_to)
+    return TimedProperty(Projector._derived(u.transform(p.projector.matrix)), t_to)
 
 
 def class_of(
@@ -105,11 +104,9 @@ def class_of(
     ref_time: float,
     hamiltonian: HermitianOperator,
     hbar: float = 1.0,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> PropertyClass:
     """Translation class of ``p``, canonicalized at ``ref_time``."""
-    rep = translate(p, ref_time, hamiltonian, hbar, tols=tols).projector
+    rep = translate(p, ref_time, hamiltonian, hbar).projector
     return PropertyClass(rep, ref_time, hamiltonian, hbar)
 
 
@@ -122,7 +119,7 @@ def equivalent(
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> bool:
     """True iff the two timed properties translate into each other."""
-    moved = translate(p2, p1.time, hamiltonian, hbar, tols=tols)
+    moved = translate(p2, p1.time, hamiltonian, hbar)
     return (
         max_entry_norm(moved.projector.matrix - p1.projector.matrix) <= tols.equiv
     )
@@ -151,21 +148,15 @@ def class_join(
     """Least upper bound, via the complement of the meet of complements."""
     _require_same_frame(c1, c2)
     meet = subspace_intersection(
-        c1.representative.complement(tols=tols),
-        c2.representative.complement(tols=tols),
-        tols=tols,
+        c1.representative.complement(), c2.representative.complement(), tols=tols
     )
-    return PropertyClass(
-        meet.complement(tols=tols), c1.ref_time, c1.hamiltonian, c1.hbar
-    )
+    return PropertyClass(meet.complement(), c1.ref_time, c1.hamiltonian, c1.hbar)
 
 
-def class_negate(
-    c: PropertyClass, *, tols: Tolerances = DEFAULT_TOLERANCES
-) -> PropertyClass:
+def class_negate(c: PropertyClass) -> PropertyClass:
     """Orthocomplement: the class of the complementary projector."""
     return PropertyClass(
-        c.representative.complement(tols=tols), c.ref_time, c.hamiltonian, c.hbar
+        c.representative.complement(), c.ref_time, c.hamiltonian, c.hbar
     )
 
 

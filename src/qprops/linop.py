@@ -1,10 +1,11 @@
 """Dense complex operator algebra on a finite-dimensional Hilbert space.
 
 Operator types validate their defining invariants at construction and are
-immutable afterwards.  Spectral routines are built on Hermitian
-eigendecomposition, which is exact (to rounding) for the matrix exponentials
-and spectral projectors needed here; nothing in this module is intended for
-dimensions beyond a few dozen.
+immutable afterwards; one the package derives from checked ones has them by
+construction and is not checked again (``Operator._derived``).  Spectral
+routines are built on Hermitian eigendecomposition, which is exact (to
+rounding) for the matrix exponentials and spectral projectors needed here;
+nothing in this module is intended for dimensions beyond a few dozen.
 """
 
 from __future__ import annotations
@@ -86,6 +87,16 @@ class Operator:
         arr.setflags(write=False)
         self._matrix = arr
 
+    @classmethod
+    def _derived(cls, matrix):
+        """A ``cls`` for a matrix the package built to have the invariants
+        of ``cls`` by construction: only the finite check and the read-only
+        copy of ``Operator`` run, not the checks of ``cls`` that a tolerance
+        could fail.  Outside input takes ``cls(matrix)``."""
+        op = cls.__new__(cls)
+        Operator.__init__(op, matrix)
+        return op
+
     @property
     def matrix(self) -> np.ndarray:
         """The underlying (read-only) complex matrix."""
@@ -165,23 +176,19 @@ class Projector(HermitianOperator):
     def __init__(self, matrix, *, tols: Tolerances = DEFAULT_TOLERANCES):
         super().__init__(matrix, tols=tols)
         _check_idempotent(self._matrix, tols)
-        self._rank = int(round(float(np.trace(self._matrix).real)))
 
-    @property
+    @functools.cached_property
     def rank(self) -> int:
-        return self._rank
+        return int(round(float(np.trace(self._matrix).real)))
 
     @classmethod
     def identity(cls, dim: int) -> "Projector":
         return cls(np.eye(dim, dtype=np.complex128))
 
-    @classmethod
-    def zero(cls, dim: int) -> "Projector":
-        return cls(np.zeros((dim, dim), dtype=np.complex128))
-
-    def complement(self, *, tols: Tolerances = DEFAULT_TOLERANCES) -> "Projector":
-        """Projector onto the orthogonal complement of the range."""
-        return Projector(np.eye(self.dim) - self._matrix, tols=tols)
+    def complement(self) -> "Projector":
+        """Projector I - P onto the orthogonal complement of the range, not
+        checked again."""
+        return Projector._derived(np.eye(self.dim) - self._matrix)
 
     def __repr__(self) -> str:
         return f"Projector(dim={self.dim}, rank={self.rank})"
@@ -238,14 +245,10 @@ class DensityOperator(HermitianOperator):
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
         return cls(np.eye(dim, dtype=np.complex128) / dim)
 
-    def evolved(
-        self,
-        unitary: UnitaryOperator,
-        *,
-        tols: Tolerances = DEFAULT_TOLERANCES,
-    ) -> "DensityOperator":
-        """Conjugated state U rho U^dag."""
-        return DensityOperator(unitary.transform(self._matrix), tols=tols)
+    def evolved(self, unitary: UnitaryOperator) -> "DensityOperator":
+        """Conjugated state U rho U^dag, not checked again: conjugation by a
+        unitary keeps self-adjointness, trace and spectrum."""
+        return DensityOperator._derived(unitary.transform(self._matrix))
 
 
 @dataclass(frozen=True)
@@ -351,9 +354,9 @@ def evolution_operator(
     """Unitary exp(-i H (t_to - t_from) / hbar) via the cached eigensystem of H.
 
     ``eigh`` gives orthonormal eigenvectors and every finite phase has unit
-    modulus, so the result is unitary to rounding: only the finite check
-    runs (a phase that overflowed is NaN), not U U^dag - I, so no tolerance
-    is consulted.
+    modulus, so the result is unitary to rounding: it is built by
+    ``Operator._derived``, whose finite check catches a phase that
+    overflowed (NaN), and no tolerance is consulted.
     """
     # written so that NaN fails: an infinite hbar would give U = I
     if not (hbar > 0.0 and math.isfinite(hbar)):
@@ -362,9 +365,7 @@ def evolution_operator(
         raise InvariantViolation(f"times must be finite, got {t_from!r}, {t_to!r}")
     w, v = H.eigensystem
     phases = np.exp(-1j * w * (t_to - t_from) / hbar)
-    u = UnitaryOperator.__new__(UnitaryOperator)
-    Operator.__init__(u, (v * phases) @ v.conj().T)
-    return u
+    return UnitaryOperator._derived((v * phases) @ v.conj().T)
 
 
 def projector_from_span(
@@ -373,7 +374,8 @@ def projector_from_span(
     """Orthogonal projector onto the span of the given vectors.
 
     Rank is decided by a relative singular-value cutoff at ``tols.rank``.
-    Raises ``ZeroSpan`` when every vector is numerically zero.
+    Raises ``ZeroSpan`` when every vector is numerically zero.  The kept
+    singular vectors are orthonormal: the result is not checked again.
     """
     cols = np.array([np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]).T
     if cols.size == 0:
@@ -383,7 +385,7 @@ def projector_from_span(
         raise ZeroSpan("spanning vectors are numerically zero")
     keep = s > s[0] * tols.rank
     basis = u[:, keep]
-    return Projector(basis @ basis.conj().T, tols=tols)
+    return Projector._derived(basis @ basis.conj().T)
 
 
 def _require_same_dim(a: Operator, b: Operator) -> None:
@@ -398,16 +400,13 @@ def subspace_intersection(
 
     The intersection is the kernel of (I - P) + (I - Q); kernel vectors are
     read off a Hermitian eigendecomposition with eigenvalues below
-    ``tols.rank``.
+    ``tols.rank``; they are orthonormal (none gives the zero projector), so
+    the result is not checked again.
     """
     _require_same_dim(P, Q)
-    dim = P.dim
-    gap = (np.eye(dim) - P.matrix) + (np.eye(dim) - Q.matrix)
-    w, v = np.linalg.eigh(gap)
+    w, v = np.linalg.eigh(P.complement().matrix + Q.complement().matrix)
     kernel = v[:, w < tols.rank]
-    if kernel.shape[1] == 0:
-        return Projector.zero(dim)
-    return Projector(kernel @ kernel.conj().T, tols=tols)
+    return Projector._derived(kernel @ kernel.conj().T)
 
 
 def alternating_projection_limit(
@@ -415,15 +414,14 @@ def alternating_projection_limit(
     Q: Projector,
     tol: float = 1e-12,
     max_iter: int = 200,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> Projector:
     """Limit of (P Q)^n, realized by repeated squaring of the product.
 
     Each step squares the current power, so step ``k`` holds (P Q)^(2^k);
     iteration stops once the Hermitian part of the power stabilizes below
     ``tol`` in max-entry norm.  The stabilized power is symmetrized and
-    snapped to the nearest projector by rounding its eigenvalues to {0, 1}.
+    snapped to the nearest projector by rounding its eigenvalues to {0, 1}:
+    the kept eigenvectors are orthonormal, so it is not checked again.
 
     For commuting inputs the first step already fixes P Q.  Raises
     ``NoConvergence`` if ``max_iter`` squarings do not stabilize the power,
@@ -451,9 +449,7 @@ def alternating_projection_limit(
             "the limit is not yet a projector"
         )
     kept = v[:, w >= 0.5]
-    if kept.shape[1] == 0:
-        return Projector.zero(P.dim)
-    return Projector(kept @ kept.conj().T, tols=tols)
+    return Projector._derived(kept @ kept.conj().T)
 
 
 def stack_matmul(stack, b) -> np.ndarray:

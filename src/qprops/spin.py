@@ -213,10 +213,6 @@ def coplanarity_defect(n0: Direction, n1: Direction, n2: Direction) -> float:
     )
 
 
-def _pure_state_along(n: Direction, tols: Tolerances) -> DensityOperator:
-    return DensityOperator(spin_projectors(n, tols=tols)[0].matrix, tols=tols)
-
-
 def _grid_points(grid: SearchGrid) -> np.ndarray:
     """(N, 3) rows of a search grid; array rows get the ``Direction`` check.
 
@@ -324,7 +320,8 @@ def _search_residuals(
             f"history times must satisfy t0 < t1 < t2, got {[t0, t1, t2]}"
         )
     if rho is None:
-        rho = _pure_state_along(n0, tols)
+        # a checked rank-1 projector is a state: not checked again as one
+        rho = DensityOperator._derived(spin_projectors(n0, tols=tols)[0].matrix)
     if rho.dim != 2:
         raise DimensionMismatch("state/Hamiltonian dimension differs from atoms")
     # K_b[j, l] at [j, l, b]

@@ -439,6 +439,15 @@ class TestInputErrors:
         assert code == 2
         assert "error" in err
 
+    def test_multi_line_diagnostic_is_joined(self, capsys, tmp_path):
+        # PyYAML's message spans four lines
+        path = tmp_path / "broken.yaml"
+        path.write_text("dimension: [unclosed\n")
+        code, _, err = run_json(capsys, "gc-check", str(path))
+        assert code == 2
+        assert_one_line_error(err)
+        assert "while parsing a flow sequence in " in err
+
     def test_unknown_tolerance_name(self, capsys):
         code, _, err = run_json(capsys, "gc-check", ZZ, "--tol", "bogus=1")
         assert code == 2
@@ -617,6 +626,57 @@ def test_closed_output_exits_141_without_a_traceback(argv):
         os.close(write_end)
     assert child.returncode == cli.OUTPUT_CLOSED == 141
     assert child.stderr == b""
+
+
+def run_child(*argv):
+    """``python -m qprops.cli`` in a child process, with text output."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, "-m", "qprops.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_bad_command_line_gets_a_one_line_diagnostic():
+    # argparse would print its usage block as well; --help is unchanged
+    child = run_child("spin-search", XZ, "--mode", "commute", "--grid-count", "abc")
+    assert (child.returncode, child.stdout) == (cli.INPUT_ERROR, "")
+    assert_one_line_error(child.stderr)
+    assert "--grid-count: invalid int value: 'abc'" in child.stderr
+    helped = run_child("spin-search", "--help")
+    assert helped.returncode == 0 and helped.stderr == ""
+    assert helped.stdout.startswith("usage: qprops spin-search [-h]")
+
+
+def test_warnings_wait_for_the_report(capsys, tmp_path):
+    # a direction off unit norm warns; a later parse error must still print
+    # one line, which the warning would have preceded
+    doc = yaml.safe_load(Path(ZZ).read_text())
+    doc["contexts"][0]["direction"] = [0.0, 0.0, 2.0]
+    spec = write_spec(tmp_path, doc)
+    assert main(["gc-check", spec]) == cli.PASS
+    captured = capsys.readouterr()
+    assert captured.out.startswith("command: gc-check")
+    assert captured.err.startswith("warning: contexts[0]: direction [0.0, 0.0, 2.0]")
+    assert captured.err.count("\n") == 1
+    doc["contexts"][1]["time"] = "later"
+    child = run_child("gc-check", write_spec(tmp_path, doc))
+    assert (child.returncode, child.stdout) == (cli.INPUT_ERROR, "")
+    assert_one_line_error(child.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lattice", ZZ], ["gc-check", ZZ, "--no-such-flag"], ["no-such-command", ZZ], []],
+)
+def test_parser_errors_are_one_line_input_errors(capsys, argv):
+    assert main(argv) == cli.INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_line_error(captured.err)
 
 
 class TestParserReuse:

@@ -572,6 +572,16 @@ class TestConditionalProbability:
         b = zz.property([("z+", "z+")])
         assert conditional_probability(zz, a, b, rho_x) == pytest.approx(1.0)
 
+    def test_condition_at_the_null_threshold_is_not_null(self, zz, rho_x):
+        # "below tols.prob" is null; Pr(a) = tols.prob is not
+        a = zz.property([("z+", "z+")])
+        p_a = composite_probability(zz, a, rho_x)
+        assert 0.0 < p_a < 1.0
+        tols = DEFAULT_TOLERANCES.updated(prob=p_a)
+        assert conditional_probability(zz, a, a, rho_x, tols=tols) == 1.0
+        above = tols.updated(prob=np.nextafter(p_a, 1.0))
+        assert conditional_probability(zz, a, a, rho_x, tols=above) is None
+
     def test_null_condition_flagged_as_none(self, zz, rho_x):
         a = zz.property([("z+", "z-")])  # zero composed atom
         b = zz.property([("z+", "z+")])

@@ -409,6 +409,17 @@ class TestOmnesImplies:
         with pytest.raises(ConditionOnNull):
             omnes_implies(family, [("a+", "z-")], [("a+", "z+")])
 
+    def test_condition_at_the_null_threshold_is_not_null(self):
+        # "below tols.prob" is null; Pr(a) = tols.prob is not
+        family = two_time_family((1, 0, 0))
+        a = [("a+", "z+")]
+        pr_a = gmh_check(family).probabilities[a[0]]
+        assert 0.0 < pr_a < 1.0
+        tols = DEFAULT_TOLERANCES.updated(prob=pr_a)
+        assert omnes_implies(family, a, a, tols=tols)
+        with pytest.raises(ConditionOnNull):
+            omnes_implies(family, a, a, tols=tols.updated(prob=math.nextafter(pr_a, 1.0)))
+
     def test_inconsistent_family_raises(self):
         n1 = (1 / np.sqrt(2), 1 / np.sqrt(2), 0.0)
         family = two_time_family(n1)

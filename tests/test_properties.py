@@ -29,11 +29,15 @@ history bound of a context-built family must cover every off-diagonal entry
 of its unpruned gram, so that the report read from the certificate has the
 gram's verdict and violations and probabilities within the bound, and its f
 and rounding terms must each cover the gram of the atoms of a basis off
-unitary or exact.
+unitary or exact.  Every projector and state the package derives without
+checking it again must pass the checks it skips, and the CLI must keep its
+exit and report contract on drawn specs and command lines.
 """
 
+import contextlib
 import copy
 import functools
+import io
 import itertools
 import json
 import math
@@ -41,11 +45,13 @@ import operator
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -57,6 +63,7 @@ from helpers import (
     random_unitary,
     shared_basis_contexts,
 )
+from qprops import cli
 from qprops import contexts as contexts_module
 from qprops import histories as histories_module
 from qprops.config import DEFAULT_TOLERANCES
@@ -69,6 +76,7 @@ from qprops.contexts import (
     build_generalized_context,
     check_context_laws,
     composite_probability,
+    property_projector,
     translate_contexts,
 )
 from qprops.errors import IncompatibleContexts, ParseError, ValidationError
@@ -489,6 +497,42 @@ def test_evolution_operator_is_unitary_by_construction(d, t_from, t_to, hbar, se
     u = evolution_operator(h, t_from, t_to, hbar).matrix
     for product in (u @ u.conj().T, u.conj().T @ u):
         assert max_entry_norm(product - np.eye(d)) <= DEFAULT_TOLERANCES.unit
+
+
+@given(
+    d=st.integers(2, 8),
+    shared=st.integers(0, 3),
+    t=st.floats(-10.0, 10.0),
+    t_to=st.floats(-10.0, 10.0),
+    pure=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_derived_operators_pass_the_checks_they_skip(d, shared, t, t_to, pure, seed):
+    # the guarantees that let derived projectors and states skip their checks
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, d)
+    common = random_unitary(rng, d)[:, : min(shared, d - 1)]
+
+    def drawn_projector():
+        extra = random_unitary(rng, d)[:, : int(rng.integers(1, d - common.shape[1] + 1))]
+        return projector_from_span(np.concatenate([common, extra], axis=1).T)
+
+    p, q = drawn_projector(), drawn_projector()
+    gc = build_generalized_context(shared_basis_contexts(rng, d, 2, h), 0.0, h)
+    selected = [label for label in gc.label_tuples if rng.random() < 0.5]
+    derived = [
+        p,
+        q,
+        translate(TimedProperty(p, t), t_to, h).projector,
+        p.complement(),
+        subspace_intersection(p, q),
+        alternating_projection_limit(p, q),
+        property_projector(gc.property(selected)),
+        *gc.contexts[0].atoms,
+    ]
+    check_projector_stack(np.stack([op.matrix for op in derived]), tols=DEFAULT_TOLERANCES)
+    rho = random_density(rng, d, pure=pure).evolved(evolution_operator(h, t, t_to))
+    DensityOperator(rho.matrix, tols=DEFAULT_TOLERANCES)
 
 
 def independent_contexts(rng, d, n_times, parts):
@@ -1249,10 +1293,11 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-@given(base=st.sampled_from(VALID_DOCUMENTS), data=st.data())
-def test_parser_returns_a_spec_or_raises_a_spec_error(base, data):
+def mutated_document(base, data, count):
+    """A copy of ``base`` with ``count`` drawn nodes deleted or replaced by
+    odd values."""
     doc = copy.deepcopy(base)
-    for _ in range(data.draw(st.integers(1, 3))):
+    for _ in range(count):
         paths = list(_paths(doc))
         if not paths:
             break
@@ -1263,6 +1308,12 @@ def test_parser_returns_a_spec_or_raises_a_spec_error(base, data):
         else:
             # a copy, so later mutations leave the strategy's own lists alone
             parent[path[-1]] = copy.deepcopy(data.draw(ODD_VALUES))
+    return doc
+
+
+@given(base=st.sampled_from(VALID_DOCUMENTS), data=st.data())
+def test_parser_returns_a_spec_or_raises_a_spec_error(base, data):
+    doc = mutated_document(base, data, data.draw(st.integers(1, 3)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -1270,3 +1321,90 @@ def test_parser_returns_a_spec_or_raises_a_spec_error(base, data):
         except (ParseError, ValidationError):
             return
     assert isinstance(spec, SystemSpec)
+
+
+TOL_VALUES = st.one_of(
+    st.floats(-1.0, 1.0).map(repr),
+    st.sampled_from(["0", "-0.0", "-1e-10", "1e-300", "10", "1e300", "nan", "abc"]),
+)
+# per subcommand, its options and their drawn values
+CLI_OPTIONS = {
+    "validate-context": {},
+    "gc-check": {},
+    "history-prob": {"--choices": st.sampled_from(["x+,z+", "up,up", "x-,z-", "x+", "bad,z-"])},
+    "consistency": {"--criterion": st.sampled_from(["gmh", "griffiths", "bogus"])},
+    "lattice": {
+        "--op": st.sampled_from(["meet", "join", "neg", "implies", "bogus"]),
+        "--left": st.sampled_from(["0:0", "1:1", "0:1", "2:0", "0:-1", "x", "0:0:0"]),
+        "--right": st.sampled_from(["1:0", "0:1", "1:1", "1:5", ":"]),
+    },
+    "spin-search": {
+        "--mode": st.sampled_from(["commute", "gmh", "griffiths", "bogus"]),
+        "--grid-count": st.one_of(
+            st.integers(-2, 40).map(str), st.sampled_from(["abc", "1.5", "1e3", "10001"])
+        ),
+        "--t1": st.one_of(
+            st.floats(-1.0, 3.0).map(repr), st.sampled_from(["nan", "inf", "abc"])
+        ),
+    },
+}
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of one in-process ``cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def report_keys(node, depth):
+    """The line starts ``cli.render_text`` gives a JSON report's fields at
+    ``depth``: ``key:`` for each mapping key, ``-`` for each list entry."""
+    pad = "  " * depth
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield f"{pad}{key}:"
+            if isinstance(value, (dict, list)) and value:
+                yield from report_keys(value, depth + 1)
+    elif isinstance(node, list):
+        for value in node:
+            yield f"{pad}-"
+            if isinstance(value, (dict, list)):
+                yield from report_keys(value, depth + 1)
+
+
+@given(base=st.sampled_from(VALID_DOCUMENTS), data=st.data())
+def test_cli_keeps_its_exit_and_report_contract(base, data):
+    # exit 0 with a pass or no verdict, 1 with a fail, 2 with one error line
+    # and no report; the text report has the JSON report's fields
+    doc = mutated_document(base, data, data.draw(st.sampled_from([0, 0, 1, 2])))
+    with tempfile.TemporaryDirectory() as scratch:
+        spec = os.path.join(scratch, "system.yaml")
+        with open(spec, "w") as handle:
+            yaml.safe_dump(doc, handle)
+        for command, flags in CLI_OPTIONS.items():
+            argv = [command, spec]
+            for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+                name = data.draw(st.sampled_from([*DEFAULT_TOLERANCES.field_names(), "bogus"]))
+                argv += ["--tol", f"{name}={data.draw(TOL_VALUES)}"]
+            for flag, values in flags.items():
+                # --op and --mode are required, so they are always given
+                if flag in ("--op", "--mode") or data.draw(st.booleans()):
+                    argv += [flag, data.draw(values)]
+            code, text, err = run_cli([*argv, "--format", "text"])
+            assert code in (0, 1, 2), (argv, code, err)
+            code_json, payload, err_json = run_cli([*argv, "--format", "json"])
+            assert (code_json, err_json) == (code, err), argv
+            if code == 2:
+                assert text == payload == "" and err.startswith("error:"), (argv, err)
+                assert err.count("\n") == 1, (argv, err)
+                continue
+            report = json.loads(payload)
+            assert report.get("verdict") in (("fail",) if code else (None, "pass")), argv
+            starts, lines = list(report_keys(report, 0)), text.splitlines()
+            assert len(lines) == len(starts), argv
+            assert all(line.startswith(start) for line, start in zip(lines, starts)), argv
