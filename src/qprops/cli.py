@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -94,7 +95,11 @@ def _format_value(value: Any) -> str:
         return "yes" if value else "no"
     if isinstance(value, float):
         return f"{value:.12g}"
-    return str(value)
+    # a control character (U+0000 to U+001F, U+007F to U+009F) as its Python
+    # escape, a line break as \n, so that one field stays on one text line
+    return "".join(
+        repr(ch)[1:-1] if ch < " " or "\x7f" <= ch <= "\x9f" else ch for ch in str(value)
+    )
 
 
 def _render_lines(node: Any, indent: int, lines: list[str]) -> None:
@@ -102,11 +107,11 @@ def _render_lines(node: Any, indent: int, lines: list[str]) -> None:
     if isinstance(node, dict):
         for key, value in node.items():
             if isinstance(value, (dict, list)) and value:
-                lines.append(f"{pad}{key}:")
+                lines.append(f"{pad}{_format_value(key)}:")
                 _render_lines(value, indent + 1, lines)
             else:
                 flat = value if not isinstance(value, (dict, list)) else "(none)"
-                lines.append(f"{pad}{key}: {_format_value(flat)}")
+                lines.append(f"{pad}{_format_value(key)}: {_format_value(flat)}")
     elif isinstance(node, list):
         for value in node:
             if isinstance(value, (dict, list)):
@@ -202,7 +207,9 @@ def cmd_gc_check(spec: SystemSpec, args, tols: Tolerances):
             }
             for (a_idx, a_label), (b_idx, b_label), residual in err.pairs
         ]
-        results["max_commutator"] = max(v[2] for v in err.pairs)
+        results["max_commutator"] = max((v[2] for v in err.pairs), default=0.0)
+        if err.gap is not None:
+            results["gap"] = err.gap
         return Report("gc-check", False, tols.as_dict(), results), FAIL
 
     rho = _state_at_reference(system)
@@ -434,7 +441,12 @@ def _tolerance_overrides(pairs: list[str] | None) -> dict[str, float]:
 
 class _Parser(argparse.ArgumentParser):
     """An ``ArgumentParser`` (subcommand parsers included) whose errors get
-    the one-line diagnostic of every exit 2, not the usage block."""
+    the one-line diagnostic of every exit 2, not the usage block, and that
+    takes a negative number with an exponent (``--t1 -1e-05``) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")

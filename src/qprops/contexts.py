@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -34,12 +33,10 @@ from .linop import (
     DensityOperator,
     HermitianOperator,
     Projector,
-    check_projector_stack,
     commutator_residuals,
     evolution_operator,
     frobenius_squares,
     max_entry_norm,
-    ordered_products,
 )
 
 __all__ = [
@@ -232,38 +229,6 @@ def translate_contexts(
     return contexts, translated
 
 
-def _exclusivity_residual(mats: np.ndarray, tol: float) -> float:
-    """max |P_a P_b - delta_ab P_a|_max over the pairs of an (n, d, d) stack
-    that a row/column-norm bound cannot place within ``tol``.
-
-    By Cauchy-Schwarz |(P_a P_b)_ik| <= r_a c_b, with r_a the largest row
-    2-norm of P_a and c_b the largest column 2-norm of P_b.  A row a with
-    r_a max(c) <= tol, or a column b with c_b max(r) <= tol, therefore has
-    every off-diagonal product within ``tol`` without being formed, and its
-    diagonal term P_a^2 - P_a was bounded by ``tol`` when the stack was checked
-    as projectors.  ``slack`` covers the rounding of the norms and of the
-    products themselves, so no pair the full n^2 product check would flag is
-    cleared.  The rest is one GEMM, (n_r d, d) @ (d, n_c d); for a valid
-    family only the atoms of nonzero rank remain, at most d of them.
-    """
-    dim = mats.shape[-1]
-    squares = mats.real**2 + mats.imag**2
-    rows = np.sqrt(squares.sum(axis=2).max(axis=1))
-    cols = np.sqrt(squares.sum(axis=1).max(axis=1))
-    slack = 1.0 + 4 * (dim + 2) * np.finfo(float).eps
-    left = np.flatnonzero(~(rows * (cols.max() * slack) <= tol))
-    right = np.flatnonzero(~(cols * (rows.max() * slack) <= tol))
-    if not (left.size and right.size):
-        return 0.0
-    lhs = mats[left].reshape(-1, dim)
-    rhs = mats[right].transpose(1, 0, 2).reshape(dim, -1)
-    # blocks[x, y] = P_left[x] @ P_right[y], a view into the GEMM output
-    blocks = (lhs @ rhs).reshape(left.size, dim, right.size, dim).transpose(0, 2, 1, 3)
-    _, x, y = np.intersect1d(left, right, assume_unique=True, return_indices=True)
-    blocks[x, y] -= mats[left[x]]
-    return max_entry_norm(blocks)
-
-
 _EPS = float(np.finfo(float).eps)
 
 
@@ -286,8 +251,8 @@ class _JointBasis(NamedTuple):
     context pairs that commute, how far each composed atom sits from its
     product, and, through f, how far the atoms E_p = V D_p V^dag are from
     exclusive (E_q E_p = V D_q (V^dag V - I) D_p V^dag) and idempotent.  A
-    ``GeneralizedContext`` whose atoms it gave keeps it, and a gmh check of
-    that context's history family reads its consistency from it
+    ``GeneralizedContext`` keeps the basis its atoms came from, and a gmh
+    check of that context's history family reads its consistency from it
     (``_history_bound``)."""
 
     vectors: np.ndarray  # the eigenvectors of Z, one per column
@@ -358,12 +323,14 @@ def _basis_bounds(
     4. Atoms.  A position p < N names one label a, and P'_{1,a_1} ...
        P'_{T,a_T} = V D_p V^-1, D_p the columns at p (zero where none
        sits).  Telescoping, the product A_p = S_{1,a_1} ... S_{T,a_T} is
-       within T s^(T-1) max rho of it, s = c + max rho, and
+       within T s^(T-1) max rho of it, s = c + max rho, in either factor
+       order, as the P' commute; and
        |V D_p V^dag - V D_p V^-1| <= |V| |V^dag V - I| |V^-1| <= f c.
-       ``ordered_products`` rounds A_p by at most 1.01 (T - 1) d g s^T and
-       the sums of outer products round E_p by (d + 4) eps d (1 + f).  The
-       gap adds these four terms: every kept E_p is within it of fl(A_p),
-       and every dropped product within it of zero.
+       Formed one factor at a time, as ``linop.ordered_products`` forms a
+       history, A_p rounds by at most 1.01 (T - 1) d g s^T, and the sums
+       of outer products round E_p by (d + 4) eps d (1 + f).  The gap adds
+       these four terms: every kept E_p is within it of fl(A_p), and the
+       product of a position without an eigenvector within it of zero.
 
     A position that is not finite or not in [0, N), or f >= 1, certifies
     nothing: both bounds are infinite.  A final 1 + 16 eps covers the
@@ -449,6 +416,22 @@ def _history_bound(basis: _JointBasis, rho: np.ndarray) -> float:
     return (1 + 16 * _EPS) * frobenius * (math.sqrt(dim) * exact + 2 * rounding)
 
 
+def _worst_pairs(
+    contexts: Sequence[Context], stacks: Sequence[np.ndarray]
+) -> list[tuple[tuple[int, str], tuple[int, str], float]]:
+    """The translated atom pair with the largest commutator residual of
+    every context pair, one atom of the earlier context at a time, as
+    ``_commutation_failures`` takes a large pair (the same residuals)."""
+    worst = []
+    for a, b in itertools.combinations(range(len(stacks)), 2):
+        residuals = np.stack([commutator_residuals(atom, stacks[b]) for atom in stacks[a]])
+        i, j = np.unravel_index(np.argmax(residuals), residuals.shape)
+        worst.append(
+            ((a, contexts[a].labels[i]), (b, contexts[b].labels[j]), float(residuals[i, j]))
+        )
+    return worst
+
+
 def _commutation_failures(
     contexts: Sequence[Context],
     stacks: Sequence[np.ndarray],
@@ -512,25 +495,19 @@ class GeneralizedContext:
     how far each context's atoms are from being diagonal in its eigenbasis.
     That bounds every cross-context commutator, so a context pair it clears
     skips the pairwise check, and how far each composed atom sits from the
-    product of its translated atoms, earliest time leftmost.  The atoms are
-    projectors, exclusive and complete by construction, so none of these
-    laws is checked again.
+    product of its translated atoms.  The atoms are projectors, exclusive
+    and complete by construction, so none of these laws is checked again.
+    When that certified distance exceeds 1/4, or an eigenvalue is not
+    finite or does not round to a label position (the gap reads infinite),
+    the contexts are not one context: ``IncompatibleContexts`` names the
+    worst translated atom pair of each context pair and the gap.  That
+    takes a loosened ``commute`` (x then z at ``commute`` >= 0.5).
 
     There are prod |ctx| composed atoms, but their ranks sum to d, so most
     of them are zero: only the positions that carry an eigenvalue are kept.
     A dropped atom reads exactly zero: ``composite_probability`` and
     ``property_projector`` skip it and ``composed_atoms`` maps it to a zero
     projector.
-
-    Only when that certified distance exceeds 1/4, or an eigenvalue is not
-    finite or does not round to a label position (which in practice takes a
-    loosened ``commute``), are the atoms built as products instead.
-    ``linop.ordered_products`` builds them one context at a time and drops a
-    prefix whose Frobenius norm is below
-    ``min(tols.proj, tols.herm, linop.PRUNE_CEILING) / 2`` with all its
-    extensions (no atom of nonzero rank is dropped, and a tolerance <= 0
-    drops nothing); the kept products are then checked as projectors, for
-    completeness and for exclusivity, as ``_verify_family_laws`` describes.
 
     The verdict does not depend on ``ref_time``: moving every atom to another
     time conjugates each commutator by one unitary V, so a commutator that
@@ -560,27 +537,25 @@ class GeneralizedContext:
 
         if basis is None:
             basis = _joint_atoms(translated)
-        if basis.gap <= 0.25:
-            joint = basis.atoms()
-        else:
-            basis = None
-            # left-nested ((P_0 P_1) P_2)..., in itertools.product order
-            joint = ordered_products(translated, tol=min(tols.proj, tols.herm))
-            total = functools.reduce(
-                operator.matmul, [s.sum(axis=0) for s in translated]
+        # written so that NaN fails
+        if not basis.gap <= 0.25:
+            raise IncompatibleContexts(
+                f"the joint eigenbasis at t={ref_time!r} places the composed "
+                f"atoms up to {basis.gap:.3e} from the translated products, "
+                f"beyond 1/4",
+                _worst_pairs(contexts, translated),
+                gap=basis.gap,
             )
-            self._verify_family_laws(joint[0], total, tols)
-        atoms, kept = joint
+        atoms, kept = basis.atoms()
         atoms.setflags(write=False)
 
         self._contexts = contexts
         self._ref_time = float(ref_time)
         self._hamiltonian = hamiltonian
         self._hbar = float(hbar)
-        self._tols = tols
         self._translated = translated
         self._atoms = atoms
-        # the joint basis the atoms came from, None for the product route
+        # the joint basis the atoms came from
         self._basis = basis
         self._labels = tuple(itertools.product(*(ctx.labels for ctx in contexts)))
         # label tuple -> row of its kept atom, None for a dropped one
@@ -594,11 +569,11 @@ class GeneralizedContext:
         state ``rho`` at the reference time, when the eigenbasis certificate
         places every off-diagonal entry of its gram, and each history's
         weight's distance from its composed atom's, within ``tol``
-        (``_history_bound``); None otherwise, and always on the product
-        route.  Each label reads Re ``vdot``(E, rho) of its kept atom
-        E, as ``composite_probability`` sums them, clipped below at 0, and a
-        label without a kept atom reads 0."""
-        if self._basis is None or not _history_bound(self._basis, rho.matrix) <= tol:
+        (``_history_bound``); None otherwise.  Each label reads
+        Re ``vdot``(E, rho) of its kept atom E, as ``composite_probability``
+        sums them, clipped below at 0, and a label without a kept atom reads
+        0."""
+        if not _history_bound(self._basis, rho.matrix) <= tol:
             return None
         # Re Tr(rho E) = Re Tr(E^dag rho) for Hermitian rho: O(d^2), no product
         weights = [float(np.vdot(atom, rho.matrix).real) for atom in self._atoms]
@@ -606,32 +581,6 @@ class GeneralizedContext:
             label: 0.0 if row is None else max(0.0, weights[row])
             for label, row in self._index.items()
         }
-
-    @staticmethod
-    def _verify_family_laws(
-        mats: np.ndarray, total: np.ndarray, tols: Tolerances
-    ) -> None:
-        """Projector laws, completeness, then exclusivity of a composed-atom stack.
-
-        ``total`` is the sum of the whole family, dropped atoms included,
-        whose distance from I is the completeness residual: by
-        distributivity it is the product of the per-context atom sums.
-        Exclusivity asks |P_a P_b - delta_ab P_a|_max <= ``tols.proj`` for
-        every pair, but only the pairs ``_exclusivity_residual`` cannot
-        clear by its norm bound are multiplied; see there.
-        """
-        check_projector_stack(mats, tols=tols)
-        residual = max_entry_norm(total - np.eye(total.shape[-1]))
-        if residual > tols.proj:
-            raise InvariantViolation(
-                f"composed atoms do not sum to identity (residual {residual:.3e})"
-            )
-        residual = _exclusivity_residual(mats, tols.proj)
-        if residual > tols.proj:
-            raise InvariantViolation(
-                f"composed atoms are not mutually exclusive "
-                f"(residual {residual:.3e})"
-            )
 
     @property
     def contexts(self) -> tuple[Context, ...]:
@@ -662,13 +611,13 @@ class GeneralizedContext:
     def composed_atoms(self) -> Mapping[LabelTuple, Projector]:
         """Each composed atom as a ``Projector``, as a read-only mapping.
 
-        The ``Projector`` objects are built and checked on the first access
-        only; later accesses return the same mapping.  Every dropped atom
-        maps to one shared zero ``Projector``; each kept one holds its own
-        copy of its atom.
+        The ``Projector`` objects are built on the first access only; later
+        accesses return the same mapping.  Every dropped atom maps to one
+        shared zero ``Projector``; each kept one holds its own copy of its
+        atom, which is a projector by construction and is not checked again.
         """
         zero = Projector.zero(self.dim)
-        kept = [Projector(atom, tols=self._tols) for atom in self._atoms]
+        kept = [Projector._derived(atom) for atom in self._atoms]
         return MappingProxyType(
             {
                 label: zero if row is None else kept[row]
@@ -704,7 +653,9 @@ def build_generalized_context(
     """Validate compatibility of the contexts and assemble the composed atoms.
 
     Raises ``IncompatibleContexts`` carrying every non-commuting translated
-    atom pair, or ``TimeOrderViolation`` for unsorted context times.
+    atom pair, or, when the joint eigenbasis does not certify the composed
+    atoms, the worst pair of each context pair and the certificate's gap;
+    ``TimeOrderViolation`` for unsorted context times.
     """
     return GeneralizedContext(contexts, ref_time, hamiltonian, hbar, tols=tols)
 

@@ -71,11 +71,14 @@ class IncompatibleContexts(QpropsError):
 
     ``pairs`` lists every offending pair as
     ``((context_index_a, label_a), (context_index_b, label_b), residual)``.
+    ``gap`` is the eigenbasis certificate's gap (above 1/4) when every pair
+    passed and ``pairs`` holds the worst pair of each context pair, else None.
     """
 
-    def __init__(self, message: str, pairs=()):
+    def __init__(self, message: str, pairs=(), gap: float | None = None):
         super().__init__(message)
         self.pairs = tuple(pairs)
+        self.gap = gap
 
 
 class ForeignProperty(QpropsError):

@@ -251,7 +251,7 @@ def history_operators(atoms: Sequence[np.ndarray]) -> np.ndarray:
     atoms (the ``label_grid`` order): ``linop.ordered_products`` without
     pruning.  Leading axes broadcast.
     """
-    return ordered_products(atoms, later_left=True)[0]
+    return ordered_products(atoms)[0]
 
 
 def decoherence_gram(histories: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -381,7 +381,7 @@ def _last_atom_grams(
     delta = max(ctx.law_residual for ctx in family.contexts)
     if not _cross_block_bound(family.dim, len(family.contexts), delta, rho) <= tol:
         return None
-    prefixes, first = ordered_products(earlier, later_left=True, tol=tol)
+    prefixes, first = ordered_products(earlier, tol=tol)
     grams = []
     for j, atom in enumerate(last):
         block, rows = atom @ prefixes, first
@@ -422,13 +422,12 @@ def gmh_check(
     Violations come in the same order either way: by the pair's positions
     in the label grid.
 
-    A family built by ``family_from_generalized_context`` from a context
-    whose atoms came from its eigenbasis is consistent by the paper's
-    theorem, and its certificate says by how much: when
-    ``contexts._history_bound`` is within ``tols.consist``, the report
-    passes with no violations and its probabilities are the composed atoms'
-    weights (``GeneralizedContext._certified_probabilities``), within that
-    bound of the gram's; no history or gram is formed.
+    A family built by ``family_from_generalized_context`` is consistent by
+    the paper's theorem, and its context's eigenbasis certificate says by
+    how much: when ``contexts._history_bound`` is within ``tols.consist``,
+    the report passes with no violations and its probabilities are the
+    composed atoms' weights (``GeneralizedContext._certified_probabilities``),
+    within that bound of the gram's; no history or gram is formed.
     """
     gc = family._context
     if gc is not None:
@@ -438,9 +437,7 @@ def gmh_check(
     grid = family.label_grid
     grams = _last_atom_grams(family, tols.consist)
     if grams is None:
-        histories, kept = ordered_products(
-            family.heisenberg_atoms, later_left=True, tol=tols.consist
-        )
+        histories, kept = ordered_products(family.heisenberg_atoms, tol=tols.consist)
         grams = [(decoherence_gram(histories, family.initial_state.matrix), kept)]
     pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     violations = []
@@ -512,9 +509,8 @@ def family_from_generalized_context(
     context time.  Its Heisenberg atoms are the context's
     ``translated_atoms``: the same contexts moved to the same time by the
     same Hamiltonian, so translating again would give the same bits.  The
-    family keeps the context: when its atoms came from its eigenbasis,
-    ``gmh_check`` reads the certificate instead of forming the histories
-    and their gram.
+    family keeps the context, whose eigenbasis certificate ``gmh_check``
+    reads instead of forming the histories and their gram when it clears.
     """
     family = HistoryFamily.__new__(HistoryFamily)
     family._setup(

@@ -51,7 +51,6 @@ __all__ = [
     "frobenius_squares",
     "subspace_inclusion",
     "max_entry_norm",
-    "check_projector_stack",
 ]
 
 
@@ -60,12 +59,6 @@ def _as_square_complex(matrix) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvariantViolation(f"expected a square matrix, got shape {arr.shape}")
     return arr
-
-
-def _check_finite(matrices: np.ndarray) -> None:
-    # every residual compared with a tolerance below is NaN for such input
-    if not np.all(np.isfinite(matrices)):
-        raise InvariantViolation("matrix has non-finite (NaN or infinite) entries")
 
 
 def max_entry_norm(matrix) -> float:
@@ -83,7 +76,9 @@ class Operator:
 
     def __init__(self, matrix):
         arr = _as_square_complex(matrix)
-        _check_finite(arr)
+        # every residual compared with a tolerance is NaN for such input
+        if not np.all(np.isfinite(arr)):
+            raise InvariantViolation("matrix has non-finite (NaN or infinite) entries")
         arr.setflags(write=False)
         self._matrix = arr
 
@@ -110,41 +105,6 @@ class Operator:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
-def _check_hermitian(matrices: np.ndarray, tols: Tolerances) -> None:
-    """Raise ``NonHermitianInput`` unless each matrix of a (..., d, d) stack
-    is self-adjoint within ``tols.herm``; the message gives the worst one."""
-    residual = max_entry_norm(matrices - np.swapaxes(matrices, -1, -2).conj())
-    if not residual <= tols.herm:
-        raise NonHermitianInput(
-            f"matrix deviates from self-adjointness by {residual:.3e} "
-            f"(tolerance {tols.herm:.1e})"
-        )
-
-
-def _check_idempotent(matrices: np.ndarray, tols: Tolerances) -> None:
-    """Raise ``InvariantViolation`` unless each matrix of a (..., d, d) stack
-    satisfies P^2 = P within ``tols.proj``; the message gives the worst one."""
-    residual = max_entry_norm(matrices @ matrices - matrices)
-    if not residual <= tols.proj:
-        raise InvariantViolation(
-            f"matrix is not idempotent: |P^2 - P| = {residual:.3e} "
-            f"(tolerance {tols.proj:.1e})"
-        )
-
-
-def check_projector_stack(
-    matrices: np.ndarray, *, tols: Tolerances = DEFAULT_TOLERANCES
-) -> None:
-    """Run the ``Projector`` invariants on every matrix of a (..., d, d) stack.
-
-    One vectorized pass with the same checks, tolerances and exception types
-    as building a ``Projector`` from each matrix, without the objects.
-    """
-    _check_finite(matrices)
-    _check_hermitian(matrices, tols)
-    _check_idempotent(matrices, tols)
-
-
 class HermitianOperator(Operator):
     """Operator constrained to be self-adjoint within ``tols.herm``.
 
@@ -155,7 +115,12 @@ class HermitianOperator(Operator):
 
     def __init__(self, matrix, *, tols: Tolerances = DEFAULT_TOLERANCES):
         super().__init__(matrix)
-        _check_hermitian(self._matrix, tols)
+        residual = max_entry_norm(self._matrix - self._matrix.conj().T)
+        if not residual <= tols.herm:
+            raise NonHermitianInput(
+                f"matrix deviates from self-adjointness by {residual:.3e} "
+                f"(tolerance {tols.herm:.1e})"
+            )
 
     @classmethod
     def zero(cls, dim: int) -> "HermitianOperator":
@@ -175,7 +140,12 @@ class Projector(HermitianOperator):
 
     def __init__(self, matrix, *, tols: Tolerances = DEFAULT_TOLERANCES):
         super().__init__(matrix, tols=tols)
-        _check_idempotent(self._matrix, tols)
+        residual = max_entry_norm(self._matrix @ self._matrix - self._matrix)
+        if not residual <= tols.proj:
+            raise InvariantViolation(
+                f"matrix is not idempotent: |P^2 - P| = {residual:.3e} "
+                f"(tolerance {tols.proj:.1e})"
+            )
 
     @functools.cached_property
     def rank(self) -> int:
@@ -227,7 +197,7 @@ class DensityOperator(HermitianOperator):
         if lowest < -tols.psd:
             raise InvariantViolation(
                 f"state has negative eigenvalue {lowest:.3e} "
-                f"(floor -{tols.psd:.1e})"
+                f"(floor {-tols.psd:.1e})"
             )
 
     @classmethod
@@ -485,12 +455,11 @@ def stack_matmul(stack, b) -> np.ndarray:
 PRUNE_CEILING = 1e-10
 
 
-def ordered_products(stacks, *, later_left=False, tol=0.0):
+def ordered_products(stacks, *, tol=0.0):
     """Every ordered product of one matrix from each (..., k_t, d, d) stack.
 
-    The product grows one stack at a time, each later factor on the right
-    (composed atoms, earliest time leftmost) or, with ``later_left``, on the
-    left (history operators, latest time leftmost).  Products come in
+    The product grows one stack at a time, each later factor on the left,
+    as in a history operator (latest time leftmost).  Products come in
     ``itertools.product`` order over the stacks; leading axes broadcast.
 
     With ``tol > 0`` and (k_t, d, d) stacks of projectors, a prefix whose
@@ -508,8 +477,7 @@ def ordered_products(stacks, *, later_left=False, tol=0.0):
     product, index = stacks[0], None  # None until a prefix is dropped
     for level, later in enumerate(stacks):
         if level:
-            new, old = later[..., None, :, :, :], product[..., :, None, :, :]
-            product = new @ old if later_left else old @ new
+            product = later[..., None, :, :, :] @ product[..., :, None, :, :]
             lead, (m, k, d, _) = product.shape[:-4], product.shape[-4:]
             product = product.reshape(lead + (m * k, d, d))
             if index is not None:

@@ -10,7 +10,6 @@ from qprops.linop import (
     HermitianOperator,
     Projector,
     evolution_operator,
-    max_entry_norm,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -36,13 +35,6 @@ def spin_pair(n) -> tuple[Projector, Projector]:
         Projector((np.eye(2) + pointing) / 2),
         Projector((np.eye(2) - pointing) / 2),
     )
-
-
-def einsum_exclusivity_residual(mats):
-    """The full n^2 product check, max |P_a P_b - delta_ab P_a|, as reference."""
-    products = np.einsum("aij,bjk->abik", mats, mats)
-    products[np.arange(len(mats)), np.arange(len(mats))] -= mats
-    return max_entry_norm(products)
 
 
 def random_hermitian(rng, dim, scale=1.0) -> HermitianOperator:

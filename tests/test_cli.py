@@ -58,27 +58,34 @@ class TestGcCheck:
         assert payload["results"]["max_commutator"] == pytest.approx(0.5, abs=1e-12)
 
     def test_tolerance_override_changes_the_verdict(self, capsys):
-        # loosening only the commutator threshold is not enough: the composed
-        # products then fail their own projector validation downstream
-        code, _, _ = run_json(capsys, "gc-check", XZ, "--tol", "commute=10")
-        assert code == 2
-        code, payload, _ = run_json(
-            capsys,
-            "gc-check",
-            XZ,
-            "--tol", "commute=10", "--tol", "proj=10", "--tol", "herm=10",
-        )
-        assert code == 0
-        assert payload["tolerances"]["commute"] == 10.0
-        table = payload["results"]["probabilities"]
-        assert sum(table.values()) == pytest.approx(1.0, abs=1e-10)
+        # a loosened commutator threshold passes every pair, but the joint
+        # eigenbasis is not the contexts' (its certified gap is about 2.6):
+        # the check fails, with the worst pair and the gap, however loose
+        # proj and herm are
+        for extra in ([], ["--tol", "proj=10", "--tol", "herm=10"]):
+            code, payload, _ = run_json(
+                capsys, "gc-check", XZ, "--tol", "commute=10", *extra
+            )
+            assert code == 1
+            assert payload["verdict"] == "fail"
+            assert payload["tolerances"]["commute"] == 10.0
+            results = payload["results"]
+            assert "probabilities" not in results
+            assert [(v["label_a"], v["label_b"]) for v in results["violations"]] == [
+                ("x+", "z+")
+            ]
+            assert results["max_commutator"] == pytest.approx(0.5, abs=1e-12)
+            assert results["gap"] > 0.25
+        code = main(["gc-check", XZ, "--tol", "commute=10"])
+        assert code == 1
+        assert "gap: 2.59" in capsys.readouterr().out
 
     def test_loose_commute_does_not_label_non_commuting_atoms(self, capsys, tmp_path):
         # z then a direction 150 degrees away: every eigenvalue of the joint
         # observable lies within 1/4 of a label position (2.13 and 0.87), but
         # its eigenvectors are far from diagonalizing either context (the
-        # certified gap is about 2), so the products are built and fail
-        # their projector check
+        # certified gap is about 2), so no atom is labelled and the check
+        # fails
         doc = {
             "dimension": 2,
             "initial_time": 0.0,
@@ -95,9 +102,33 @@ class TestGcCheck:
         }
         path = write_spec(tmp_path, doc)
         code, payload, err = run_json(capsys, "gc-check", path, "--tol", "commute=10")
-        assert code == 2 and payload is None
-        assert_one_line_error(err)
-        assert "NonHermitianInput" in err
+        assert code == 1 and err == ""
+        results = payload["results"]
+        assert "probabilities" not in results
+        assert len(results["violations"]) == 1
+        assert results["max_commutator"] == pytest.approx(0.25, abs=1e-12)
+        assert 0.25 < results["gap"] < math.inf
+
+    def test_single_context_off_its_eigenbasis_fails_without_pairs(self, capsys, tmp_path):
+        # atoms with |P^2 - P| = 0.36 pass proj = herm = 10, but the one
+        # context is not its eigenbasis (certified gap about 0.4): the check
+        # fails, and with no context pair it names no pair
+        doc = {
+            "dimension": 2,
+            "initial_time": 0.0,
+            "initial_state": [[1.0, 0.0], [0.0, 0.0]],
+            "contexts": [
+                {"time": 1.0, "atoms": [[[1.0, 0.6], [0.6, 0.0]], [[0.0, -0.6], [-0.6, 1.0]]]}
+            ],
+        }
+        path = write_spec(tmp_path, doc)
+        code, payload, err = run_json(
+            capsys, "gc-check", path, "--tol", "proj=10", "--tol", "herm=10"
+        )
+        assert code == 1 and err == ""
+        results = payload["results"]
+        assert results["violations"] == [] and results["max_commutator"] == 0.0
+        assert results["gap"] > 0.25
 
     def test_state_is_evolved_to_the_reference_time(self, capsys, tmp_path):
         # z+ prepared at t = 0 under H = 0.3 sigma_x; z at t = 1 and one
@@ -327,6 +358,21 @@ class TestSpinSearch:
         assert code == 2
         assert "intermediate time" in err
 
+    def test_negative_t1_with_an_exponent_is_a_value(self, capsys, tmp_path):
+        # argparse's own pattern takes -1e-05 for an option; both spellings
+        # must give the same report and the same diagnostic
+        doc = yaml.safe_load(Path(XZ).read_text())
+        doc["initial_time"] = doc["reference_time"] = -1.0
+        inside = write_spec(tmp_path, doc)
+        for spec, want in ((inside, 0), (XZ, 2)):
+            outcomes = []
+            for t1 in (["--t1", "-1e-05"], ["--t1=-1e-05"]):
+                code = main(["spin-search", spec, "--mode", "commute", *t1])
+                outcomes.append((code, *capsys.readouterr()))
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0][0] == want
+        assert "intermediate time -1e-05 must lie inside" in outcomes[0][2]
+
     @pytest.mark.parametrize("count", [-5, MAX_GRID_COUNT + 1])
     def test_grid_count_out_of_range(self, capsys, count):
         code, payload, err = run_json(
@@ -417,6 +463,27 @@ def test_spin_search_answers_are_pinned(capsys, tmp_path, layout, mode):
     assert results["antipodal_pairs"] == [[2 * k, 2 * k + 1] for k in range(len(axes))]
 
 
+def test_control_characters_in_text_keys_are_escaped(capsys, tmp_path):
+    # a label with a line break keeps its field on one text line; the JSON
+    # report keeps the key as it is
+    doc = yaml.safe_load(Path(XZ).read_text())
+    doc["contexts"][0]["labels"] = ["a\nb", "c\x7f"]
+    path = write_spec(tmp_path, doc)
+    code, payload, _ = run_json(capsys, "history-prob", path)
+    assert code == 0
+    keys = list(payload["results"]["probabilities"])
+    assert keys == ["a\nb,z+", "a\nb,z-", "c\x7f,z+", "c\x7f,z-"]
+    assert main(["history-prob", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    table = lines[lines.index("  probabilities:") + 1 :][: len(keys)]
+    assert [line.split(": ")[0] for line in table] == [
+        "    a\\nb,z+", "    a\\nb,z-", "    c\\x7f,z+", "    c\\x7f,z-"
+    ]
+    # and so does a label printed as a value
+    assert main(["validate-context", path]) == 0
+    assert "        - a\\nb\n        - c\\x7f\n" in capsys.readouterr().out
+
+
 class TestHeadlineContrast:
     def test_same_file_passes_consistency_but_fails_gc_check(self, capsys):
         code_hist, hist, _ = run_json(capsys, "consistency", XZ, "--criterion", "gmh")
@@ -447,6 +514,13 @@ class TestInputErrors:
         assert code == 2
         assert_one_line_error(err)
         assert "while parsing a flow sequence in " in err
+
+    def test_negative_psd_floor_reads_as_one_number(self, capsys):
+        # a negative tolerance is allowed and only makes the check fail
+        code, _, err = run_json(capsys, "gc-check", ZZ, "--tol", "psd=-1")
+        assert code == 2
+        assert_one_line_error(err)
+        assert "(floor 1.0e+00)" in err
 
     def test_unknown_tolerance_name(self, capsys):
         code, _, err = run_json(capsys, "gc-check", ZZ, "--tol", "bogus=1")

@@ -6,7 +6,6 @@ import pytest
 from helpers import (
     KET_X_MINUS,
     KET_X_PLUS,
-    einsum_exclusivity_residual,
     outer,
     random_density,
     random_generalized_context,
@@ -19,7 +18,6 @@ from qprops.config import DEFAULT_TOLERANCES
 from qprops.contexts import (
     Context,
     GeneralizedContext,
-    _exclusivity_residual,
     build_generalized_context,
     composite_join,
     composite_meet,
@@ -234,31 +232,38 @@ class TestComposedGrid:
         assert dropped > 0
 
     def test_loose_commute_tolerance_is_caught_by_the_grid_check(self):
-        # x and z atoms pass a commutator threshold of 1, but their products
-        # are not projectors
+        # x and z atoms pass a commutator threshold of 1, but Z's
+        # eigenvectors diagonalize neither context: the build fails on the
+        # certificate's gap, naming the worst pair
         loose = DEFAULT_TOLERANCES.updated(commute=1.0)
-        with pytest.raises(InvariantViolation) as err:
+        with pytest.raises(IncompatibleContexts) as err:
             build_generalized_context(
                 [x_context(1.0), z_context(2.0)], 0.0, H0, tols=loose
             )
-        assert not isinstance(err.value, IncompatibleContexts)
+        assert err.value.gap > 0.25
+        assert f"{err.value.gap:.3e}" in str(err.value)
+        [(a, b, residual)] = err.value.pairs
+        assert (a, b) == ((0, "x+"), (1, "z+"))
+        assert residual == pytest.approx(0.5, abs=1e-12)
 
     def test_composed_atoms_use_the_context_tolerances(self):
-        # x then z take the product route (Z's eigenvectors diagonalize
-        # neither context): at these tolerances the products pass, at the
-        # default they are not even Hermitian
+        # loose proj and herm do not admit x then z, whose products such as
+        # x+ z+ are not even Hermitian: the build fails as at commute alone
         loose = DEFAULT_TOLERANCES.updated(commute=10.0, proj=10.0, herm=10.0)
+        with pytest.raises(IncompatibleContexts) as err:
+            build_generalized_context(
+                [x_context(1.0), z_context(2.0)], 0.0, H0, tols=loose
+            )
+        assert err.value.gap > 0.25 and len(err.value.pairs) == 1
+        # an accepted build's atoms are projectors at the default
+        # tolerances, whatever tolerances the build was given
         gc = build_generalized_context(
-            [x_context(1.0), z_context(2.0)], 0.0, H0, tols=loose
+            [x_context(1.0), x_context(2.0)], 0.0, H0, tols=loose
         )
-        composed = gc.composed_atoms
-        assert len(composed) == 4
-        x_plus = x_pair()[0].matrix
-        assert np.array_equal(composed[("x+", "z+")].matrix, x_plus @ Z_PLUS.matrix)
-        with pytest.raises(InvariantViolation):
-            Projector(composed[("x+", "z+")].matrix)
+        for atom in gc.composed_atoms.values():
+            Projector(atom.matrix)
 
-    def test_non_finite_spectrum_takes_the_product_route(self, monkeypatch):
+    def test_non_finite_spectrum_fails_the_build(self, monkeypatch):
         stack = np.stack([Z_PLUS.matrix, Z_MINUS.matrix])
         for bad in (np.nan, np.inf):
             broken = stack.copy()
@@ -267,43 +272,28 @@ class TestComposedGrid:
                 basis = contexts_module._joint_atoms([stack, broken])
             # certifies nothing: no pair is cleared, no atom is taken
             assert basis.gap == np.inf and basis.pairs == [np.inf]
-        # an eigenvalue that reads NaN is not accepted: the products are
-        # built and checked instead
+        # an eigenvalue that reads NaN is not accepted: the build fails with
+        # the worst pair of each context pair and an infinite gap
+        H0.eigensystem  # cached before eigh is patched
         eigh = np.linalg.eigh
 
         def nan_eigh(matrix):
             w, v = eigh(matrix)
             return np.full_like(w, np.nan), v
 
-        calls = []
         monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
-        monkeypatch.setattr(
-            contexts_module,
-            "check_projector_stack",
-            lambda *args, **kwargs: calls.append("checked"),
-        )
-        gc = build_generalized_context([z_context(1.0), z_context(2.0)], 0.0, H0)
-        assert calls == ["checked"]
-        assert [row is not None for row in gc._index.values()] == [
-            True, False, False, True
-        ]
+        with pytest.raises(IncompatibleContexts) as err:
+            build_generalized_context([z_context(1.0), z_context(2.0)], 0.0, H0)
+        assert err.value.gap == np.inf
+        assert err.value.pairs == (((0, "z+"), (1, "z+"), 0.0),)
 
     @pytest.mark.parametrize(
         "case",
         ["loose-commute", "loose-proj", "zero-proj", "negative-herm"],
     )
-    def test_grid_checks_run_when_the_bound_does_not_clear(self, case, monkeypatch):
+    def test_grid_checks_run_when_the_bound_does_not_clear(self, case):
         # the bound is the certified gap of Z's eigenbasis, at most 1/4:
-        # the product grid is built and checked exactly when it does not clear
-        calls = []
-        for name in ("ordered_products", "check_projector_stack", "_exclusivity_residual"):
-            original = getattr(contexts_module, name)
-
-            def spy(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(contexts_module, name, spy)
+        # the build fails exactly when it does not clear
         contexts = [z_context(1.0), z_context(2.0)]
         if case == "loose-commute":
             # x then z pass a commutator threshold of 1, but Z's eigenvectors
@@ -324,35 +314,24 @@ class TestComposedGrid:
         else:
             tols = DEFAULT_TOLERANCES.updated(herm=-1.0)
         if case == "loose-commute":
-            # raised by the projector check of the products
-            with pytest.raises(InvariantViolation) as err:
+            with pytest.raises(IncompatibleContexts) as err:
                 build_generalized_context(contexts, 0.0, H0, tols=tols)
-            assert not isinstance(err.value, IncompatibleContexts)
-            assert calls == ["ordered_products", "check_projector_stack"]
+            assert err.value.gap > 0.25
         else:
             # the joint atoms are projectors by construction: no tolerance
             # on proj or herm is consulted, and none fails the build
             gc = build_generalized_context(contexts, 0.0, H0, tols=tols)
-            assert calls == []
             kept = [label for label, row in gc._index.items() if row is not None]
             assert len(kept) == 2 and all(a == b for a, b in kept)
 
-    def test_composed_atoms_are_built_once_and_read_only(self, rng, monkeypatch):
+    def test_composed_atoms_are_built_once_and_read_only(self, rng):
         h = random_hermitian(rng, 6)
         contexts = shared_basis_contexts(rng, 6, 3, h, parts=3)
         gc = build_generalized_context(contexts, 0.0, h)
-        built = []
-        init = Projector.__init__
-
-        def counted_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Projector, "__init__", counted_init)
         first, second = gc.composed_atoms, gc.composed_atoms
         kept = sum(row is not None for row in gc._index.values())
         # one Projector per kept atom and one zero shared by the dropped ones
-        assert len(built) == kept + 1
+        assert len({id(atom) for atom in first.values()}) == kept + 1
         assert len(first) == int(np.prod([len(ctx) for ctx in contexts])) == 27
         assert first is second
         label = gc.label_tuples[0]
@@ -369,59 +348,6 @@ BENCH_SHAPES = ((2, 2), (2, 3), (2, 4), (6, 2), (6, 3), (6, 4),
 
 
 class TestExclusivityCheck:
-    def planted_overlap(self, overlap, dim=6, zeros=5):
-        """Valid projectors that sum to I within ``tols.proj`` but two of
-        which overlap beyond it, next to rank-0 atoms the bound clears.
-
-        Two rank-1 atoms in a plane turned by pi/8 share ``overlap``: in the
-        max-entry norm their product reads overlap * cos^2(pi/8) but the atom
-        sum only overlap / sqrt(2), so completeness passes and exclusivity
-        does not.
-        """
-        phi = np.pi / 8
-        u = np.zeros(dim)
-        v = np.zeros(dim)
-        u[:2] = np.cos(phi), np.sin(phi)
-        v[:2] = -np.sin(phi), np.cos(phi)
-        w = np.sqrt(1 - overlap**2) * v + overlap * u
-        atoms = [Projector(outer(u)), Projector(outer(w))]
-        atoms += [Projector(outer(e)) for e in np.eye(dim)[2:]]
-        atoms += [Projector.zero(dim)] * zeros
-        return {(str(k),): atom for k, atom in enumerate(atoms)}
-
-    def test_planted_overlap_is_rejected(self):
-        tol = DEFAULT_TOLERANCES.proj
-        composed = self.planted_overlap(1.3 * tol)
-        mats = np.stack([p.matrix for p in composed.values()])
-        assert max_entry_norm(mats.sum(axis=0) - np.eye(6)) < tol
-        reference = einsum_exclusivity_residual(mats)
-        assert reference > tol
-        assert abs(_exclusivity_residual(mats, tol) - reference) < 1e-12
-        with pytest.raises(InvariantViolation, match="not mutually exclusive") as err:
-            GeneralizedContext._verify_family_laws(
-                mats, mats.sum(axis=0), DEFAULT_TOLERANCES
-            )
-        assert f"{reference:.3e}" in str(err.value)
-
-    def test_residual_matches_full_product_check(self, rng):
-        tol = DEFAULT_TOLERANCES.proj
-        grids = [random_generalized_context(rng) for _ in range(15)]
-        for dim, n_times in BENCH_SHAPES:
-            parts = max(k for k in range(1, dim + 1) if k**n_times <= 81)
-            h = random_hermitian(rng, dim)
-            contexts = shared_basis_contexts(rng, dim, n_times, h, parts=parts)
-            grids.append(build_generalized_context(contexts, 0.0, h))
-        for gc in grids:
-            mats = np.stack([p.matrix for p in gc.composed_atoms.values()])
-            # a 1e-6 bump on an atom of lowest rank, one the bound would clear
-            # when it is rank 0, lifts the residual far above rounding noise
-            bumped = mats.copy()
-            lowest = np.argmin([atom.rank for atom in gc.composed_atoms.values()])
-            bumped[lowest] += 1e-6 * rng.normal(size=(gc.dim, gc.dim))
-            for stack in (mats, bumped):
-                new = _exclusivity_residual(stack, tol)
-                assert abs(new - einsum_exclusivity_residual(stack)) < 1e-13
-
     def test_625_atom_grid_at_dimension_32(self, rng):
         # the full product check would hold 625^2 * 32^2 complex values (6.4 GB)
         h = random_hermitian(rng, 32)

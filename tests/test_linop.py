@@ -26,7 +26,6 @@ from qprops.linop import (
     SpectralWindow,
     UnitaryOperator,
     alternating_projection_limit,
-    check_projector_stack,
     commutator_norm,
     evolution_operator,
     max_entry_norm,
@@ -63,26 +62,6 @@ class TestTypeInvariants:
         matrix[1, 1] = bad
         with pytest.raises(InvariantViolation, match="non-finite"):
             cls(matrix)
-
-    def test_projector_stack_checks_match_projector(self, rng):
-        good = np.stack([random_projector(rng, 3).matrix for _ in range(5)])
-        check_projector_stack(good)
-        bent = good.copy()
-        bent[3, 0, 1] += 1e-3
-        with pytest.raises(NonHermitianInput):
-            check_projector_stack(bent)
-        with pytest.raises(NonHermitianInput):
-            Projector(bent[3])
-        scaled = good.copy()
-        scaled[2] *= 1.5
-        with pytest.raises(InvariantViolation, match="idempotent"):
-            check_projector_stack(scaled)
-        with pytest.raises(InvariantViolation, match="idempotent"):
-            Projector(scaled[2])
-        holed = good.copy()
-        holed[4, 0, 0] = np.nan
-        with pytest.raises(InvariantViolation, match="non-finite"):
-            check_projector_stack(holed)
 
     def test_projector_rank_is_rounded_trace(self, rng):
         for dim in (2, 3, 5):

@@ -24,7 +24,9 @@ certified gap of the products, and the class lattice must keep its laws
 classes.  The eigenbasis certificate must bound every pairwise residual and
 leave the failing pairs of the broadcast check as they are, the last-atom
 certificate must bound every gram entry between different last atoms, and
-``gmh_check`` in last-atom blocks must give the full gram's answers.  The
+``gmh_check`` in last-atom blocks must give the full gram's answers, and
+at any tolerances an accepted generalized context must be a context whose
+atoms lie within 1/4 of the translated products.  The
 history bound of a context-built family must cover every off-diagonal entry
 of its unpruned gram, so that the report read from the certificate has the
 gram's verdict and violations and probabilities within the bound, and its f
@@ -106,7 +108,6 @@ from qprops.linop import (
     HermitianOperator,
     Projector,
     alternating_projection_limit,
-    check_projector_stack,
     commutator_residuals,
     commutators,
     evolution_operator,
@@ -435,7 +436,8 @@ def test_translated_context_keeps_the_context_laws(d, t, t_to, seed):
     ]
     ctx = Context(t, atoms)
     moved = ctx.translated(t_to, random_hermitian(rng, d))
-    check_projector_stack(moved, tols=DEFAULT_TOLERANCES)
+    for atom in moved:
+        Projector(atom, tols=DEFAULT_TOLERANCES)
     check_context_laws(moved, ctx.labels, tols=DEFAULT_TOLERANCES)
 
 
@@ -454,8 +456,9 @@ def test_translated_spin_pairs_keep_the_context_laws(rows, stretch, field, t_fro
     h = HermitianOperator(sum(c * s for c, s in zip(field, (PAULI_X, PAULI_Y, PAULI_Z))))
     u = evolution_operator(h, t_from, t_to)
     for pairs in (_spin_pairs(points), u.transform(_spin_pairs(points))):
-        check_projector_stack(pairs, tols=DEFAULT_TOLERANCES)
         for pair in pairs:
+            for atom in pair:
+                Projector(atom, tols=DEFAULT_TOLERANCES)
             check_context_laws(pair, ("+", "-"), tols=DEFAULT_TOLERANCES)
 
 
@@ -530,7 +533,8 @@ def test_derived_operators_pass_the_checks_they_skip(d, shared, t, t_to, pure, s
         property_projector(gc.property(selected)),
         *gc.contexts[0].atoms,
     ]
-    check_projector_stack(np.stack([op.matrix for op in derived]), tols=DEFAULT_TOLERANCES)
+    for op in derived:
+        Projector(op.matrix, tols=DEFAULT_TOLERANCES)
     rho = random_density(rng, d, pure=pure).evolved(evolution_operator(h, t, t_to))
     DensityOperator(rho.matrix, tols=DEFAULT_TOLERANCES)
 
@@ -578,20 +582,20 @@ PRUNED_CASE = dict(
 )
 
 
-@given(later_left=st.booleans(), **PRUNED_CASE)
-def test_pruned_products_match_the_unpruned_ones(d, n_times, shared, seed, later_left):
+@given(**PRUNED_CASE)
+def test_pruned_products_match_the_unpruned_ones(d, n_times, shared, seed):
     _, h, contexts = drawn_contexts(d, n_times, shared, seed)
     _, stacks = translate_contexts(contexts, 0.0, h)
     tol = DEFAULT_TOLERANCES.proj
-    kept, index = ordered_products(stacks, later_left=later_left, tol=tol)
-    reference = loop_products(stacks, later_left)
+    kept, index = ordered_products(stacks, tol=tol)
+    reference = loop_products(stacks, later_left=True)
     assert np.all(np.diff(index) > 0)
     for product, k in zip(kept, index.tolist()):
         assert product.tobytes() == reference[k].tobytes()
     for k in set(range(len(reference))) - set(index.tolist()):
         # within the bound of its dropped prefix
         assert np.linalg.norm(reference[k]) < min(tol, PRUNE_CEILING) / 2
-    unpruned, every = ordered_products(stacks, later_left=later_left)
+    unpruned, every = ordered_products(stacks)
     assert every.tolist() == list(range(len(reference)))
     assert unpruned.tobytes() == np.stack(reference).tobytes()
 
@@ -806,6 +810,45 @@ def test_near_commuting_families_are_accepted_within_the_bound(
         assert keep or np.linalg.norm(p, 2) <= bound
 
 
+LOOSE_TOLERANCE_SETS = (
+    DEFAULT_TOLERANCES,
+    DEFAULT_TOLERANCES.updated(commute=1e-4, proj=1e-8),
+    DEFAULT_TOLERANCES.updated(commute=10.0, proj=10.0, herm=10.0),
+)
+
+
+@given(
+    d=st.integers(2, 8),
+    n_times=st.integers(2, 4),
+    turn=st.integers(-12, 0).map(lambda x: 10.0**x),
+    tols=st.sampled_from(LOOSE_TOLERANCE_SETS),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a turn of 1 at the loosest set passes every pair, but the gap exceeds 1/4
+@example(d=2, n_times=2, turn=1.0, tols=LOOSE_TOLERANCE_SETS[2], seed=0)
+def test_accepted_generalized_context_is_a_context(d, n_times, turn, tols, seed):
+    # whatever the tolerances, a build either fails or gives atoms that are
+    # projectors, sum to I and lie within 1/4 of their translated products
+    rng = np.random.default_rng(seed)
+    parts = min(d, 3 if n_times < 4 else 2)
+    h, contexts = near_commuting_contexts(rng, d, n_times, parts, turn, 0.0)
+    try:
+        gc = build_generalized_context(contexts, 0.0, h, tols=tols)
+    except IncompatibleContexts:
+        return
+    products = loop_products(gc.translated_atoms, later_left=False)
+    kept = [
+        (gc.composed_atoms[label].matrix, products[k])
+        for k, (label, row) in enumerate(gc._index.items())
+        if row is not None
+    ]
+    for atom, product in kept:
+        Projector(atom)
+        assert np.linalg.norm(atom - product, 2) <= 0.25
+    total = sum(atom for atom, _ in kept)
+    assert max_entry_norm(total - np.eye(d)) <= DEFAULT_TOLERANCES.proj
+
+
 def frobenius_commutators(a, b):
     """Frobenius norm of [A_i, B_j] for every pair of two (k, d, d) stacks."""
     return np.linalg.norm(commutators(a[:, None], b[None, :]), axis=(-2, -1))
@@ -987,15 +1030,12 @@ def test_last_atom_blocks_need_the_certificate(case, rng, monkeypatch):
 
 
 def test_accepted_large_grid_is_certified_without_the_checks(monkeypatch):
-    # the LARGE_GRID family: its joint atoms come from one eigh, so neither
-    # the product grid nor a projector or exclusivity check runs; and its
-    # gmh report is read from the eigenbasis certificate and the composed
-    # atoms' weights, so no history or gram is formed
+    # the LARGE_GRID family: its gmh report is read from the eigenbasis
+    # certificate and the composed atoms' weights, so no history or gram is
+    # formed
     def refuse(*args, **kwargs):
-        raise AssertionError("a certified context needs no product grid, check or gram")
+        raise AssertionError("a certified context needs no history or gram")
 
-    for name in ("ordered_products", "check_projector_stack", "_exclusivity_residual"):
-        monkeypatch.setattr(contexts_module, name, refuse)
     for name in ("ordered_products", "decoherence_gram", "_last_atom_grams"):
         monkeypatch.setattr(histories_module, name, refuse)
     rng = np.random.default_rng(32)
@@ -1116,22 +1156,23 @@ def test_history_bound_covers_the_atoms_of_any_basis(d, parts, exponent, seed):
     "case", ["zero-consist", "negative-consist", "product-route", "direct"]
 )
 def test_gmh_check_takes_the_gram_route_without_a_certificate(case, rng, monkeypatch):
-    # a context-built family at consist <= 0, the family of a context whose
-    # atoms are products, and a family built from the contexts alone form
-    # their histories and gram, and report what the gram route gives
+    # a context-built family at consist <= 0 and a family built from the
+    # contexts alone form their histories and gram, and report what the
+    # gram route gives; x then z at loose tolerances (``product-route``)
+    # give no context at all
     tols = DEFAULT_TOLERANCES
     if case == "product-route":
-        h = HermitianOperator.zero(2)
         contexts = [
             direction_context(Direction(1.0, 0.0, 0.0), 1.0),
             direction_context(Direction(0.0, 0.0, 1.0), 2.0),
         ]
         loose = tols.updated(commute=10.0, proj=10.0, herm=10.0)
-        gc = build_generalized_context(contexts, 0.0, h, tols=loose)
-        assert gc._basis is None
-    else:
-        h = random_hermitian(rng, 4)
-        gc = build_generalized_context(shared_basis_contexts(rng, 4, 3, h, parts=2), 0.0, h)
+        with pytest.raises(IncompatibleContexts) as err:
+            build_generalized_context(contexts, 0.0, HermitianOperator.zero(2), tols=loose)
+        assert err.value.gap > 0.25
+        return
+    h = random_hermitian(rng, 4)
+    gc = build_generalized_context(shared_basis_contexts(rng, 4, 3, h, parts=2), 0.0, h)
     rho = random_density(rng, gc.dim)
     family = family_from_generalized_context(gc, rho)
     if case == "direct":
