@@ -52,13 +52,11 @@ from .contexts import (
 )
 from .histories import (
     ConsistencyReport,
-    History,
     HistoryFamily,
     family_from_generalized_context,
     gmh_check,
     griffiths_check,
     heisenberg_projector,
-    history_operator,
     history_probability,
     omnes_implies,
 )

@@ -34,7 +34,6 @@ from .errors import (
     ValidationError,
 )
 from .histories import (
-    History,
     HistoryFamily,
     gmh_check,
     griffiths_check,
@@ -235,22 +234,15 @@ def _history_family(system) -> HistoryFamily:
 def cmd_history_prob(spec: SystemSpec, args, tols: Tolerances):
     system = realize_system(spec, tols=tols)
     family = _history_family(system)
-    if args.choices:
-        choices = tuple(args.choices.split(","))
-        try:
-            history = family.history(choices)
-        except InvariantViolation as err:
-            raise ValidationError(str(err)) from err
-        table = [(choices, history_probability(history))]
-    else:
-        table = [
-            (choices, history_probability(History(family, choices)))
-            for choices in family.label_grid
-        ]
+    choices = args.choices.split(",") if args.choices else None
+    try:
+        table = history_probability(family, choices, tols=tols)
+    except InvariantViolation as err:
+        raise ValidationError(str(err)) from err
     results = {
         "initial_time": system.initial_time,
         "times": list(family.times),
-        "probabilities": _probability_table(table),
+        "probabilities": _probability_table(table.items()),
     }
     return Report("history-prob", None, tols.as_dict(), results), PASS
 
@@ -539,7 +531,9 @@ def main(argv=None) -> int:
             return OUTPUT_CLOSED
         except Exception as err:
             # exit 1 is reserved for a check that ran and failed
-            print(f"error: {type(err).__name__}: {_one_line(err)}", file=sys.stderr)
+            # an exception without a message (MemoryError()) names its class alone
+            detail = ": ".join(filter(None, [type(err).__name__, _one_line(err)]))
+            print(f"error: {detail}", file=sys.stderr)
             return INPUT_ERROR
     for warning in held:
         print(f"warning: {_one_line(warning.message)}", file=sys.stderr)

@@ -416,15 +416,23 @@ def _history_bound(basis: _JointBasis, rho: np.ndarray) -> float:
     return (1 + 16 * _EPS) * frobenius * (math.sqrt(dim) * exact + 2 * rounding)
 
 
+def _pair_residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (k_a, k_b) commutator residuals of every atom pair of stacks a and
+    b: one broadcast call, or one atom of a at a time when its temporaries
+    would exceed ``_BROADCAST_MAX_ENTRIES`` entries (the same bits)."""
+    if a.size * len(b) <= _BROADCAST_MAX_ENTRIES:
+        return commutator_residuals(a[:, None], b[None, :])
+    return np.stack([commutator_residuals(atom, b) for atom in a])
+
+
 def _worst_pairs(
     contexts: Sequence[Context], stacks: Sequence[np.ndarray]
 ) -> list[tuple[tuple[int, str], tuple[int, str], float]]:
     """The translated atom pair with the largest commutator residual of
-    every context pair, one atom of the earlier context at a time, as
-    ``_commutation_failures`` takes a large pair (the same residuals)."""
+    every context pair (``_pair_residuals``)."""
     worst = []
     for a, b in itertools.combinations(range(len(stacks)), 2):
-        residuals = np.stack([commutator_residuals(atom, stacks[b]) for atom in stacks[a]])
+        residuals = _pair_residuals(stacks[a], stacks[b])
         i, j = np.unravel_index(np.argmax(residuals), residuals.shape)
         worst.append(
             ((a, contexts[a].labels[i]), (b, contexts[b].labels[j]), float(residuals[i, j]))
@@ -445,12 +453,8 @@ def _commutation_failures(
     ``tols.commute`` is the ``eigh`` taken here: a family that fails at the
     label sums never pays for it.  A context pair whose certificate bound
     is within ``tols.commute`` has no failing pair.  Every other pair runs
-    the pairwise check: one broadcast call, or one atom of context a at a
-    time against the whole stack of b when the broadcast's temporaries
-    would exceed ``_BROADCAST_MAX_ENTRIES`` entries; the residuals are the
-    same bit for bit.
+    the pairwise check (``_pair_residuals``).
     """
-    dim = stacks[0].shape[-1]
     # X_t = sum_i i S_{t,i}
     sums = [np.tensordot(np.arange(len(stack), dtype=float), stack, axes=1) for stack in stacks]
     pairs = list(itertools.combinations(range(len(stacks)), 2))
@@ -467,18 +471,11 @@ def _commutation_failures(
     for (a, b), bound in zip(pairs, bounds):
         if bound <= tols.commute:
             continue
-        if len(stacks[a]) * len(stacks[b]) * dim * dim <= _BROADCAST_MAX_ENTRIES:
-            residuals = commutator_residuals(stacks[a][:, None], stacks[b][None, :])
-        else:
-            residuals = np.stack([commutator_residuals(atom, stacks[b]) for atom in stacks[a]])
-        for i, j in zip(*np.nonzero(residuals > tols.commute)):
-            failures.append(
-                (
-                    (a, contexts[a].labels[i]),
-                    (b, contexts[b].labels[j]),
-                    float(residuals[i, j]),
-                )
-            )
+        residuals = _pair_residuals(stacks[a], stacks[b])
+        failures += [
+            ((a, contexts[a].labels[i]), (b, contexts[b].labels[j]), float(residuals[i, j]))
+            for i, j in zip(*np.nonzero(residuals > tols.commute))
+        ]
     return failures, basis
 
 

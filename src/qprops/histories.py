@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .lattice import TimedProperty, translate
 from .linop import (
     DensityOperator,
     HermitianOperator,
-    Operator,
     Projector,
     kept_products,
     ordered_products,
@@ -48,14 +47,11 @@ from .linop import (
 
 __all__ = [
     "HistoryFamily",
-    "History",
     "ConsistencyReport",
     "heisenberg_projector",
-    "history_operator",
     "history_probability",
     "gmh_check",
     "griffiths_check",
-    "history_operators",
     "decoherence_gram",
     "gmh_residuals",
     "consistency_traces",
@@ -163,9 +159,6 @@ class HistoryFamily:
             itertools.product(*(ctx.labels for ctx in self._contexts))
         )
 
-    def history(self, choices: Sequence[str]) -> "History":
-        return History(self, tuple(str(c) for c in choices))
-
     def _choice_indices(self, choices: LabelTuple) -> tuple[int, ...]:
         if len(choices) != len(self._contexts):
             raise InvariantViolation(
@@ -180,48 +173,11 @@ class HistoryFamily:
             indices.append(ctx.labels.index(label))
         return tuple(indices)
 
-    def _operator_matrix(self, choices: LabelTuple) -> np.ndarray:
-        indices = self._choice_indices(choices)
-        return history_operators(
-            [atoms[i : i + 1] for atoms, i in zip(self._atoms_ref, indices)]
-        )[0]
-
     def __repr__(self) -> str:
         return (
             f"HistoryFamily(times={list(self.times)}, dim={self.dim}, "
             f"initial_time={self._initial_time})"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class History:
-    """One atom choice per time of a history family."""
-
-    family: HistoryFamily
-    choices: LabelTuple
-
-    def __post_init__(self):
-        self.family._choice_indices(self.choices)
-
-
-def history_operator(h: History) -> Operator:
-    """Ordered product of the Heisenberg atoms, latest time leftmost.
-
-    The product of non-commuting projectors is generally not a projector.
-    """
-    return Operator(h.family._operator_matrix(h.choices))
-
-
-def history_probability(h: History) -> float:
-    """Probability weight Tr(C rho C^dag) of one history.
-
-    Non-negative by construction, but only additive and bounded by one when
-    the family passes a consistency check.
-    """
-    c = h.family._operator_matrix(h.choices)
-    rho = h.family.initial_state.matrix
-    value = float(np.trace(c @ rho @ c.conj().T).real)
-    return max(0.0, value)
 
 
 @dataclass(frozen=True)
@@ -241,17 +197,6 @@ class ConsistencyReport:
 
     def max_residual(self) -> float:
         return max((v[2] for v in self.violations), default=0.0)
-
-
-def history_operators(atoms: Sequence[np.ndarray]) -> np.ndarray:
-    """Every history operator from per-time (..., k_t, d, d) atom stacks.
-
-    Returns the (..., k_1 * ... * k_T, d, d) stack of time-ordered products,
-    latest atom leftmost, in ``itertools.product`` order over the per-time
-    atoms (the ``label_grid`` order): ``linop.ordered_products`` without
-    pruning.  Leading axes broadcast.
-    """
-    return ordered_products(atoms)[0]
 
 
 def decoherence_gram(histories: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -360,36 +305,74 @@ def _cross_block_bound(dim: int, times: int, delta: float, rho: np.ndarray) -> f
     )
 
 
-def _last_atom_grams(
-    family: HistoryFamily, tol: float
-) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """The grams of the histories that share a last atom, one per last atom
-    Q_j, each with the label-grid positions of its rows; or None unless
-    d >= ``_PER_CONTEXT_MIN_DIM``, the family has at least two
-    times and ``_cross_block_bound`` clears within ``tol``.
-
-    Block j holds the histories Q_j A for the pruned earlier prefixes A of
-    ``ordered_products``, formed one per-matrix product each as there,
-    pruned by the same rule (``linop.kept_products``) and weighted by rho.
-    Only these blocks are held at a time and only their grams are formed:
-    at most k_T m^2 entries instead of (k_T m)^2 for m prefixes.
-    """
-    if family.dim < _PER_CONTEXT_MIN_DIM or len(family.contexts) < 2:
-        return None
-    *earlier, last = family.heisenberg_atoms
-    rho = family.initial_state.matrix
-    delta = max(ctx.law_residual for ctx in family.contexts)
-    if not _cross_block_bound(family.dim, len(family.contexts), delta, rho) <= tol:
-        return None
+def _last_atom_blocks(
+    stacks: Sequence[np.ndarray], tol: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The kept histories of ``ordered_products`` at ``tol``, bit for bit,
+    one block per last atom Q_j with the label-grid positions of its rows:
+    Q_j times each pruned earlier prefix, one per-matrix product each, pruned
+    by the same rule (``linop.kept_products``).  One time is one block."""
+    *earlier, last = stacks
+    if not earlier:
+        yield ordered_products(stacks, tol=tol)
+        return
     prefixes, first = ordered_products(earlier, tol=tol)
-    grams = []
     for j, atom in enumerate(last):
         block, rows = atom @ prefixes, first
         keep = kept_products(block, tol)
         if keep is not None:
             block, rows = block[keep], first[keep]
-        grams.append((decoherence_gram(block, rho), rows * len(last) + j))
-    return grams
+        yield block, rows * len(last) + j
+
+
+def _last_atom_grams(
+    family: HistoryFamily, tol: float
+) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """The gram of each ``_last_atom_blocks`` block with its label-grid
+    positions, one block held at a time (k_T m^2 entries instead of
+    (k_T m)^2 for m prefixes); or None unless d >= ``_PER_CONTEXT_MIN_DIM``,
+    there are two times or more and ``_cross_block_bound`` clears at ``tol``."""
+    if family.dim < _PER_CONTEXT_MIN_DIM or len(family.contexts) < 2:
+        return None
+    rho = family.initial_state.matrix
+    delta = max(ctx.law_residual for ctx in family.contexts)
+    if not _cross_block_bound(family.dim, len(family.contexts), delta, rho) <= tol:
+        return None
+    return [
+        (decoherence_gram(block, rho), rows)
+        for block, rows in _last_atom_blocks(family.heisenberg_atoms, tol)
+    ]
+
+
+def history_probability(
+    family: HistoryFamily,
+    choices: Sequence[str] | None = None,
+    *,
+    tols: Tolerances = DEFAULT_TOLERANCES,
+) -> dict[LabelTuple, float]:
+    """Weights Tr(C rho C^dag) of every history of the family by label
+    tuple, or with ``choices`` (one atom label per time) of that one.
+
+    The histories C are ``_last_atom_blocks`` at ``tols.consist``, each
+    weight its own per-matrix product and trace; ``choices`` narrows each
+    time's stack to the chosen atom.  A pruned history reads exactly 0: its
+    weight is below ``min(tols.consist, linop.PRUNE_CEILING)**2 / 4``.
+    Weights are non-negative, but only additive and bounded by one when the
+    family passes a consistency check.
+    """
+    stacks, grid = family.heisenberg_atoms, family.label_grid
+    if choices is not None:
+        grid = (tuple(str(c) for c in choices),)
+        indices = family._choice_indices(grid[0])
+        stacks = [atoms[i : i + 1] for atoms, i in zip(stacks, indices)]
+    rho = family.initial_state.matrix
+    probabilities = dict.fromkeys(grid, 0.0)
+    for block, rows in _last_atom_blocks(stacks, tols.consist):
+        weighted = block @ rho @ block.conj().swapaxes(-1, -2)
+        weights = np.trace(weighted, axis1=-2, axis2=-1).real
+        for k, weight in zip(rows.tolist(), weights.tolist()):
+            probabilities[grid[k]] = max(0.0, weight)
+    return probabilities
 
 
 def gmh_check(
@@ -489,10 +472,7 @@ def griffiths_check(
         violations.append(
             ((labels1[0], labels2[0]), (labels1[1], labels2[0]), float(residual))
         )
-    probabilities = {
-        choices: history_probability(History(family, choices))
-        for choices in family.label_grid
-    }
+    probabilities = history_probability(family, tols=tols)
     return ConsistencyReport(
         "griffiths", not violations, tuple(violations), probabilities
     )

@@ -492,9 +492,10 @@ def ordered_products(stacks, *, tol=0.0):
 def kept_products(products, tol):
     """Positions of the (n, d, d) products that ``ordered_products`` keeps at
     ``tol`` (Frobenius norm not below ``min(tol, PRUNE_CEILING) / 2``), or
-    None when it keeps every one of them, as always at ``tol <= 0``."""
+    None when it keeps every one of them, as always at ``tol <= 0`` and for
+    no products (a single history whose prefix was dropped)."""
     cut = min(tol, PRUNE_CEILING) / 2
-    if not cut > 0:
+    if not (cut > 0 and len(products)):
         return None
     keep = np.flatnonzero(~(frobenius_squares(products) < cut**2))
     return keep if keep.size < len(products) else None

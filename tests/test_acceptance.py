@@ -84,7 +84,7 @@ def test_criterion_1_repeated_measurement_weight():
     for t1 in (0.5, 1.0, 1.5):
         contexts = [direction_context(X_DIR, t1), direction_context(Z_DIR, 2.0)]
         family = HistoryFamily(contexts, H0, 0.0, RHO_X)
-        pr = history_probability(family.history(["+", "+"]))
+        pr = history_probability(family, ["+", "+"])[("+", "+")]
         if abs(pr - 0.5) > 1e-12:
             failures.append((t1, pr))
     elapsed = time.perf_counter() - start

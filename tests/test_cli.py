@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from qprops import cli
 from qprops.cli import MAX_GRID_COUNT, main
 from qprops.contexts import build_generalized_context, composite_probability
+from qprops.histories import HistoryFamily, griffiths_check
 from qprops.linop import evolution_operator
 from qprops.specio import load_system_spec, realize_system
 from qprops.spin import Direction
@@ -281,6 +283,36 @@ class TestHistoryProb:
         code, _, err = run_json(capsys, "history-prob", XZ, "--choices", "up,down")
         assert code == 2
         assert "not an atom" in err
+
+    def test_pruned_histories_weigh_exactly_zero(self, capsys, tmp_path):
+        # one unit direction at two times under free dynamics: the products
+        # P-·P+ and P+·P- round to entries near 1e-17, whose weights a
+        # product per history reads near 1e-33; those histories are pruned
+        axis = {"direction": [0.6, 0.0, 0.8], "labels": ["n+", "n-"]}
+        doc = {
+            "dimension": 2,
+            "initial_time": 0.0,
+            "initial_state": [[0.5, 0.5], [0.5, 0.5]],
+            "contexts": [{"time": 1.0, **axis}, {"time": 2.0, **axis}],
+        }
+        path = write_spec(tmp_path, doc)
+        system = realize_system(load_system_spec(path))
+        family = HistoryFamily(
+            system.contexts, system.hamiltonian, 0.0, system.initial_state
+        )
+        rho = system.initial_state.matrix
+        (p_plus, p_minus), (q_plus, q_minus) = family.heisenberg_atoms
+        loop = [q_minus @ p_plus, q_plus @ p_minus]
+        assert all(np.trace(c @ rho @ c.conj().T).real > 0 for c in loop)
+        code, payload, _ = run_json(capsys, "history-prob", path)
+        assert code == 0
+        table = payload["results"]["probabilities"]
+        assert table["n+,n-"] == table["n-,n+"] == 0.0
+        assert table["n+,n+"] + table["n-,n-"] == pytest.approx(1.0, abs=1e-12)
+        report = griffiths_check(family)
+        assert report.verdict
+        assert report.probabilities[("n+", "n-")] == 0.0
+        assert report.probabilities[("n-", "n+")] == 0.0
 
 
 class TestLattice:
@@ -662,6 +694,16 @@ class TestInputErrors:
         assert code == 2
         assert payload is None
         assert err == "error: ValueError: unforeseen\n"
+
+    def test_exception_without_a_message_names_its_class(self, capsys, monkeypatch):
+        def exhausted_handler(spec, args, tols):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli.HANDLERS, "gc-check", exhausted_handler)
+        code, payload, err = run_json(capsys, "gc-check", ZZ)
+        assert code == 2
+        assert payload is None
+        assert err == "error: MemoryError\n"
 
     def test_rendering_fault_is_an_input_error(self, capsys, monkeypatch):
         def broken_emit(report, fmt):

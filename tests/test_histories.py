@@ -31,13 +31,11 @@ from qprops.errors import (
     UnsupportedShape,
 )
 from qprops.histories import (
-    History,
     HistoryFamily,
     family_from_generalized_context,
     gmh_check,
     griffiths_check,
     heisenberg_projector,
-    history_operator,
     history_probability,
     omnes_implies,
 )
@@ -47,6 +45,7 @@ from qprops.linop import (
     HermitianOperator,
     Projector,
     max_entry_norm,
+    ordered_products,
     projector_from_span,
 )
 
@@ -61,6 +60,13 @@ Z_MINUS = Projector(np.diag([0.0, 1.0]))
 def pair_context(time, n, prefix):
     plus, minus = spin_pair(n)
     return Context(time, [plus, minus], [prefix + "+", prefix + "-"])
+
+
+def history_matrix(family, choices):
+    """One history operator: its row of the unpruned ``ordered_products`` of
+    the family's Heisenberg atoms, which come in label-grid order."""
+    products, _ = ordered_products(family.heisenberg_atoms)
+    return products[family.label_grid.index(tuple(choices))]
 
 
 def two_time_family(n1, rho=RHO_X, hamiltonian=H0, t1=1.0, t2=2.0, t0=0.0):
@@ -107,29 +113,31 @@ class TestHistoryOperator:
         family = HistoryFamily(
             [Context(1.0, [Z_PLUS, Z_MINUS], ["z+", "z-"])], h, 0.0, RHO_X
         )
-        op = history_operator(family.history(["z+"]))
+        op = history_matrix(family, ["z+"])
         expect = heisenberg_projector(Z_PLUS, 1.0, 0.0, h)
-        assert max_entry_norm(op.matrix - expect.matrix) < 1e-12
+        assert max_entry_norm(op - expect.matrix) < 1e-12
 
     def test_identity_atoms_compose_to_identity(self, rng):
         h = random_hermitian(rng, 3)
         eye = Context(1.0, [Projector.identity(3)], ["all"])
         eye2 = Context(2.0, [Projector.identity(3)], ["all"])
         family = HistoryFamily([eye, eye2], h, 0.0, DensityOperator.maximally_mixed(3))
-        op = history_operator(family.history(["all", "all"]))
-        assert max_entry_norm(op.matrix - np.eye(3)) < 1e-12
+        op = history_matrix(family, ["all", "all"])
+        assert max_entry_norm(op - np.eye(3)) < 1e-12
 
     def test_free_dynamics_product_order(self):
         # oracle: direct product of the two atoms, latest leftmost
         family = two_time_family((1, 0, 0))
-        op = history_operator(family.history(["a+", "z+"]))
+        op = history_matrix(family, ["a+", "z+"])
         expect = Z_PLUS.matrix @ outer(KET_X_PLUS)
-        assert max_entry_norm(op.matrix - expect) < 1e-13
+        assert max_entry_norm(op - expect) < 1e-13
 
     def test_rejects_unknown_choice(self):
         family = two_time_family((1, 0, 0))
         with pytest.raises(InvariantViolation):
-            History(family, ("nope", "z+"))
+            history_probability(family, ("nope", "z+"))
+        with pytest.raises(InvariantViolation):
+            history_probability(family, ("a+",))
 
     def test_rejects_time_order_violations(self):
         ctx = pair_context(1.0, (0, 0, 1), "z")
@@ -152,20 +160,37 @@ class TestHistoryOperator:
 class TestHistoryProbability:
     def test_x_then_z_weight_is_half(self):
         family = two_time_family((1, 0, 0))
-        pr = history_probability(family.history(["a+", "z+"]))
-        assert pr == pytest.approx(0.5, abs=1e-13)
+        pr = history_probability(family, ["a+", "z+"])
+        assert pr == {("a+", "z+"): pytest.approx(0.5, abs=1e-13)}
 
     def test_zero_operator_history(self):
         family = two_time_family((0, 0, 1))
-        pr = history_probability(family.history(["a+", "z-"]))
-        assert pr == pytest.approx(0.0, abs=1e-13)
+        pr = history_probability(family, ["a+", "z-"])
+        assert pr == {("a+", "z-"): pytest.approx(0.0, abs=1e-13)}
+
+    def test_history_after_a_dropped_prefix_weighs_zero(self):
+        # a+ then b-, orthogonal atoms of one direction, leave no prefix for
+        # the third time to extend
+        n = (0.6, 0.0, 0.8)
+        family = HistoryFamily(
+            [pair_context(t, n, p) for t, p in ((1.0, "a"), (2.0, "b"), (3.0, "c"))],
+            H0,
+            0.0,
+            RHO_X,
+        )
+        table = history_probability(family)
+        assert table[("a+", "b-", "c+")] == 0.0
+        assert history_probability(family, ["a+", "b-", "c+"]) == {("a+", "b-", "c+"): 0.0}
+        assert history_probability(family, ["a+", "b+", "c+"]) == {
+            ("a+", "b+", "c+"): table[("a+", "b+", "c+")]
+        }
 
     def test_single_time_born_rule(self):
         family = HistoryFamily(
             [Context(2.0, [Z_PLUS, Z_MINUS], ["z+", "z-"])], H0, 0.0, RHO_X
         )
-        pr = history_probability(family.history(["z+"]))
-        assert pr == pytest.approx(0.5, abs=1e-13)
+        pr = history_probability(family, ["z+"])
+        assert pr == {("z+",): pytest.approx(0.5, abs=1e-13)}
 
 
 class TestGmhCheck:
@@ -299,7 +324,7 @@ class TestFamilyFromGeneralizedContext:
         family = family_from_generalized_context(gc, RHO_X)
         moved = gc.composed_atoms[("z+",)]
         expected = float(np.trace(RHO_X.matrix @ moved.matrix).real)
-        assert history_probability(family.history(["z+"])) == pytest.approx(
+        assert history_probability(family, ["z+"])[("z+",)] == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -456,7 +481,7 @@ class TestDiscontinuityExhibit:
         for t1 in (0.1, 1.0, 1.9):
             family = two_time_family((1, 0, 0), t1=t1)
             assert gmh_check(family).verdict
-            pr = history_probability(family.history(["a+", "z+"]))
+            pr = history_probability(family, ["a+", "z+"])[("a+", "z+")]
             assert pr == pytest.approx(0.5, abs=1e-12)
             with pytest.raises(IncompatibleContexts):
                 build_generalized_context(

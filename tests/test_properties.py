@@ -15,7 +15,9 @@ their construction makes unnecessary, and the Born probability and the class
 of a property must not depend on the time frame (criterion 9).  The pruned
 ordered-product kernel must keep every product it does not drop bit for bit,
 drop only products within its bound, and leave the GMH verdict, violations
-and probabilities (up to GEMM rounding) as the unpruned gram gives them; and
+and probabilities (up to GEMM rounding) as the unpruned gram gives them;
+every history weight must equal the per-history formula bit for bit, or read
+0 where its history was dropped; and
 ``evolution_operator`` must be unitary without its removed re-check.  Every
 near-commuting family that passes the commutation check must be accepted,
 with the product grid's nonzero-rank labels and joint atoms within their
@@ -88,8 +90,6 @@ from qprops.histories import (
     family_from_generalized_context,
     gmh_check,
     gmh_residuals,
-    history_operator,
-    history_operators,
     history_probability,
 )
 from qprops.lattice import (
@@ -262,7 +262,7 @@ def pair_stack_residuals(mode, n2, points, rho, h, t0, t1, t2):
         residuals = [np.abs(moved @ f - f @ moved).max(axis=(-2, -1)) for f in fixed]
         return np.max([r.max(axis=1) for r in residuals], axis=0)
     if mode == "gmh":
-        histories = history_operators([moved, fixed])
+        histories = ordered_products([moved, fixed])[0]
         n = histories.shape[-3]
         weighted = (histories @ rho).reshape(-1, n, 4)
         flat = histories.reshape(-1, n, 4)
@@ -409,13 +409,57 @@ def test_generalized_context_is_a_consistent_family(d, n_times, pure, seed):
     # the gram route: a family built from the contexts alone
     direct = gmh_check(HistoryFamily(gc.contexts, gc.hamiltonian, gc.ref_time, rho, gc.hbar))
     assert direct.verdict
-    for label in gc.label_tuples:
-        history = family.history(label)
+    weights = history_probability(family)
+    histories, _ = ordered_products(family.heisenberg_atoms)
+    for label, history in zip(family.label_grid, histories):
         composite = composite_probability(gc, gc.property([label]), rho)
-        assert abs(history_probability(history) - composite) <= 1e-9
+        assert abs(weights[label] - composite) <= 1e-9
         assert abs(direct.probabilities[label] - composite) <= 1e-9
-        want = loop_history_operator(family, label)
-        assert history_operator(history).matrix.tobytes() == want.tobytes()
+        assert history.tobytes() == loop_history_operator(family, label).tobytes()
+
+
+def loop_weight(family, label):
+    """A history's weight by the per-history formula: Tr(C rho C^dag) of
+    ``loop_history_operator``, a negative rounding read as 0."""
+    c = loop_history_operator(family, label)
+    value = float(np.trace(c @ family.initial_state.matrix @ c.conj().T).real)
+    return max(0.0, value)
+
+
+@given(
+    d=st.integers(2, 8),
+    n_times=st.integers(1, 4),
+    kind=st.sampled_from(["commuting", "near-commuting", "independent"]),
+    turn_exponent=st.integers(-12, -3),
+    consist=st.sampled_from([DEFAULT_TOLERANCES.consist, 0.0]),
+    pure=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_history_weights_match_the_per_history_formula(
+    d, n_times, kind, turn_exponent, consist, pure, seed
+):
+    # every kept weight equals the per-history formula bit for bit; a
+    # pruned one reads 0 and weighs below the square of the pruning bound
+    rng = np.random.default_rng(seed)
+    parts = int(rng.integers(1, min(d, 4) + 1))
+    h = random_hermitian(rng, d)
+    if kind == "commuting":
+        contexts = shared_basis_contexts(rng, d, n_times, h, parts=parts)
+    elif kind == "near-commuting":
+        h, contexts = near_commuting_contexts(
+            rng, d, n_times, parts, 10.0**turn_exponent, 0.0
+        )
+    else:
+        contexts = independent_contexts(rng, d, n_times, parts)
+    family = HistoryFamily(contexts, h, 0.0, random_density(rng, d, pure=pure))
+    tols = DEFAULT_TOLERANCES.updated(consist=consist)
+    cut = min(consist, PRUNE_CEILING) / 2
+    weights = history_probability(family, tols=tols)
+    assert list(weights) == list(family.label_grid)
+    for label, got in weights.items():
+        want = loop_weight(family, label)
+        assert got == want or (got == 0.0 and want < cut**2), (label, got, want)
+        assert history_probability(family, label, tols=tols) == {label: got}
 
 
 TIMES = st.floats(-50.0, 50.0)
@@ -632,7 +676,7 @@ def unpruned_gmh(family, tols):
     another shape can differ by twice that.
     """
     grid = family.label_grid
-    histories = history_operators(family.heisenberg_atoms)
+    histories = ordered_products(family.heisenberg_atoms)[0]
     rho = family.initial_state.matrix
     gram = decoherence_gram(histories, rho)
     a, b = np.triu_indices(len(grid), 1)
@@ -951,7 +995,7 @@ def test_cross_last_atom_entries_lie_within_the_block_certificate(
     h, contexts = near_commuting_contexts(rng, d, n_times, min(d, 3), turn, bump)
     rho = random_density(rng, d)
     family = HistoryFamily(contexts, h, 0.0, rho)
-    gram = decoherence_gram(history_operators(family.heisenberg_atoms), rho.matrix)
+    gram = decoherence_gram(ordered_products(family.heisenberg_atoms)[0], rho.matrix)
     last = np.arange(len(gram)) % len(contexts[-1])
     cross = np.abs(gram[last[:, None] != last[None, :]]).max()
     delta = max(ctx.law_residual for ctx in contexts)
@@ -1091,7 +1135,7 @@ def test_certified_gmh_report_matches_the_gram(d, n_times, turn, bump_exponent, 
     report = gmh_check(family)
     assert gc._basis is not None  # a default build takes the eigh atoms
     bound = contexts_module._history_bound(gc._basis, rho.matrix)
-    gram = decoherence_gram(history_operators(family.heisenberg_atoms), rho.matrix)
+    gram = decoherence_gram(ordered_products(family.heisenberg_atoms)[0], rho.matrix)
     off_diagonal = np.abs(gram[~np.eye(len(gram), dtype=bool)]).max()
     assert off_diagonal <= bound, (off_diagonal, bound)
     if not bound <= tols.consist:
