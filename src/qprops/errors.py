@@ -89,10 +89,6 @@ class ConditionOnNull(QpropsError):
     """Conditioning event has probability below the null threshold."""
 
 
-class UnsupportedShape(QpropsError):
-    """Check is only defined for a specific family shape."""
-
-
 class InconsistentFamily(QpropsError):
     """Operation requires a family that passes its consistency check."""
 

@@ -5,8 +5,7 @@ operator is the time-ordered product of the atoms conjugated into the
 Heisenberg picture at the initial time.  History probabilities are only
 well defined (positive, normalized, additive) when the family passes a
 consistency condition: either the pairwise trace condition of Gell-Mann and
-Hartle, or, for two-time binary families, the weaker necessary-and-sufficient
-real-part condition of Griffiths.
+Hartle, or the weaker real-part condition of Griffiths, for any family.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .errors import (
     InconsistentFamily,
     InvariantViolation,
     TimeOrderViolation,
-    UnsupportedShape,
 )
 from .lattice import TimedProperty, translate
 from .linop import (
@@ -235,14 +233,15 @@ def consistency_traces(e1, e1_bar, e2, rho) -> np.ndarray:
     multiplies the stack as one GEMM (``linop.stack_matmul``).  For an
     idempotent E2 it is, by cyclicity, the decoherence functional
     Tr(C_a rho C_b^dag) of the histories C_a = E2 E1 and C_b = E2 E1c
-    (Gell-Mann and Hartle), and its real part is the residual of the
-    real-part condition (Griffiths); the caller takes the magnitude.
+    (Gell-Mann and Hartle): the entry that the scan of ``gmh_check`` and
+    ``griffiths_check`` reads for that pair.  The spin searches build their
+    trace forms from it.
     """
     product = stack_matmul(stack_matmul(e1, rho) @ e1_bar, e2)
     return np.trace(product, axis1=-2, axis2=-1)
 
 
-# ``gmh_check`` forms the grams of the histories that share a last atom, one
+# ``_scan`` forms the grams of the histories that share a last atom, one
 # last atom at a time, from this dimension on.  Each block costs a few dozen
 # small numpy calls where the full gram is one or two, which costs more than
 # it saves below it: measured crossover between d = 16 and d = 32 on the
@@ -262,7 +261,7 @@ def _translated_laws(dim: int, delta: float) -> float:
 
 
 def _cross_block_bound(dim: int, times: int, delta: float, rho: np.ndarray) -> float:
-    """A bound on every gram entry ``gmh_check`` would compute for two
+    """A bound on every gram entry ``_scan`` would compute for two
     histories that end in different atoms Q_j, Q_j' of the last context.
 
     Below |.| is the operator norm, |.|_F the Frobenius norm,
@@ -375,13 +374,14 @@ def history_probability(
     return probabilities
 
 
-def gmh_check(
-    family: HistoryFamily, *, tols: Tolerances = DEFAULT_TOLERANCES
+def _scan(
+    family: HistoryFamily, tols: Tolerances, criterion: str
 ) -> ConsistencyReport:
-    """Pairwise trace condition: Tr(C_a rho C_b^dag) = 0 for all a != b.
-
-    Each unordered pair is evaluated once (the swapped trace is the complex
-    conjugate) and reported with the magnitude of its trace.
+    """The report of ``gmh_check`` (pair residual |D(a, b)|) or
+    ``griffiths_check`` (|Re D(a, b)|) from one scan of the decoherence
+    functional D(a, b) = Tr(C_a rho C_b^dag), each unordered pair once (the
+    swapped entry is its conjugate).  Each bound below is on |D|, so it
+    holds for |Re D| <= |D| too.
 
     The histories come from ``linop.ordered_products``, latest time
     leftmost, which drops every prefix whose Frobenius norm is below
@@ -391,9 +391,8 @@ def gmh_check(
     decoherence functional is positive semidefinite (Gell-Mann and Hartle,
     Phys. Rev. D 47, 3345, 1993), |D(a, b)| <= sqrt(D(a, a) D(b, b)) < c
     for every b, as D(b, b) <= 1: no pair with a dropped history can be a
-    violation.  The
-    gram covers the kept histories only, and a dropped history's
-    probability reads exactly 0 (its true weight is below
+    violation.  The gram covers the kept histories only, and a dropped
+    history's probability reads exactly 0 (its true weight is below
     ``PRUNE_CEILING**2 / 4``).  ``tols.consist <= 0`` drops nothing.
 
     Histories that end in different atoms of the last context have a
@@ -416,7 +415,7 @@ def gmh_check(
     if gc is not None:
         certified = gc._certified_probabilities(family.initial_state, tols.consist)
         if certified is not None:
-            return ConsistencyReport("gmh", True, (), certified)
+            return ConsistencyReport(criterion, True, (), certified)
     grid = family.label_grid
     grams = _last_atom_grams(family, tols.consist)
     if grams is None:
@@ -429,7 +428,10 @@ def gmh_check(
         if len(kept) not in pairs:
             pairs[len(kept)] = np.triu_indices(len(kept), 1)
         a, b = pairs[len(kept)]
-        residuals = _pair_magnitudes(gram, a, b)
+        if criterion == "gmh":
+            residuals = _pair_magnitudes(gram, a, b)
+        else:
+            residuals = np.abs(gram[a, b].real)
         flagged = np.flatnonzero(residuals > tols.consist)
         violations += zip(
             kept[a[flagged]].tolist(),
@@ -442,40 +444,27 @@ def gmh_check(
         # by the pairs' positions in the label grid, as one gram lists them
         violations.sort()
     violations = tuple([(grid[i], grid[j], residual) for i, j, residual in violations])
-    return ConsistencyReport("gmh", not violations, violations, probabilities)
+    return ConsistencyReport(criterion, not violations, violations, probabilities)
+
+
+def gmh_check(
+    family: HistoryFamily, *, tols: Tolerances = DEFAULT_TOLERANCES
+) -> ConsistencyReport:
+    """Pairwise trace condition: Tr(C_a rho C_b^dag) = 0 for all a != b,
+    each pair reported with the magnitude of its trace (``_scan``)."""
+    return _scan(family, tols, "gmh")
 
 
 def griffiths_check(
     family: HistoryFamily, *, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> ConsistencyReport:
-    """Two-time binary condition: the real part of the consistency trace.
-
-    Evaluates Re Tr(E1 rho E1c E2), with E1/E1c the two first-time atoms and
-    E2 the first second-time atom, all in the Heisenberg picture; the verdict
-    does not depend on which atom of each pair is taken first.
-
-    Only defined for families with exactly two times and two atoms per time;
-    anything else raises ``UnsupportedShape``.  The reported violation pair
-    is the pair of histories that differ in their first-time choice.
-    """
-    if len(family.contexts) != 2 or any(len(ctx) != 2 for ctx in family.contexts):
-        raise UnsupportedShape(
-            "the real-part condition is defined for two times with "
-            "two atoms per time"
-        )
-    (e1, e1_bar), (e2, _) = family.heisenberg_atoms
-    trace = consistency_traces(e1, e1_bar, e2, family.initial_state.matrix).real
-    residual = abs(float(trace))
-    labels1, labels2 = (ctx.labels for ctx in family.contexts)
-    violations = []
-    if residual > tols.consist:
-        violations.append(
-            ((labels1[0], labels2[0]), (labels1[1], labels2[0]), float(residual))
-        )
-    probabilities = history_probability(family, tols=tols)
-    return ConsistencyReport(
-        "griffiths", not violations, tuple(violations), probabilities
-    )
+    """Real-part condition (Griffiths): Re Tr(C_a rho C_b^dag) = 0 for all
+    a != b, for any family, each pair reported with the magnitude of the
+    real part of its trace; same scan and probabilities as ``gmh_check``
+    (``_scan``).  With two atoms at each of two times, the two pairs that
+    share a last atom read +/- Re ``consistency_traces``, and a failing
+    family lists both."""
+    return _scan(family, tols, "griffiths")
 
 
 def family_from_generalized_context(
@@ -489,7 +478,7 @@ def family_from_generalized_context(
     context time.  Its Heisenberg atoms are the context's
     ``translated_atoms``: the same contexts moved to the same time by the
     same Hamiltonian, so translating again would give the same bits.  The
-    family keeps the context, whose eigenbasis certificate ``gmh_check``
+    family keeps the context, whose eigenbasis certificate ``_scan``
     reads instead of forming the histories and their gram when it clears.
     """
     family = HistoryFamily.__new__(HistoryFamily)

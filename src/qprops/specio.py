@@ -212,9 +212,10 @@ def _parse_context_entry(entry, dim: int, index: int) -> ContextSpec:
     labels = entry.get("labels")
     if labels is not None:
         if not isinstance(labels, (list, tuple)) or not all(
-            isinstance(l, str) for l in labels
+            isinstance(l, str) and "," not in l for l in labels
         ):
-            raise ParseError(f"{where}: 'labels' must be an array of strings")
+            # a ',' would split a label in the CLI's history keys and --choices
+            raise ParseError(f"{where}: 'labels' must be an array of strings without ','")
         labels = tuple(labels)
 
     if "atoms" in entry:
@@ -241,6 +242,8 @@ def _parse_context_entry(entry, dim: int, index: int) -> ContextSpec:
                 raise ParseError(
                     f"{where}.windows[{k}]: expected keys 'label', 'lo', 'hi'"
                 )
+            if "," in str(win["label"]):
+                raise ParseError(f"{where}.windows[{k}]: 'label' must not contain ','")
             lo, hi = (
                 _require_number(win[key], f"{where}.windows[{k}]: {key!r}")
                 for key in ("lo", "hi")

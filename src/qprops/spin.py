@@ -275,10 +275,12 @@ def _search_residuals(
       ``histories.consistency_traces``: one (16, 4) @ (4, N) GEMM gives
       the rows of x^T K_b, transposed, and four multiply-adds with x finish
       the forms.
-    - ``griffiths``: |Re q_+|, the residual of ``griffiths_check``.  Re K_+
-      is the griffiths conic in the homogeneous coordinates (1, n): for free
-      dynamics and rho along n0 the form is ((n0.n2) - (n0.n)(n.n2))/4,
-      minus a quarter of ``coplanarity_defect``.
+    - ``griffiths``: |Re q_+|.  ``griffiths_check`` takes the largest |Re D|
+      of the gram below, max_b |Re q_b| within E, and q_+ + q_- =
+      Tr(rho P_- P_+) = (1 - |n|^2)/4, so it lies within about 1e-12 of
+      |Re q_+|.  Re K_+ is the griffiths conic in the homogeneous
+      coordinates (1, n): for free dynamics and rho along n0 the form is
+      ((n0.n2) - (n0.n)(n.n2))/4, minus a quarter of ``coplanarity_defect``.
     - ``gmh``: max_b |q_b|.  ``gmh_check`` would take the largest
       off-diagonal magnitude of the 4x4 gram of the histories F_b P_s,
       D[(s, b), (t, c)] = Tr(F_b P_s rho P_t F_c) = Tr(F_c F_b P_s rho P_t).
@@ -418,7 +420,8 @@ def griffiths_directions(
     """Grid directions whose two-time family passes the real-part check.
 
     ``rho`` defaults to the pure state along ``n0``.  The verdict per
-    direction is that of ``griffiths_check``, |Re Tr(P_+ rho P_- F_+)|,
+    direction is that of ``griffiths_check``, whose largest residual is
+    |Re Tr(P_+ rho P_- F_+)| within about 1e-12 (``_search_residuals``),
     read off the trace form of ``gmh_directions``.  For free dynamics the
     residual is |``coplanarity_defect(n0, n1, n2)``| / 4, so a direction
     is kept when |(n0.n1)(n1.n2) - n0.n2| <= 4 ``tols.consist``; for n0

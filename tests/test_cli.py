@@ -199,6 +199,21 @@ class TestValidateContext:
         assert entry["status"] == "ExclusivityViolation"
         assert entry["violations"][0][2] == pytest.approx(0.5, abs=1e-12)
 
+    def test_completeness_failure_reported(self, capsys, tmp_path):
+        doc = {
+            "dimension": 2,
+            "initial_time": 0.0,
+            "initial_state": [[0.5, 0.5], [0.5, 0.5]],
+            "contexts": [{"time": 1.0, "atoms": [[[1.0, 0.0], [0.0, 0.0]]]}],
+        }
+        code, payload, _ = run_json(
+            capsys, "validate-context", write_spec(tmp_path, doc)
+        )
+        assert code == 1
+        entry = payload["results"]["contexts"][0]
+        assert entry["status"] == "CompletenessViolation"
+        assert entry["violations"] == [pytest.approx(1.0, abs=1e-12)]
+
     def test_non_projector_atom_reported(self, capsys, tmp_path):
         doc = {
             "dimension": 2,
@@ -249,7 +264,9 @@ class TestConsistency:
         assert payload["verdict"] == "fail"
         assert payload["results"]["violations"]
 
-    def test_wrong_shape_for_griffiths_is_an_input_error(self, capsys, tmp_path):
+    def test_griffiths_on_any_shape(self, capsys, tmp_path):
+        # one time passes; x, z, x on z+ fails on the twelve pairs of
+        # histories that share their last atom, each at 1/8
         doc = {
             "dimension": 2,
             "initial_time": 0.0,
@@ -258,12 +275,24 @@ class TestConsistency:
                 {"time": 1.0, "direction": [0.0, 0.0, 1.0]},
             ],
         }
-        code, payload, err = run_json(
+        code, payload, _ = run_json(
             capsys, "consistency", write_spec(tmp_path, doc), "--criterion", "griffiths"
         )
-        assert code == 2
-        assert payload is None
-        assert "two times" in err
+        assert code == 0
+        assert payload["verdict"] == "pass"
+        doc["initial_state"] = [[1.0, 0.0], [0.0, 0.0]]
+        doc["contexts"] = [
+            {"time": float(t), "direction": n}
+            for t, n in enumerate([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], 1)
+        ]
+        code, payload, _ = run_json(
+            capsys, "consistency", write_spec(tmp_path, doc), "--criterion", "griffiths"
+        )
+        assert code == 1
+        results = payload["results"]
+        assert len(results["violations"]) == 12
+        assert results["max_residual"] == pytest.approx(0.125, abs=1e-12)
+        assert sum(results["probabilities"].values()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHistoryProb:
@@ -283,6 +312,37 @@ class TestHistoryProb:
         code, _, err = run_json(capsys, "history-prob", XZ, "--choices", "up,down")
         assert code == 2
         assert "not an atom" in err
+
+    @pytest.mark.parametrize("command", ["history-prob", "consistency"])
+    def test_comma_in_a_label_is_an_input_error(self, capsys, tmp_path, command):
+        # "a" and "a,b" then "b,c" and "c" would print "a,b,c" for two histories
+        doc = {
+            "dimension": 2,
+            "initial_time": 0.0,
+            "initial_state": [[0.5, 0.5], [0.5, 0.5]],
+            "contexts": [
+                {"time": 1.0, "direction": [0.0, 0.0, 1.0], "labels": ["a", "a,b"]},
+                {"time": 2.0, "direction": [1.0, 0.0, 0.0], "labels": ["b,c", "c"]},
+            ],
+        }
+        code, payload, err = run_json(capsys, command, write_spec(tmp_path, doc))
+        assert code == 2
+        assert payload is None
+        assert_one_line_error(err)
+        assert "contexts[0]: 'labels'" in err
+        doc["contexts"][0] = {
+            "time": 1.0,
+            "observable": [[1.0, 0.0], [0.0, -1.0]],
+            "windows": [
+                {"label": "up", "lo": 0.0, "hi": 1.5},
+                {"label": "down,", "lo": -1.5, "hi": -0.5},
+            ],
+        }
+        doc["contexts"][1].pop("labels")
+        code, payload, err = run_json(capsys, command, write_spec(tmp_path, doc))
+        assert code == 2
+        assert_one_line_error(err)
+        assert "contexts[0].windows[1]: 'label'" in err
 
     def test_pruned_histories_weigh_exactly_zero(self, capsys, tmp_path):
         # one unit direction at two times under free dynamics: the products

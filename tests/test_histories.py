@@ -28,7 +28,6 @@ from qprops.errors import (
     IncompatibleContexts,
     InvariantViolation,
     TimeOrderViolation,
-    UnsupportedShape,
 )
 from qprops.histories import (
     HistoryFamily,
@@ -270,12 +269,13 @@ class TestGriffithsCheck:
         assert expected == pytest.approx(0.125, abs=1e-12)
         assert report.max_residual() == pytest.approx(expected, abs=1e-12)
 
-    def test_shape_guard(self):
-        family = HistoryFamily(
+    def test_families_of_any_shape_are_checked(self):
+        one_time = HistoryFamily(
             [Context(1.0, [Z_PLUS, Z_MINUS], ["z+", "z-"])], H0, 0.0, RHO_X
         )
-        with pytest.raises(UnsupportedShape):
-            griffiths_check(family)
+        report = griffiths_check(one_time)
+        assert report.verdict and report.violations == ()
+        assert report.probabilities[("z+",)] == pytest.approx(0.5, abs=1e-12)
         triple = HistoryFamily(
             [
                 Context(1.0, [Projector.identity(2)], ["all"]),
@@ -285,8 +285,27 @@ class TestGriffithsCheck:
             0.0,
             RHO_X,
         )
-        with pytest.raises(UnsupportedShape):
-            griffiths_check(triple)
+        assert griffiths_check(triple).verdict
+
+    def test_three_time_family_fails_on_every_shared_last_atom_pair(self):
+        # x, z, x on z+: each pair of histories that end in the same x atom
+        # and differ earlier reads Re D = +/-1/8
+        family = HistoryFamily(
+            [
+                pair_context(1.0, (1, 0, 0), "x"),
+                pair_context(2.0, (0, 0, 1), "z"),
+                pair_context(3.0, (1, 0, 0), "x"),
+            ],
+            H0,
+            0.0,
+            DensityOperator(Z_PLUS.matrix),
+        )
+        report = griffiths_check(family)
+        assert not report.verdict
+        assert len(report.violations) == 12
+        assert all(a[-1] == b[-1] for a, b, _ in report.violations)
+        assert report.max_residual() == pytest.approx(0.125, abs=1e-12)
+        assert report.probabilities == gmh_check(family).probabilities
 
     def test_gmh_implies_griffiths_on_sampled_directions(self, rng):
         for _ in range(40):
@@ -469,6 +488,28 @@ class TestOmnesImplies:
         family = two_time_family((1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)))
         with pytest.raises(InconsistentFamily, match="griffiths"):
             omnes_implies(family, a, a, criterion="griffiths")
+
+    def test_griffiths_criterion_on_three_times(self):
+        # the family above with z measured again at t = 3: real-part
+        # consistent only, and the two z outcomes agree
+        s = 1 / np.sqrt(2)
+        family = HistoryFamily(
+            [
+                pair_context(1.0, (s, s, 0.0), "a"),
+                pair_context(2.0, (0, 0, 1), "z"),
+                pair_context(3.0, (0, 0, 1), "w"),
+            ],
+            H0,
+            0.0,
+            RHO_X,
+        )
+        z_up = [("a+", "z+", "w+"), ("a+", "z+", "w-")]
+        with pytest.raises(InconsistentFamily, match="gmh"):
+            omnes_implies(family, z_up, z_up)
+        w_up = [("a+", "z+", "w+"), ("a-", "z+", "w+")]
+        assert omnes_implies(family, z_up, w_up, criterion="griffiths")
+        agree = [("a+", "z+", "w+"), ("a+", "z-", "w-")]
+        assert not omnes_implies(family, agree, w_up, criterion="griffiths")
 
     def test_unknown_criterion_rejected(self):
         family = two_time_family((1, 0, 0))

@@ -35,7 +35,10 @@ gram's verdict and violations and probabilities within the bound, and its f
 and rounding terms must each cover the gram of the atoms of a basis off
 unitary or exact.  Every projector and state the package derives without
 checking it again must pass the checks it skips, and the CLI must keep its
-exit and report contract on drawn specs and command lines.
+exit and report contract on drawn specs and command lines.  The
+real-part check must read the gmh scan: pass wherever gmh passes, flag a
+subset of its pairs, give its probabilities bit for bit, and on two atoms at
+each of two times keep the verdict of the one trace it used to read.
 """
 
 import contextlib
@@ -86,10 +89,12 @@ from qprops.contexts import (
 from qprops.errors import IncompatibleContexts, ParseError, ValidationError
 from qprops.histories import (
     HistoryFamily,
+    consistency_traces,
     decoherence_gram,
     family_from_generalized_context,
     gmh_check,
     gmh_residuals,
+    griffiths_check,
     history_probability,
 )
 from qprops.lattice import (
@@ -1234,6 +1239,69 @@ def test_gmh_check_takes_the_gram_route_without_a_certificate(case, rng, monkeyp
     report = gmh_check(family, tols=tols)
     assert calls
     assert report == gram_route_report(family, tols)
+
+
+def griffiths_trace_residual(family):
+    """|Re Tr(E1 rho E1c E2)| of a family with two atoms at each of two
+    times: the one trace the real-part condition read before it shared the
+    gmh scan."""
+    (e1, e1_bar), (e2, _) = family.heisenberg_atoms
+    trace = consistency_traces(e1, e1_bar, e2, family.initial_state.matrix)
+    return abs(float(trace.real))
+
+
+@given(
+    d=st.integers(2, 8),
+    n_times=st.integers(1, 4),
+    parts=st.integers(1, 4),
+    kind=st.sampled_from(["commuting", "context-built", "near-commuting", "independent"]),
+    consist=st.sampled_from([DEFAULT_TOLERANCES.consist, 0.0]),
+    blocks=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# two atoms at each of two times, where the trace is the reference
+@example(d=2, n_times=2, parts=2, kind="independent", consist=1e-10, blocks=False, seed=0)
+@example(d=5, n_times=2, parts=2, kind="independent", consist=0.0, blocks=True, seed=1)
+@example(d=2, n_times=2, parts=2, kind="near-commuting", consist=1e-10, blocks=True, seed=2)
+@example(d=8, n_times=2, parts=2, kind="near-commuting", consist=0.0, blocks=False, seed=3)
+@example(d=4, n_times=2, parts=2, kind="commuting", consist=1e-10, blocks=True, seed=4)
+@example(d=3, n_times=2, parts=2, kind="context-built", consist=0.0, blocks=False, seed=5)
+def test_griffiths_check_reads_the_gmh_scan(d, n_times, parts, kind, consist, blocks, seed):
+    rng = np.random.default_rng(seed)
+    parts = min(parts, d)
+    if kind == "near-commuting":
+        h, contexts = near_commuting_contexts(rng, d, n_times, parts, 1e-6, 0.0)
+    elif kind == "independent":
+        h = random_hermitian(rng, d)
+        contexts = independent_contexts(rng, d, n_times, parts)
+    else:
+        h = random_hermitian(rng, d)
+        contexts = shared_basis_contexts(rng, d, n_times, h, parts=parts)
+    rho = random_density(rng, d, pure=bool(rng.integers(2)))
+    if kind == "context-built":
+        gc = build_generalized_context(contexts, 0.0, h)
+        family = family_from_generalized_context(gc, rho)
+    else:
+        family = HistoryFamily(contexts, h, 0.0, rho)
+    tols = DEFAULT_TOLERANCES.updated(consist=consist)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if blocks:
+            # the last-atom grams from d = 2 on, wherever their bound clears
+            monkeypatch.setattr(histories_module, "_PER_CONTEXT_MIN_DIM", 0)
+        gmh = gmh_check(family, tols=tols)
+        griffiths = griffiths_check(family, tols=tols)
+    assert griffiths.verdict or not gmh.verdict
+    assert {v[:2] for v in griffiths.violations} <= {v[:2] for v in gmh.violations}
+    assert list(griffiths.probabilities) == list(gmh.probabilities)
+    weights = [np.array(list(r.probabilities.values())) for r in (griffiths, gmh)]
+    assert weights[0].tobytes() == weights[1].tobytes()
+    if n_times == 2 and parts == 2:
+        residual = griffiths_trace_residual(family)
+        if abs(residual - consist) > 1e-12:
+            assert griffiths.verdict == (residual <= consist)
+        if residual > consist + 1e-12:
+            # the two pairs that share a last atom read +/- the trace
+            assert griffiths.max_residual() == pytest.approx(residual, abs=1e-12)
 
 
 def random_class(rng, d, h, rank=None, t=None):
