@@ -16,7 +16,6 @@ from .linop import (
     SpectralWindow,
     UnitaryOperator,
     alternating_projection_limit,
-    commutator_norm,
     evolution_operator,
     max_entry_norm,
     projector_from_span,
@@ -48,7 +47,6 @@ from .contexts import (
     composite_probability,
     conditional_probability,
     property_projector,
-    validate_context,
 )
 from .histories import (
     ConsistencyReport,
@@ -56,7 +54,6 @@ from .histories import (
     family_from_generalized_context,
     gmh_check,
     griffiths_check,
-    heisenberg_projector,
     history_probability,
     omnes_implies,
 )

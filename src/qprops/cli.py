@@ -48,7 +48,6 @@ from .lattice import (
 )
 from .linop import evolution_operator
 from .spin import (
-    Direction,
     antipodal_pairs,
     compatible_directions,
     gmh_directions,
@@ -236,7 +235,7 @@ def _history_family(system) -> HistoryFamily:
 def cmd_history_prob(spec: SystemSpec, args, tols: Tolerances):
     system = realize_system(spec, tols=tols)
     family = _history_family(system)
-    choices = args.choices.split(",") if args.choices else None
+    choices = args.choices.split(",") if args.choices is not None else None
     try:
         table = history_probability(family, choices, tols=tols)
     except InvariantViolation as err:
@@ -334,14 +333,6 @@ def cmd_lattice(spec: SystemSpec, args, tols: Tolerances):
     return Report("lattice", None, tols.as_dict(), results), PASS
 
 
-def _bloch_vector(rho: np.ndarray) -> np.ndarray:
-    from .spin import PAULI_X, PAULI_Y, PAULI_Z
-
-    return np.array(
-        [float(np.trace(rho @ pauli).real) for pauli in (PAULI_X, PAULI_Y, PAULI_Z)]
-    )
-
-
 def cmd_spin_search(spec: SystemSpec, args, tols: Tolerances):
     if spec.dimension != 2:
         raise ValidationError("spin-search requires a dimension-2 system")
@@ -369,17 +360,9 @@ def cmd_spin_search(spec: SystemSpec, args, tols: Tolerances):
             n2, grid, system.hamiltonian, system.hbar, t1, t2, t0, tols=tols
         )
     else:
-        bloch = _bloch_vector(system.initial_state.matrix)
-        norm = float(np.linalg.norm(bloch))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValidationError(
-                f"initial state must be pure for the {args.mode} search "
-                f"(Bloch norm {norm!r})"
-            )
-        n0 = Direction.normalized(*bloch)
         search = gmh_directions if args.mode == "gmh" else griffiths_directions
         kept = search(
-            n0,
+            None,
             n2,
             grid,
             system.initial_state,

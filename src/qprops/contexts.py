@@ -44,7 +44,6 @@ __all__ = [
     "GeneralizedContext",
     "check_context_laws",
     "CompositeProperty",
-    "validate_context",
     "translate_contexts",
     "build_generalized_context",
     "composite_probability",
@@ -98,7 +97,13 @@ def check_context_laws(
 
 
 class Context:
-    """A time plus a complete, mutually exclusive family of atomic projectors."""
+    """A time plus a complete, mutually exclusive family of atomic projectors.
+
+    Construction checks the exclusivity and completeness laws
+    (``check_context_laws``).  On failure it raises ``ExclusivityViolation``
+    or ``CompletenessViolation`` whose ``violations`` attribute names the
+    offending pairs/sum with their residual magnitudes.
+    """
 
     def __init__(
         self,
@@ -184,22 +189,6 @@ class Context:
 
     def __repr__(self) -> str:
         return f"Context(time={self._time}, atoms={len(self)}, dim={self.dim})"
-
-
-def validate_context(
-    atoms: Sequence[Projector],
-    time: float = 0.0,
-    labels: Sequence[str] | None = None,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> Context:
-    """Check the exclusivity and completeness laws and return the context.
-
-    On failure raises ``ExclusivityViolation`` or ``CompletenessViolation``
-    whose ``violations`` attribute names the offending pairs/sum with their
-    residual magnitudes.
-    """
-    return Context(time, atoms, labels, tols=tols)
 
 
 def translate_contexts(
@@ -628,9 +617,6 @@ class GeneralizedContext:
 
     def property(self, selected: Iterable[LabelTuple]) -> "CompositeProperty":
         return CompositeProperty(self, selected)
-
-    def full_property(self) -> "CompositeProperty":
-        return CompositeProperty(self, self.label_tuples)
 
     def __repr__(self) -> str:
         return (

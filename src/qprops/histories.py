@@ -1,11 +1,13 @@
-"""History operators, their probabilities, and consistency conditions.
+"""History families, their probabilities, and consistency conditions.
 
 A history picks one atom per time from per-time projector families; its
 operator is the time-ordered product of the atoms conjugated into the
-Heisenberg picture at the initial time.  History probabilities are only
-well defined (positive, normalized, additive) when the family passes a
-consistency condition: either the pairwise trace condition of Gell-Mann and
-Hartle, or the weaker real-part condition of Griffiths, for any family.
+Heisenberg picture at the initial time (``lattice.translate`` to it).
+History probabilities are only well defined (positive, normalized,
+additive) when the family passes a consistency condition: either the
+pairwise trace condition of Gell-Mann and Hartle, or the weaker real-part
+condition of Griffiths, for any family.  Both checks read one scan of the
+decoherence functional (``_scan``), ``history_probability`` the weights.
 """
 
 from __future__ import annotations
@@ -33,11 +35,9 @@ from .errors import (
     InvariantViolation,
     TimeOrderViolation,
 )
-from .lattice import TimedProperty, translate
 from .linop import (
     DensityOperator,
     HermitianOperator,
-    Projector,
     kept_products,
     ordered_products,
     stack_matmul,
@@ -46,32 +46,13 @@ from .linop import (
 __all__ = [
     "HistoryFamily",
     "ConsistencyReport",
-    "heisenberg_projector",
     "history_probability",
     "gmh_check",
     "griffiths_check",
     "decoherence_gram",
-    "gmh_residuals",
-    "consistency_traces",
     "family_from_generalized_context",
     "omnes_implies",
 ]
-
-
-def heisenberg_projector(
-    E: Projector,
-    event_time: float,
-    ref_time: float,
-    hamiltonian: HermitianOperator,
-    hbar: float = 1.0,
-) -> Projector:
-    """Conjugate an atom into the Heisenberg picture at the reference time.
-
-    Returns exp(+iH(t-t0)/hbar) E exp(-iH(t-t0)/hbar), which is
-    ``lattice.translate`` of the property from its event time to the
-    reference time (not checked again).
-    """
-    return translate(TimedProperty(E, event_time), ref_time, hamiltonian, hbar).projector
 
 
 class HistoryFamily:
@@ -209,36 +190,15 @@ def decoherence_gram(histories: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return weighted @ np.swapaxes(flat.conj(), -1, -2)
 
 
-def gmh_residuals(gram: np.ndarray) -> np.ndarray:
-    """Magnitudes |gram[a, b]| for every a < b of (..., n, n) gram matrices.
-
-    The last axis runs over the pairs in row-major order; the swapped trace
-    is the complex conjugate, so each unordered pair appears once.
-    """
-    return _pair_magnitudes(gram, *np.triu_indices(gram.shape[-1], 1))
-
-
 def _pair_magnitudes(gram: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``gmh_residuals`` for the index pairs (a, b) of ``np.triu_indices``."""
+    """Magnitudes |gram[..., a, b]| of (..., n, n) gram matrices for the index
+    pairs (a, b) of ``np.triu_indices(n, 1)``: the last axis runs over the
+    pairs in row-major order, and since the swapped trace is the complex
+    conjugate, each unordered pair appears once."""
     pairs = gram[..., a, b]
     # hypot rounds like the scalar abs(); numpy's vectorized complex abs can
     # differ from it in the last bit
     return np.hypot(pairs.real, pairs.imag)
-
-
-def consistency_traces(e1, e1_bar, e2, rho) -> np.ndarray:
-    """Complex Tr(E1 rho E1c E2) for each entry of broadcast (..., d, d) stacks.
-
-    The product is formed left to right; a single (d, d) ``rho`` or ``e2``
-    multiplies the stack as one GEMM (``linop.stack_matmul``).  For an
-    idempotent E2 it is, by cyclicity, the decoherence functional
-    Tr(C_a rho C_b^dag) of the histories C_a = E2 E1 and C_b = E2 E1c
-    (Gell-Mann and Hartle): the entry that the scan of ``gmh_check`` and
-    ``griffiths_check`` reads for that pair.  The spin searches build their
-    trace forms from it.
-    """
-    product = stack_matmul(stack_matmul(e1, rho) @ e1_bar, e2)
-    return np.trace(product, axis1=-2, axis2=-1)
 
 
 # ``_scan`` forms the grams of the histories that share a last atom, one
@@ -310,7 +270,8 @@ def _last_atom_blocks(
     """The kept histories of ``ordered_products`` at ``tol``, bit for bit,
     one block per last atom Q_j with the label-grid positions of its rows:
     Q_j times each pruned earlier prefix, one per-matrix product each, pruned
-    by the same rule (``linop.kept_products``).  One time is one block."""
+    by the same rule (``linop.kept_products``).  One time is one block.
+    ``_scan`` and ``history_probability`` read it one block at a time."""
     *earlier, last = stacks
     if not earlier:
         yield ordered_products(stacks, tol=tol)
@@ -322,25 +283,6 @@ def _last_atom_blocks(
         if keep is not None:
             block, rows = block[keep], first[keep]
         yield block, rows * len(last) + j
-
-
-def _last_atom_grams(
-    family: HistoryFamily, tol: float
-) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """The gram of each ``_last_atom_blocks`` block with its label-grid
-    positions, one block held at a time (k_T m^2 entries instead of
-    (k_T m)^2 for m prefixes); or None unless d >= ``_PER_CONTEXT_MIN_DIM``,
-    there are two times or more and ``_cross_block_bound`` clears at ``tol``."""
-    if family.dim < _PER_CONTEXT_MIN_DIM or len(family.contexts) < 2:
-        return None
-    rho = family.initial_state.matrix
-    delta = max(ctx.law_residual for ctx in family.contexts)
-    if not _cross_block_bound(family.dim, len(family.contexts), delta, rho) <= tol:
-        return None
-    return [
-        (decoherence_gram(block, rho), rows)
-        for block, rows in _last_atom_blocks(family.heisenberg_atoms, tol)
-    ]
 
 
 def history_probability(
@@ -397,10 +339,11 @@ def _scan(
 
     Histories that end in different atoms of the last context have a
     vanishing functional for an exclusive last family.  From
-    d = ``_PER_CONTEXT_MIN_DIM`` on, when ``_cross_block_bound``
-    places every such entry within ``tols.consist``, only the grams of the
-    histories of one last atom are formed, one last atom at a time
-    (``_last_atom_grams``); otherwise it is the gram of all kept histories.
+    d = ``_PER_CONTEXT_MIN_DIM`` on, with two times or more, when
+    ``_cross_block_bound`` places every such entry within ``tols.consist``,
+    the scan forms the gram of each ``_last_atom_blocks`` block in turn (one
+    held at a time, k_T m^2 entries instead of (k_T m)^2 for m prefixes);
+    otherwise the gram of all kept histories of ``ordered_products``.
     Violations come in the same order either way: by the pair's positions
     in the label grid.
 
@@ -416,15 +359,23 @@ def _scan(
         certified = gc._certified_probabilities(family.initial_state, tols.consist)
         if certified is not None:
             return ConsistencyReport(criterion, True, (), certified)
-    grid = family.label_grid
-    grams = _last_atom_grams(family, tols.consist)
-    if grams is None:
-        histories, kept = ordered_products(family.heisenberg_atoms, tol=tols.consist)
-        grams = [(decoherence_gram(histories, family.initial_state.matrix), kept)]
+    grid, stacks = family.label_grid, family.heisenberg_atoms
+    rho = family.initial_state.matrix
+    delta = max(ctx.law_residual for ctx in family.contexts)
+    blocked = (
+        family.dim >= _PER_CONTEXT_MIN_DIM
+        and len(stacks) >= 2
+        and _cross_block_bound(family.dim, len(stacks), delta, rho) <= tols.consist
+    )
+    if blocked:
+        blocks = _last_atom_blocks(stacks, tols.consist)
+    else:
+        blocks = [ordered_products(stacks, tol=tols.consist)]
     pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     violations = []
     probabilities = dict.fromkeys(grid, 0.0)
-    for gram, kept in grams:
+    for histories, kept in blocks:
+        gram = decoherence_gram(histories, rho)
         if len(kept) not in pairs:
             pairs[len(kept)] = np.triu_indices(len(kept), 1)
         a, b = pairs[len(kept)]
@@ -440,7 +391,7 @@ def _scan(
         )
         for k, weight in zip(kept.tolist(), gram.diagonal().real.tolist()):
             probabilities[grid[k]] = max(0.0, weight)
-    if len(grams) > 1:
+    if blocked:
         # by the pairs' positions in the label grid, as one gram lists them
         violations.sort()
     violations = tuple([(grid[i], grid[j], residual) for i, j, residual in violations])
@@ -461,8 +412,9 @@ def griffiths_check(
     """Real-part condition (Griffiths): Re Tr(C_a rho C_b^dag) = 0 for all
     a != b, for any family, each pair reported with the magnitude of the
     real part of its trace; same scan and probabilities as ``gmh_check``
-    (``_scan``).  With two atoms at each of two times, the two pairs that
-    share a last atom read +/- Re ``consistency_traces``, and a failing
+    (``_scan``).  With two atoms E1, E1c at the first time and E2, E2c at
+    the second, the two pairs that share a last atom read
+    +/- Re Tr(E1 rho E1c E2) (``spin.consistency_traces``), and a failing
     family lists both."""
     return _scan(family, tols, "griffiths")
 

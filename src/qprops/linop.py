@@ -42,7 +42,6 @@ __all__ = [
     "projector_from_span",
     "subspace_intersection",
     "alternating_projection_limit",
-    "commutator_norm",
     "commutators",
     "commutator_residuals",
     "stack_matmul",
@@ -258,11 +257,8 @@ def spectral_decompose(
     (reported eigenvalue is the cluster mean), so that near-degenerate levels
     yield one projector instead of an arbitrary split.
 
-    Returns eigenspaces in ascending eigenvalue order.  Raises
-    ``NonHermitianInput`` for inputs that fail the Hermiticity check.
+    Returns eigenspaces in ascending eigenvalue order.
     """
-    if not isinstance(A, HermitianOperator):
-        A = HermitianOperator(np.asarray(A, dtype=np.complex128), tols=tols)
     w, v = A.eigensystem
     spaces: list[EigenSpace] = []
     start = 0
@@ -516,12 +512,6 @@ def commutators(a, b) -> np.ndarray:
 def commutator_residuals(a, b) -> np.ndarray:
     """Max-entry magnitude of A B - B A per pair of broadcast (..., d, d) stacks."""
     return np.abs(commutators(a, b)).max(axis=(-2, -1))
-
-
-def commutator_norm(A: Operator, B: Operator) -> float:
-    """Max-entry magnitude of the commutator A B - B A."""
-    _require_same_dim(A, B)
-    return float(commutator_residuals(A.matrix, B.matrix))
 
 
 def subspace_inclusion(

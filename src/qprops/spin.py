@@ -22,9 +22,9 @@ translation is linear, so only the four basis matrices are moved to the
 initial time (``UnitaryOperator.transform`` of one evolution operator).
 Each residual is then a linear form (``commute``) or a quadratic form
 (``gmh``, ``griffiths``) in (1, n), whose small coefficient arrays come from
-the kernels the checks themselves use (``linop.commutators``,
-``histories.consistency_traces``), and the whole grid is scored by one GEMM
-of its (N, 4) weights against them.  The pairs are not checked as
+``linop.commutators`` and ``consistency_traces`` (the entries the checks
+read), and the whole grid is scored by one GEMM of its (N, 4) weights
+against them.  The pairs are not checked as
 projectors or as contexts: for a row within ``_UNIT_NORM_TOL`` of unit norm
 the pair is exactly Hermitian, its idempotence, exclusivity and
 completeness residuals are at most (|n|^2 - 1)/4, about 5e-13, and
@@ -52,13 +52,13 @@ from .errors import (
     NonUnitDirection,
     TimeOrderViolation,
 )
-from .histories import consistency_traces
 from .linop import (
     DensityOperator,
     HermitianOperator,
     Projector,
     commutators,
     evolution_operator,
+    stack_matmul,
 )
 
 __all__ = [
@@ -76,6 +76,7 @@ __all__ = [
     "gmh_directions",
     "griffiths_directions",
     "antipodal_pairs",
+    "consistency_traces",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -165,7 +166,7 @@ def direction_context(
 
 
 @functools.lru_cache(maxsize=8)
-def sphere_points(count: int = 2000, include_axes: bool = True) -> np.ndarray:
+def sphere_points(count: int = 2000) -> np.ndarray:
     """Quasi-uniform direction sample as a read-only (N, 3) array of unit rows.
 
     The six axes come first so the special directions of the worked cases
@@ -184,14 +185,14 @@ def sphere_points(count: int = 2000, include_axes: bool = True) -> np.ndarray:
     y = radius * np.array(list(map(math.sin, theta)), dtype=float)
     norm = np.sqrt(x * x + y * y + z * z)
     spiral = np.stack([x / norm, y / norm, z / norm], axis=1)
-    points = np.concatenate([_AXIS_POINTS, spiral]) if include_axes else spiral
+    points = np.concatenate([_AXIS_POINTS, spiral])
     points.setflags(write=False)
     return points
 
 
-def sphere_grid(count: int = 2000, include_axes: bool = True) -> tuple[Direction, ...]:
+def sphere_grid(count: int = 2000) -> tuple[Direction, ...]:
     """``sphere_points`` as ``Direction`` objects, one per row."""
-    return tuple(Direction(*row) for row in sphere_points(count, include_axes).tolist())
+    return tuple(Direction(*row) for row in sphere_points(count).tolist())
 
 
 def coplanarity_defect(n0: Direction, n1: Direction, n2: Direction) -> float:
@@ -233,6 +234,21 @@ def _grid_points(grid: SearchGrid) -> np.ndarray:
     return points
 
 
+def consistency_traces(e1, e1_bar, e2, rho) -> np.ndarray:
+    """Complex Tr(E1 rho E1c E2) for each entry of broadcast (..., d, d) stacks.
+
+    The product is formed left to right; a single (d, d) ``rho`` or ``e2``
+    multiplies the stack as one GEMM (``linop.stack_matmul``).  For an
+    idempotent E2 it is, by cyclicity, the decoherence functional
+    Tr(C_a rho C_b^dag) of the histories C_a = E2 E1 and C_b = E2 E1c
+    (Gell-Mann and Hartle): the entry that the scan of ``histories.gmh_check``
+    and ``griffiths_check`` reads for that pair.  The ``gmh`` and
+    ``griffiths`` searches build their trace forms from it.
+    """
+    product = stack_matmul(stack_matmul(e1, rho) @ e1_bar, e2)
+    return np.trace(product, axis1=-2, axis2=-1)
+
+
 def _real_gemm(weights: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """Real (M, k) weights times complex (k, ...) coefficients, as (M, m).
 
@@ -272,7 +288,7 @@ def _search_residuals(
     - ``gmh`` and ``griffiths`` read one complex form per fixed outcome b,
       q_b(x) = Tr(P_+ rho P_- F_b) = x^T K_b x with
       K_b[j, l] = S_l- Tr(B_j rho B_l F_b), both b at once from
-      ``histories.consistency_traces``: one (16, 4) @ (4, N) GEMM gives
+      ``consistency_traces``: one (16, 4) @ (4, N) GEMM gives
       the rows of x^T K_b, transposed, and four multiply-adds with x finish
       the forms.
     - ``griffiths``: |Re q_+|.  ``griffiths_check`` takes the largest |Re D|
@@ -375,7 +391,7 @@ def compatible_directions(
 
 
 def gmh_directions(
-    n0: Direction,
+    n0: Direction | None,
     n2: Direction,
     grid: SearchGrid,
     rho: DensityOperator | None = None,
@@ -389,9 +405,10 @@ def gmh_directions(
 ) -> list[Direction]:
     """Grid directions whose two-time family passes the pairwise trace check.
 
-    ``rho`` defaults to the pure state along ``n0``.  The verdict per
-    direction is that of ``gmh_check`` on the family of the direction's
-    context at ``t1`` and the n2 context at ``t2``, read as
+    ``rho`` defaults to the pure state along ``n0``, and ``n0`` is read
+    only then: a given ``rho``, mixed or pure, takes ``n0=None``.  The
+    verdict per direction is that of ``gmh_check`` on the family of the
+    direction's context at ``t1`` and the n2 context at ``t2``, read as
     max_b |Tr(P_+ rho P_- F_b)| with P_+/- the direction's pair and F_b the
     n2 pair, all moved to ``t0``.  The n2 pair is exclusive and idempotent
     up to (|n2|^2 - 1)/4, so the largest off-diagonal gram entry is this
@@ -405,7 +422,7 @@ def gmh_directions(
 
 
 def griffiths_directions(
-    n0: Direction,
+    n0: Direction | None,
     n2: Direction,
     grid: SearchGrid,
     rho: DensityOperator | None = None,
@@ -419,8 +436,8 @@ def griffiths_directions(
 ) -> list[Direction]:
     """Grid directions whose two-time family passes the real-part check.
 
-    ``rho`` defaults to the pure state along ``n0``.  The verdict per
-    direction is that of ``griffiths_check``, whose largest residual is
+    ``rho`` and ``n0`` as in ``gmh_directions``.  The verdict per direction
+    is that of ``griffiths_check``, whose largest residual is
     |Re Tr(P_+ rho P_- F_+)| within about 1e-12 (``_search_residuals``),
     read off the trace form of ``gmh_directions``.  For free dynamics the
     residual is |``coplanarity_defect(n0, n1, n2)``| / 4, so a direction
@@ -435,16 +452,14 @@ def griffiths_directions(
     return _kept(points, residuals, tols.consist)
 
 
-def antipodal_pairs(
-    directions: Sequence[Direction], tol: float = 1e-9
-) -> list[tuple[int, int]]:
+def antipodal_pairs(directions: Sequence[Direction]) -> list[tuple[int, int]]:
     """Index pairs (i < j) of opposite directions; both describe one context.
 
-    A pair counts when every component of n_i + n_j is within ``tol``.
+    A pair counts when every component of n_i + n_j is within 1e-9.
     """
     points = np.array([(n.x, n.y, n.z) for n in directions], dtype=float)
     pairs = []
     for i in range(len(points) - 1):
         gaps = np.abs(points[i + 1 :] + points[i]).max(axis=1)
-        pairs.extend((i, i + 1 + int(j)) for j in np.flatnonzero(gaps <= tol))
+        pairs.extend((i, i + 1 + int(j)) for j in np.flatnonzero(gaps <= 1e-9))
     return pairs

@@ -199,7 +199,7 @@ def test_criterion_6_probability_axioms(random_gcs):
             }
             if any(v < 0.0 for v in values.values()):
                 failures.append((gc, "positivity"))
-            total = composite_probability(gc, gc.full_property(), rho)
+            total = composite_probability(gc, gc.property(gc.label_tuples), rho)
             if abs(total - 1.0) > 1e-10:
                 failures.append((gc, "normalization", total))
             for _ in range(5):

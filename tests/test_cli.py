@@ -13,9 +13,9 @@ from qprops import cli
 from qprops.cli import MAX_GRID_COUNT, main
 from qprops.contexts import build_generalized_context, composite_probability
 from qprops.histories import HistoryFamily, griffiths_check
-from qprops.linop import evolution_operator
+from qprops.linop import DensityOperator, evolution_operator
 from qprops.specio import load_system_spec, realize_system
-from qprops.spin import Direction
+from qprops.spin import Direction, gmh_directions, griffiths_directions, sphere_points
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
 ZZ = str(SPECS_DIR / "spin_zz.yaml")
@@ -313,6 +313,14 @@ class TestHistoryProb:
         assert code == 2
         assert "not an atom" in err
 
+    def test_empty_choices_are_an_input_error(self, capsys):
+        # an empty --choices names no history; it is not the whole table
+        for choices in ("", ","):
+            code, payload, err = run_json(capsys, "history-prob", XZ, "--choices", choices)
+            assert code == 2
+            assert payload is None
+            assert_one_line_error(err)
+
     @pytest.mark.parametrize("command", ["history-prob", "consistency"])
     def test_comma_in_a_label_is_an_input_error(self, capsys, tmp_path, command):
         # "a" and "a,b" then "b,c" and "c" would print "a,b,c" for two histories
@@ -490,24 +498,35 @@ class TestSpinSearch:
         )
         results = payload["results"]
         assert results["grid_points"] == 2006
-        # the spec's two context directions (the last is the fixed one), the
-        # state direction outside commute mode, then one per accepted row
-        spec_and_state = 2 if mode == "commute" else 3
-        assert len(built) == spec_and_state + results["accepted_count"]
-        assert [list(n) for n in built[spec_and_state:]] == results["accepted"]
+        # the spec's two context directions (the last is the fixed one), then
+        # one per accepted row
+        assert len(built) == 2 + results["accepted_count"]
+        assert [list(n) for n in built[2:]] == results["accepted"]
 
-    def test_mixed_state_rejected_for_gmh_mode(self, capsys, tmp_path):
+    def test_mixed_state_gets_its_search(self, capsys, tmp_path):
+        # the searches read the state itself, pure or mixed: the maximally
+        # mixed state passes every grid point, and another mixed state gets
+        # the library's answer
         doc = {
             "dimension": 2,
             "initial_time": 0.0,
-            "initial_state": [[0.5, 0.0], [0.0, 0.5]],
             "contexts": [{"time": 2.0, "direction": [0.0, 0.0, 1.0]}],
         }
-        code, _, err = run_json(
-            capsys, "spin-search", write_spec(tmp_path, doc), "--mode", "gmh"
-        )
-        assert code == 2
-        assert "pure" in err
+        searches = {"gmh": gmh_directions, "griffiths": griffiths_directions}
+        z = Direction(0.0, 0.0, 1.0)
+        cases = (([[0.5, 0.0], [0.0, 0.5]], 206), ([[0.75, 0.2], [0.2, 0.25]], 2))
+        for state, count in cases:
+            doc["initial_state"] = state
+            spec = write_spec(tmp_path, doc)
+            rho = DensityOperator(state)
+            for mode, search in searches.items():
+                code, payload, _ = run_json(
+                    capsys, "spin-search", spec, "--mode", mode, "--grid-count", "200"
+                )
+                assert code == 0
+                kept = search(None, z, sphere_points(200), rho, None, 1.0, 0.0, 1.0, 2.0)
+                assert payload["results"]["accepted"] == [[n.x, n.y, n.z] for n in kept]
+                assert payload["results"]["accepted_count"] == count
 
 
 # Accepted axes of ``spin-search --grid-count 2000`` per layout and mode, as

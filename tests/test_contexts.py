@@ -25,7 +25,6 @@ from qprops.contexts import (
     composite_probability,
     conditional_probability,
     property_projector,
-    validate_context,
 )
 from qprops.errors import (
     CompletenessViolation,
@@ -67,39 +66,39 @@ def x_context(time, labels=("x+", "x-")):
 
 class TestValidateContext:
     def test_z_pair_is_valid(self):
-        ctx = validate_context([Z_PLUS, Z_MINUS], time=1.0, labels=["z+", "z-"])
+        ctx = Context(1.0, [Z_PLUS, Z_MINUS], ["z+", "z-"])
         assert ctx.labels == ("z+", "z-")
         assert ctx.time == 1.0
 
     def test_mixed_directions_fail_exclusivity(self):
         x_minus = x_pair()[1]
         with pytest.raises(ExclusivityViolation) as err:
-            validate_context([Z_PLUS, x_minus])
+            Context(0.0, [Z_PLUS, x_minus])
         (i, j, residual) = err.value.violations[0]
         assert (i, j) == (0, 1)
         assert residual == pytest.approx(0.5, abs=1e-12)
 
     def test_identity_alone_is_a_valid_context(self):
-        ctx = validate_context([Projector.identity(3)])
+        ctx = Context(0.0, [Projector.identity(3)])
         assert len(ctx) == 1
 
     def test_incomplete_family_fails(self):
         with pytest.raises(CompletenessViolation) as err:
-            validate_context([Z_PLUS])
+            Context(0.0, [Z_PLUS])
         assert err.value.violations[0] == pytest.approx(1.0)
 
     def test_default_labels_are_indices(self):
-        ctx = validate_context([Z_PLUS, Z_MINUS])
+        ctx = Context(0.0, [Z_PLUS, Z_MINUS])
         assert ctx.labels == ("0", "1")
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(InvariantViolation):
-            validate_context([Z_PLUS, Z_MINUS], labels=["a", "a"])
+            Context(0.0, [Z_PLUS, Z_MINUS], ["a", "a"])
 
     @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_time_rejected(self, time):
         with pytest.raises(InvariantViolation, match="finite"):
-            validate_context([Z_PLUS, Z_MINUS], time=time)
+            Context(time, [Z_PLUS, Z_MINUS])
 
 
 class TestBuildGeneralizedContext:
@@ -368,9 +367,8 @@ class TestCompositeProbability:
         return DensityOperator(outer(KET_X_PLUS))
 
     def test_full_selection_is_certain(self, zz, rho_x):
-        assert composite_probability(zz, zz.full_property(), rho_x) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        full = zz.property(zz.label_tuples)
+        assert composite_probability(zz, full, rho_x) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_selection_is_impossible(self, zz, rho_x):
         assert composite_probability(zz, zz.property([]), rho_x) == 0.0
@@ -391,7 +389,7 @@ class TestCompositeProbability:
             tuples = list(gc.label_tuples)
             for _ in range(4):
                 rho = random_density(rng, gc.dim)
-                total = composite_probability(gc, gc.full_property(), rho)
+                total = composite_probability(gc, gc.property(gc.label_tuples), rho)
                 assert total == pytest.approx(1.0, abs=1e-10)
                 k = int(rng.integers(0, len(tuples) + 1))
                 chosen = [tuples[i] for i in rng.permutation(len(tuples))[:k]]
@@ -412,7 +410,7 @@ class TestCompositeLattice:
 
     def test_meet_with_full_is_identity_map(self, zz):
         p = zz.property([("z+", "z+"), ("z-", "z-")])
-        assert composite_meet(zz.full_property(), p).selected == p.selected
+        assert composite_meet(zz.property(zz.label_tuples), p).selected == p.selected
 
     def test_negate_is_involutive(self, zz):
         p = zz.property([("z+", "z-")])
@@ -468,7 +466,7 @@ class TestCompositeLattice:
     def test_foreign_parent_rejected(self, zz):
         other = build_generalized_context([z_context(1.0), z_context(2.0)], 0.0, H0)
         with pytest.raises(ForeignProperty):
-            composite_meet(zz.full_property(), other.full_property())
+            composite_meet(zz.property(zz.label_tuples), other.property(other.label_tuples))
 
     def test_unknown_tuple_rejected(self, zz):
         with pytest.raises(InvariantViolation):

@@ -34,7 +34,6 @@ from qprops.histories import (
     family_from_generalized_context,
     gmh_check,
     griffiths_check,
-    heisenberg_projector,
     history_probability,
     omnes_implies,
 )
@@ -80,30 +79,31 @@ def two_time_family(n1, rho=RHO_X, hamiltonian=H0, t1=1.0, t2=2.0, t0=0.0):
 class TestHeisenbergProjector:
     def test_free_dynamics_fixes_atom(self, rng):
         e = random_projector(rng, 3)
-        moved = heisenberg_projector(e, 2.0, 0.0, HermitianOperator.zero(3))
+        moved = translate(TimedProperty(e, 2.0), 0.0, HermitianOperator.zero(3)).projector
         assert max_entry_norm(moved.matrix - e.matrix) < 1e-14
 
     def test_equal_times_fix_atom(self, rng):
         e = random_projector(rng, 3)
-        moved = heisenberg_projector(e, 1.5, 1.5, random_hermitian(rng, 3))
+        moved = translate(TimedProperty(e, 1.5), 1.5, random_hermitian(rng, 3)).projector
         assert max_entry_norm(moved.matrix - e.matrix) < 1e-12
 
     def test_diagonal_hamiltonian_counterrotates(self):
         # oracle: conjugation by the diagonal phases, applied to the vector
         e = projector_from_span([KET_X_PLUS])
-        moved = heisenberg_projector(e, np.pi / 4, 0.0, HZ, 1.0)
+        moved = translate(TimedProperty(e, np.pi / 4), 0.0, HZ, 1.0).projector
         v = np.array([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)]) / np.sqrt(2)
         assert max_entry_norm(moved.matrix - outer(v)) < 1e-12
 
     def test_coincides_with_lattice_translation(self, rng):
+        # the atoms a family moves to its initial time, one context at a time
         for _ in range(10):
             dim = int(rng.integers(2, 6))
             h = random_hermitian(rng, dim)
             e = random_projector(rng, dim)
             t_event, t_ref = rng.uniform(-2, 2, size=2)
-            lhs = heisenberg_projector(e, float(t_event), float(t_ref), h)
+            lhs = Context(float(t_event), [e, e.complement()]).translated(float(t_ref), h)
             rhs = translate(TimedProperty(e, float(t_event)), float(t_ref), h)
-            assert max_entry_norm(lhs.matrix - rhs.projector.matrix) < 1e-12
+            assert max_entry_norm(lhs[0] - rhs.projector.matrix) < 1e-12
 
 
 class TestHistoryOperator:
@@ -113,7 +113,7 @@ class TestHistoryOperator:
             [Context(1.0, [Z_PLUS, Z_MINUS], ["z+", "z-"])], h, 0.0, RHO_X
         )
         op = history_matrix(family, ["z+"])
-        expect = heisenberg_projector(Z_PLUS, 1.0, 0.0, h)
+        expect = translate(TimedProperty(Z_PLUS, 1.0), 0.0, h).projector
         assert max_entry_norm(op - expect.matrix) < 1e-12
 
     def test_identity_atoms_compose_to_identity(self, rng):

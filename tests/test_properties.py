@@ -89,11 +89,10 @@ from qprops.contexts import (
 from qprops.errors import IncompatibleContexts, ParseError, ValidationError
 from qprops.histories import (
     HistoryFamily,
-    consistency_traces,
+    _pair_magnitudes,
     decoherence_gram,
     family_from_generalized_context,
     gmh_check,
-    gmh_residuals,
     griffiths_check,
     history_probability,
 )
@@ -133,6 +132,7 @@ from qprops.spin import (
     _search_residuals,
     _spin_pairs,
     compatible_directions,
+    consistency_traces,
     direction_context,
     gmh_directions,
     griffiths_directions,
@@ -271,7 +271,8 @@ def pair_stack_residuals(mode, n2, points, rho, h, t0, t1, t2):
         n = histories.shape[-3]
         weighted = (histories @ rho).reshape(-1, n, 4)
         flat = histories.reshape(-1, n, 4)
-        return gmh_residuals(weighted @ np.swapaxes(flat.conj(), -1, -2)).max(axis=-1)
+        gram = weighted @ np.swapaxes(flat.conj(), -1, -2)
+        return _pair_magnitudes(gram, *np.triu_indices(n, 1)).max(axis=-1)
     product = moved[:, 0] @ rho @ moved[:, 1] @ fixed[0]
     return np.abs(np.trace(product, axis1=-2, axis2=-1).real)
 
@@ -685,7 +686,7 @@ def unpruned_gmh(family, tols):
     rho = family.initial_state.matrix
     gram = decoherence_gram(histories, rho)
     a, b = np.triu_indices(len(grid), 1)
-    flagged = np.flatnonzero(gmh_residuals(gram) > tols.consist)
+    flagged = np.flatnonzero(_pair_magnitudes(gram, a, b) > tols.consist)
     violations = {(grid[a[k]], grid[b[k]]) for k in flagged}
     probabilities = {c: max(0.0, float(gram[k, k].real)) for k, c in enumerate(grid)}
     terms = np.abs(stack_matmul(histories, rho)) * np.abs(histories)
@@ -1085,7 +1086,7 @@ def test_accepted_large_grid_is_certified_without_the_checks(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a certified context needs no history or gram")
 
-    for name in ("ordered_products", "decoherence_gram", "_last_atom_grams"):
+    for name in ("ordered_products", "decoherence_gram", "_last_atom_blocks"):
         monkeypatch.setattr(histories_module, name, refuse)
     rng = np.random.default_rng(32)
     h = random_hermitian(rng, 32)
@@ -1514,26 +1515,35 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def report_keys(node, depth):
-    """The line starts ``cli.render_text`` gives a JSON report's fields at
-    ``depth``: ``key:`` for each mapping key, ``-`` for each list entry."""
+def report_lines(node, depth):
+    """The lines ``cli.render_text`` gives a JSON report's fields at
+    ``depth``: ``key: value`` for each mapping key and ``- value`` for each
+    list entry, the value ``cli._format_value`` of the JSON scalar, or
+    ``(none)`` for an empty container under a key; a line that opens a
+    container ends at ``key:`` or ``-``, and its entries follow."""
     pad = "  " * depth
     if isinstance(node, dict):
         for key, value in node.items():
-            yield f"{pad}{key}:"
+            start = f"{pad}{cli._format_value(key)}:"
             if isinstance(value, (dict, list)) and value:
-                yield from report_keys(value, depth + 1)
-    elif isinstance(node, list):
+                yield start
+                yield from report_lines(value, depth + 1)
+            else:
+                flat = "(none)" if isinstance(value, (dict, list)) else value
+                yield f"{start} {cli._format_value(flat)}"
+    else:
         for value in node:
-            yield f"{pad}-"
             if isinstance(value, (dict, list)):
-                yield from report_keys(value, depth + 1)
+                yield f"{pad}-"
+                yield from report_lines(value, depth + 1)
+            else:
+                yield f"{pad}- {cli._format_value(value)}"
 
 
 @given(base=st.sampled_from(VALID_DOCUMENTS), data=st.data())
 def test_cli_keeps_its_exit_and_report_contract(base, data):
     # exit 0 with a pass or no verdict, 1 with a fail, 2 with one error line
-    # and no report; the text report has the JSON report's fields
+    # and no report; the text report has the JSON report's fields and values
     doc = mutated_document(base, data, data.draw(st.sampled_from([0, 0, 1, 2])))
     with tempfile.TemporaryDirectory() as scratch:
         spec = os.path.join(scratch, "system.yaml")
@@ -1558,6 +1568,12 @@ def test_cli_keeps_its_exit_and_report_contract(base, data):
                 continue
             report = json.loads(payload)
             assert report.get("verdict") in (("fail",) if code else (None, "pass")), argv
-            starts, lines = list(report_keys(report, 0)), text.splitlines()
-            assert len(lines) == len(starts), argv
-            assert all(line.startswith(start) for line, start in zip(lines, starts)), argv
+            verdict = [f"verdict: {report['verdict'].upper()}"] if "verdict" in report else []
+            assert text.splitlines() == [
+                f"command: {cli._format_value(report['command'])}",
+                *verdict,
+                "results:",
+                *report_lines(report["results"], 1),
+                "tolerances:",
+                *report_lines(report["tolerances"], 1),
+            ], argv
