@@ -34,7 +34,7 @@ from .linop import (
     HermitianOperator,
     Projector,
     commutator_residuals,
-    evolution_operator,
+    evolution_stack,
     frobenius_squares,
     max_entry_norm,
 )
@@ -176,16 +176,9 @@ class Context:
         hamiltonian: HermitianOperator,
         hbar: float = 1.0,
     ) -> np.ndarray:
-        """The atoms moved to ``t_to`` by one evolution operator, as a
-        read-only (k, d, d) stack that is not checked again: conjugation by
-        a checked unitary maps projectors to projectors and a complete
-        exclusive family to one (U P U^dag U Q U^dag = U P Q U^dag)."""
-        if self.dim != hamiltonian.dim:
-            raise DimensionMismatch("context and Hamiltonian dimensions differ")
-        u = evolution_operator(hamiltonian, self._time, t_to, hbar)
-        moved = u.transform(self._matrices)
-        moved.setflags(write=False)
-        return moved
+        """The atoms moved to ``t_to`` as one read-only (k, d, d) stack: the
+        one-context case of ``translate_contexts``, with its checks."""
+        return translate_contexts((self,), t_to, hamiltonian, hbar)[1][0]
 
     def __repr__(self) -> str:
         return f"Context(time={self._time}, atoms={len(self)}, dim={self.dim})"
@@ -199,10 +192,12 @@ def translate_contexts(
 ) -> tuple[tuple[Context, ...], tuple[np.ndarray, ...]]:
     """Check contexts at several times and move each one's atoms to ``t_to``.
 
-    The list must be non-empty and have strictly increasing times, and
-    ``Context.translated`` rejects a context off the Hamiltonian's
-    dimension.  Returns the contexts as a tuple and one
-    ``Context.translated`` stack per context.
+    The list must be non-empty, have strictly increasing times and act on
+    the Hamiltonian's dimension.  One ``linop.evolution_stack`` gives every
+    context's U, and U S U^dag moves its atoms S, one GEMM per atom.
+    Returns the contexts as a tuple and one read-only (k, d, d) stack per
+    context, not checked again: conjugation by a unitary maps projectors to
+    projectors and a complete exclusive family to one.
     """
     contexts = tuple(contexts)
     if not contexts:
@@ -212,9 +207,12 @@ def translate_contexts(
         raise TimeOrderViolation(
             f"context times must be strictly increasing, got {times}"
         )
-    translated = tuple(
-        ctx.translated(t_to, hamiltonian, hbar) for ctx in contexts
-    )
+    if any(ctx.dim != hamiltonian.dim for ctx in contexts):
+        raise DimensionMismatch("context and Hamiltonian dimensions differ")
+    unitaries = evolution_stack(hamiltonian, times, t_to, hbar)
+    translated = tuple(u @ ctx._matrices @ u.conj().T for u, ctx in zip(unitaries, contexts))
+    for moved in translated:
+        moved.setflags(write=False)
     return contexts, translated
 
 
@@ -258,6 +256,12 @@ class _JointBasis(NamedTuple):
         return np.add.reduceat(outer, starts, axis=0), self.positions[starts].astype(np.int64)
 
 
+def _label_sum(coefficients: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_i c_i S_i of a (k, d, d) stack: the (1, k) by (k, d^2) ``np.dot``
+    that ``np.tensordot(c, S, axes=1)`` makes, without its Python."""
+    return np.dot(coefficients[None], stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
+
+
 def _joint_atoms(stacks: Sequence[np.ndarray]) -> _JointBasis:
     """The joint eigenbasis of translated (k_t, d, d) stacks S_{t,i} and the
     certificate that reads their composed atoms from it.
@@ -277,7 +281,7 @@ def _joint_atoms(stacks: Sequence[np.ndarray]) -> _JointBasis:
     weights = np.cumprod([1, *sizes[:0:-1]])[::-1].tolist()
     every = np.concatenate(stacks)
     coefficients = np.concatenate([w * np.arange(k) for w, k in zip(weights, sizes)])
-    values, vectors = np.linalg.eigh(np.tensordot(coefficients, every, axes=1))
+    values, vectors = np.linalg.eigh(_label_sum(coefficients, every))
     positions = np.rint(values)
     return _JointBasis(vectors, positions, *_basis_bounds(every, sizes, vectors, positions))
 
@@ -445,7 +449,7 @@ def _commutation_failures(
     the pairwise check (``_pair_residuals``).
     """
     # X_t = sum_i i S_{t,i}
-    sums = [np.tensordot(np.arange(len(stack), dtype=float), stack, axes=1) for stack in stacks]
+    sums = [_label_sum(np.arange(len(stack), dtype=float), stack) for stack in stacks]
     pairs = list(itertools.combinations(range(len(stacks)), 2))
 
     def label_commutator(a, b):
@@ -471,13 +475,13 @@ def _commutation_failures(
 class GeneralizedContext:
     """Contexts at several times whose atoms commute at a common time.
 
-    Construction translates every atom to ``ref_time`` and requires all
-    cross-context commutators to vanish within ``tols.commute``
-    (``_commutation_failures``).  The commuting translated contexts are then
-    one context at ``ref_time``: its composed atoms, labelled in the
-    ``itertools.product`` order of the context labels, are the spectral
-    projectors of one observable, taken from a single ``eigh``
-    (``_joint_atoms``).  The same ``eigh`` carries a measured certificate:
+    Construction translates every atom to ``ref_time`` in one
+    ``translate_contexts`` call and requires all cross-context commutators
+    to vanish within ``tols.commute`` (``_commutation_failures``).  The
+    commuting translated contexts are then one context at ``ref_time``: its
+    composed atoms, labelled in the ``itertools.product`` order of the
+    context labels, are the spectral projectors of one observable, taken
+    from a single ``eigh`` (``_joint_atoms``).  The same ``eigh`` carries a measured certificate:
     how far each context's atoms are from being diagonal in its eigenbasis.
     That bounds every cross-context commutator, so a context pair it clears
     skips the pairwise check, and how far each composed atom sits from the
@@ -647,19 +651,25 @@ class CompositeProperty:
     """A disjunction of composed atoms of one generalized context."""
 
     def __init__(self, parent: GeneralizedContext, selected: Iterable[LabelTuple]):
-        selected = frozenset(tuple(str(x) for x in tup) for tup in selected)
-        unknown = {tup for tup in selected if tup not in parent._index}
-        if unknown:
-            raise InvariantViolation(
-                f"label tuples not in the generalized context: {sorted(unknown)}"
-            )
-        self._parent = parent
-        self._selected = selected
+        selected = frozenset([tuple(map(str, tup)) for tup in selected])
         # kept-atom rows of the selection in ascending (grid) order, so every
         # sum over a selection adds its atoms in one fixed order; a dropped
-        # atom is zero and adds nothing
-        rows = (parent._index[label] for label in selected)
-        self._rows = sorted(row for row in rows if row is not None)
+        # atom (row None) is zero and adds nothing
+        index, rows = parent._index, []
+        for label in selected:
+            row = index.get(label, -1)
+            if row is None:
+                continue
+            if row < 0:
+                unknown = sorted(tup for tup in selected if tup not in index)
+                raise InvariantViolation(
+                    f"label tuples not in the generalized context: {unknown}"
+                )
+            rows.append(row)
+        rows.sort()
+        self._parent = parent
+        self._selected = selected
+        self._rows = rows
 
     @property
     def parent(self) -> GeneralizedContext:
@@ -707,12 +717,13 @@ def composite_probability(
     """
     if prop.parent is not gc:
         raise ForeignProperty("property does not belong to this generalized context")
-    if rho.dim != gc.dim:
+    atoms, state = gc._atoms, rho._matrix
+    if len(state) != atoms.shape[-1]:
         raise DimensionMismatch(f"state dim {rho.dim} vs context dim {gc.dim}")
     value = 0.0
     for row in prop._rows:
         # Re Tr(rho Pi) = Re Tr(Pi^dag rho) for Hermitian rho: O(d^2), no product
-        value += float(np.vdot(gc._atoms[row], rho.matrix).real)
+        value += float(np.vdot(atoms[row], state).real)
     if value < -tols.prob or value > 1.0 + tols.prob:
         raise InvariantViolation(
             f"probability {value!r} lies outside [0, 1] beyond {tols.prob:.1e}"

@@ -2,7 +2,7 @@
 
 A history picks one atom per time from per-time projector families; its
 operator is the time-ordered product of the atoms conjugated into the
-Heisenberg picture at the initial time (``lattice.translate`` to it).
+Heisenberg picture at the initial time (``contexts.translate_contexts``).
 History probabilities are only well defined (positive, normalized,
 additive) when the family passes a consistency condition: either the
 pairwise trace condition of Gell-Mann and Hartle, or the weaker real-part
@@ -12,6 +12,7 @@ decoherence functional (``_scan``), ``history_probability`` the weights.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -371,14 +372,11 @@ def _scan(
         blocks = _last_atom_blocks(stacks, tols.consist)
     else:
         blocks = [ordered_products(stacks, tol=tols.consist)]
-    pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     violations = []
     probabilities = dict.fromkeys(grid, 0.0)
     for histories, kept in blocks:
         gram = decoherence_gram(histories, rho)
-        if len(kept) not in pairs:
-            pairs[len(kept)] = np.triu_indices(len(kept), 1)
-        a, b = pairs[len(kept)]
+        a, b = _upper_pairs(len(kept))
         if criterion == "gmh":
             residuals = _pair_magnitudes(gram, a, b)
         else:
@@ -396,6 +394,15 @@ def _scan(
         violations.sort()
     violations = tuple([(grid[i], grid[j], residual) for i, j, residual in violations])
     return ConsistencyReport(criterion, not violations, violations, probabilities)
+
+
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)`` as read-only arrays, kept for the last few n."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
 
 def gmh_check(

@@ -338,6 +338,8 @@ def _search_residuals(
             f"history times must satisfy t0 < t1 < t2, got {[t0, t1, t2]}"
         )
     if rho is None:
+        if n0 is None:
+            raise InvariantViolation(f"the {mode} search needs a state: give rho or n0")
         # a checked rank-1 projector is a state: not checked again as one
         rho = DensityOperator._derived(spin_projectors(n0, tols=tols)[0].matrix)
     if rho.dim != 2:

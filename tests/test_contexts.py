@@ -10,7 +10,9 @@ from helpers import (
     random_density,
     random_generalized_context,
     random_hermitian,
+    random_partition,
     random_projector,
+    random_unitary,
     shared_basis_contexts,
 )
 from qprops import contexts as contexts_module
@@ -25,6 +27,7 @@ from qprops.contexts import (
     composite_probability,
     conditional_probability,
     property_projector,
+    translate_contexts,
 )
 from qprops.errors import (
     CompletenessViolation,
@@ -99,6 +102,76 @@ class TestValidateContext:
     def test_non_finite_time_rejected(self, time):
         with pytest.raises(InvariantViolation, match="finite"):
             Context(time, [Z_PLUS, Z_MINUS])
+
+
+def independent_contexts(rng, dim, times, sizes):
+    """One context per time, its ``sizes[t]`` atoms grouped from its own
+    random basis."""
+    contexts = []
+    for t, k in zip(times, sizes):
+        basis = random_unitary(rng, dim)
+        groups = random_partition(rng, dim, k)
+        atoms = [Projector(basis[:, g] @ basis[:, g].conj().T) for g in groups]
+        contexts.append(Context(float(t), atoms))
+    return contexts
+
+
+class TestTranslateContexts:
+    """``translate_contexts`` forms every unitary in one stack; each context
+    must still read the bits of its own ``evolution_operator``."""
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    @pytest.mark.parametrize("dim", [2, 6, 16, 32])
+    def test_equals_one_evolution_operator_per_context(self, rng, dim, hbar):
+        h = random_hermitian(rng, dim)
+        for n_times in range(1, 5):
+            sizes = [min(k, dim) for k in (2, 3, 1, 4)[:n_times]]
+            times = 0.5 + np.cumsum(rng.uniform(0.3, 1.2, size=n_times))
+            contexts = independent_contexts(rng, dim, times, sizes)
+            for t_to in (0.0, float(times[0] + times[-1]) / 2, float(times[-1]) + 0.8):
+                got, stacks = translate_contexts(contexts, t_to, h, hbar)
+                assert got == tuple(contexts)
+                assert [len(stack) for stack in stacks] == sizes
+                for ctx, stack in zip(contexts, stacks):
+                    u = evolution_operator(h, ctx.time, t_to, hbar)
+                    want = u.transform(np.stack([atom.matrix for atom in ctx.atoms]))
+                    assert np.array_equal(stack, want)
+                    assert not stack.flags.writeable
+                    assert np.array_equal(ctx.translated(t_to, h, hbar), want)
+
+    @pytest.mark.parametrize("t_to", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_time(self, t_to):
+        contexts = [z_context(1.0), z_context(2.0)]
+        with pytest.raises(InvariantViolation) as err:
+            translate_contexts(contexts, t_to, H0)
+        assert str(err.value) == f"times must be finite, got 1.0, {t_to!r}"
+        with pytest.raises(InvariantViolation) as single:
+            contexts[1].translated(t_to, H0)
+        assert str(single.value) == f"times must be finite, got 2.0, {t_to!r}"
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_hbar(self, hbar):
+        with pytest.raises(InvariantViolation) as err:
+            translate_contexts([z_context(1.0), z_context(2.0)], 0.0, H0, hbar)
+        assert str(err.value) == f"hbar must be positive and finite, got {hbar!r}"
+
+    def test_dimension_mismatch(self):
+        h3 = HermitianOperator.zero(3)
+        for call in (
+            lambda: translate_contexts([z_context(1.0), z_context(2.0)], 0.0, h3),
+            lambda: z_context(1.0).translated(0.0, h3),
+        ):
+            with pytest.raises(DimensionMismatch) as err:
+                call()
+            assert str(err.value) == "context and Hamiltonian dimensions differ"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_step_fails_the_finite_check(self):
+        # t_to - t overflows to -inf, and the phase of a nonzero level is NaN
+        h = HermitianOperator(np.diag([1.0, -1.0]))
+        with pytest.raises(InvariantViolation) as err:
+            translate_contexts([z_context(1e308)], -1e308, h)
+        assert str(err.value) == "matrix has non-finite (NaN or infinite) entries"
 
 
 class TestBuildGeneralizedContext:
@@ -401,6 +474,67 @@ class TestCompositeProbability:
                 ) + composite_probability(gc, gc.property(right), rho)
                 assert pr_union == pytest.approx(pr_parts, abs=1e-10)
                 assert pr_union >= 0.0
+
+
+class TestCompositeTable:
+    """The per-label table path: ``CompositeProperty`` rows and the
+    probability each one-label property reads."""
+
+    @pytest.fixture
+    def indexed(self):
+        # default labels "0", "1" at each time
+        return build_generalized_context(
+            [Context(1.0, [Z_PLUS, Z_MINUS]), Context(2.0, [Z_PLUS, Z_MINUS])], 0.0, H0
+        )
+
+    def test_int_label_elements_become_strings(self, indexed):
+        prop = indexed.property([(0, 1), ("1", 0)])
+        assert prop.selected == frozenset({("0", "1"), ("1", "0")})
+
+    def test_unknown_tuples_are_listed_sorted(self, indexed):
+        with pytest.raises(InvariantViolation) as err:
+            indexed.property([("b", "x"), ("0", "0"), ("a", "y")])
+        assert str(err.value) == (
+            "label tuples not in the generalized context: [('a', 'y'), ('b', 'x')]"
+        )
+
+    def test_rows_ascend_whatever_the_selection_order(self, rng):
+        for _ in range(6):
+            gc = random_generalized_context(rng)
+            tuples = list(gc.label_tuples)
+            for _ in range(4):
+                k = int(rng.integers(0, len(tuples) + 1))
+                chosen = [tuples[i] for i in rng.permutation(len(tuples))[:k]]
+                rows = [gc._index[label] for label in chosen]
+                prop = gc.property(chosen)
+                assert prop._rows == sorted(row for row in rows if row is not None)
+
+    def test_one_label_reads_its_kept_atom(self, rng):
+        for _ in range(6):
+            gc = random_generalized_context(rng, dim=int(rng.integers(2, 9)))
+            rho = random_density(rng, gc.dim)
+            dropped = 0
+            for label in gc.label_tuples:
+                got = composite_probability(gc, gc.property([label]), rho)
+                row = gc._index[label]
+                if row is None:
+                    dropped += 1
+                    assert got == 0.0
+                else:
+                    weight = float(np.vdot(gc._atoms[row], rho.matrix).real)
+                    assert got == min(1.0, max(0.0, weight))
+            assert dropped == len(gc.label_tuples) - len(gc._atoms)
+
+    def test_foreign_property_and_dimension_mismatch(self, indexed):
+        other = build_generalized_context([z_context(1.0), z_context(2.0)], 0.0, H0)
+        rho = DensityOperator(outer(KET_X_PLUS))
+        with pytest.raises(ForeignProperty) as err:
+            composite_probability(indexed, other.property([("z+", "z+")]), rho)
+        assert str(err.value) == "property does not belong to this generalized context"
+        rho3 = DensityOperator.maximally_mixed(3)
+        with pytest.raises(DimensionMismatch) as err:
+            composite_probability(indexed, indexed.property([("0", "0")]), rho3)
+        assert str(err.value) == "state dim 3 vs context dim 2"
 
 
 class TestCompositeLattice:

@@ -187,6 +187,11 @@ class TestGmhDirections:
         assert gmh_directions(X, Z, [Y]) == []
         assert griffiths_directions(X, Z, [Y]) == [Y]
 
+    def test_no_state_and_no_n0_is_a_named_error(self):
+        with pytest.raises(InvariantViolation) as err:
+            gmh_directions(None, Z, sphere_points(10))
+        assert str(err.value) == "the gmh search needs a state: give rho or n0"
+
 
 class TestGriffithsDirections:
     def test_accepted_set_is_the_two_planes(self):
@@ -200,6 +205,11 @@ class TestGriffithsDirections:
 
     def test_preparation_direction_accepted(self):
         assert griffiths_directions(X, Z, [X]) == [X]
+
+    def test_no_state_and_no_n0_is_a_named_error(self):
+        with pytest.raises(InvariantViolation) as err:
+            griffiths_directions(None, Z, sphere_points(10))
+        assert str(err.value) == "the griffiths search needs a state: give rho or n0"
 
     def test_xz_diagonal_rejected_and_defect_value(self):
         n1 = Direction.normalized(1.0, 0.0, 1.0)
