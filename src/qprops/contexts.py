@@ -33,8 +33,9 @@ from .linop import (
     DensityOperator,
     HermitianOperator,
     Projector,
+    UnitaryOperator,
+    _evolution_stack,
     commutator_residuals,
-    evolution_stack,
     frobenius_squares,
     max_entry_norm,
 )
@@ -193,11 +194,11 @@ def translate_contexts(
     """Check contexts at several times and move each one's atoms to ``t_to``.
 
     The list must be non-empty, have strictly increasing times and act on
-    the Hamiltonian's dimension.  One ``linop.evolution_stack`` gives every
-    context's U, and U S U^dag moves its atoms S, one GEMM per atom.
-    Returns the contexts as a tuple and one read-only (k, d, d) stack per
-    context, not checked again: conjugation by a unitary maps projectors to
-    projectors and a complete exclusive family to one.
+    the Hamiltonian's dimension.  One array of phases gives every U
+    (``linop._evolution_stack``) and ``UnitaryOperator.transform`` moves
+    each context.  Returns the contexts as a tuple and one read-only (k, d, d)
+    stack per context, not checked again: conjugation by a unitary maps
+    projectors to projectors and a complete exclusive family to one.
     """
     contexts = tuple(contexts)
     if not contexts:
@@ -209,8 +210,10 @@ def translate_contexts(
         )
     if any(ctx.dim != hamiltonian.dim for ctx in contexts):
         raise DimensionMismatch("context and Hamiltonian dimensions differ")
-    unitaries = evolution_stack(hamiltonian, times, t_to, hbar)
-    translated = tuple(u @ ctx._matrices @ u.conj().T for u, ctx in zip(unitaries, contexts))
+    unitaries = _evolution_stack(hamiltonian, times, t_to, hbar)
+    translated = tuple(
+        UnitaryOperator._derived(u).transform(ctx._matrices) for u, ctx in zip(unitaries, contexts)
+    )
     for moved in translated:
         moved.setflags(write=False)
     return contexts, translated
@@ -475,13 +478,13 @@ def _commutation_failures(
 class GeneralizedContext:
     """Contexts at several times whose atoms commute at a common time.
 
-    Construction translates every atom to ``ref_time`` in one
-    ``translate_contexts`` call and requires all cross-context commutators
-    to vanish within ``tols.commute`` (``_commutation_failures``).  The
+    Construction translates every atom to ``ref_time`` in one call of
+    ``translate_contexts`` and requires all cross-context commutators to
+    vanish within ``tols.commute`` (``_commutation_failures``).  The
     commuting translated contexts are then one context at ``ref_time``: its
     composed atoms, labelled in the ``itertools.product`` order of the
-    context labels, are the spectral projectors of one observable, taken
-    from a single ``eigh`` (``_joint_atoms``).  The same ``eigh`` carries a measured certificate:
+    context labels, are the spectral projectors of one observable, from a
+    single ``eigh`` (``_joint_atoms``), which carries a measured certificate:
     how far each context's atoms are from being diagonal in its eigenbasis.
     That bounds every cross-context commutator, so a context pair it clears
     skips the pairwise check, and how far each composed atom sits from the
@@ -652,24 +655,16 @@ class CompositeProperty:
 
     def __init__(self, parent: GeneralizedContext, selected: Iterable[LabelTuple]):
         selected = frozenset([tuple(map(str, tup)) for tup in selected])
+        rows = [parent._index.get(label, -1) for label in selected]
+        if -1 in rows:
+            unknown = sorted(tup for tup in selected if tup not in parent._index)
+            raise InvariantViolation(f"label tuples not in the generalized context: {unknown}")
+        self._parent = parent
+        self._selected = selected
         # kept-atom rows of the selection in ascending (grid) order, so every
         # sum over a selection adds its atoms in one fixed order; a dropped
         # atom (row None) is zero and adds nothing
-        index, rows = parent._index, []
-        for label in selected:
-            row = index.get(label, -1)
-            if row is None:
-                continue
-            if row < 0:
-                unknown = sorted(tup for tup in selected if tup not in index)
-                raise InvariantViolation(
-                    f"label tuples not in the generalized context: {unknown}"
-                )
-            rows.append(row)
-        rows.sort()
-        self._parent = parent
-        self._selected = selected
-        self._rows = rows
+        self._rows = sorted(row for row in rows if row is not None)
 
     @property
     def parent(self) -> GeneralizedContext:
@@ -717,13 +712,12 @@ def composite_probability(
     """
     if prop.parent is not gc:
         raise ForeignProperty("property does not belong to this generalized context")
-    atoms, state = gc._atoms, rho._matrix
-    if len(state) != atoms.shape[-1]:
+    if rho.dim != gc.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs context dim {gc.dim}")
     value = 0.0
     for row in prop._rows:
         # Re Tr(rho Pi) = Re Tr(Pi^dag rho) for Hermitian rho: O(d^2), no product
-        value += float(np.vdot(atoms[row], state).real)
+        value += float(np.vdot(gc._atoms[row], rho._matrix).real)
     if value < -tols.prob or value > 1.0 + tols.prob:
         raise InvariantViolation(
             f"probability {value!r} lies outside [0, 1] beyond {tols.prob:.1e}"

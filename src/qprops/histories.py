@@ -12,7 +12,6 @@ decoherence functional (``_scan``), ``history_probability`` the weights.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -372,11 +371,14 @@ def _scan(
         blocks = _last_atom_blocks(stacks, tols.consist)
     else:
         blocks = [ordered_products(stacks, tol=tols.consist)]
+    pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     violations = []
     probabilities = dict.fromkeys(grid, 0.0)
     for histories, kept in blocks:
         gram = decoherence_gram(histories, rho)
-        a, b = _upper_pairs(len(kept))
+        if len(kept) not in pairs:
+            pairs[len(kept)] = np.triu_indices(len(kept), 1)
+        a, b = pairs[len(kept)]
         if criterion == "gmh":
             residuals = _pair_magnitudes(gram, a, b)
         else:
@@ -394,15 +396,6 @@ def _scan(
         violations.sort()
     violations = tuple([(grid[i], grid[j], residual) for i, j, residual in violations])
     return ConsistencyReport(criterion, not violations, violations, probabilities)
-
-
-@functools.lru_cache(maxsize=16)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, 1)`` as read-only arrays, kept for the last few n."""
-    pairs = np.triu_indices(n, 1)
-    for index in pairs:
-        index.setflags(write=False)
-    return pairs
 
 
 def gmh_check(

@@ -39,7 +39,6 @@ __all__ = [
     "spectral_decompose",
     "spectral_projectors",
     "evolution_operator",
-    "evolution_stack",
     "projector_from_span",
     "subspace_intersection",
     "alternating_projection_limit",
@@ -318,30 +317,33 @@ def evolution_operator(
     t_to: float,
     hbar: float = 1.0,
 ) -> UnitaryOperator:
-    """Unitary exp(-i H (t_to - t_from) / hbar): one ``evolution_stack``."""
-    return UnitaryOperator._derived(evolution_stack(H, (t_from,), t_to, hbar)[0])
+    """Unitary exp(-i H (t_to - t_from) / hbar) via ``_evolution_stack``.
+
+    ``eigh`` gives orthonormal eigenvectors and every finite phase has unit
+    modulus, so the result is unitary to rounding: it is built by
+    ``Operator._derived``, whose finite check catches a phase that
+    overflowed (NaN), and no tolerance is consulted.
+    """
+    return UnitaryOperator._derived(_evolution_stack(H, (t_from,), t_to, hbar)[0])
 
 
-def evolution_stack(
-    H: HermitianOperator, times_from: Sequence[float], t_to: float, hbar: float = 1.0
+def _evolution_stack(
+    H: HermitianOperator, times_from: Sequence[float], t_to: float, hbar: float
 ) -> np.ndarray:
-    """exp(-i H (t_to - t) / hbar) for each t of ``times_from``, as one
-    (T, d, d) stack from the cached eigensystem of H.  numpy forms the stacked
-    (v * phases) @ v^dag one GEMM per matrix, so each has the bits of its own
-    product; every finite phase has unit modulus, so each is unitary to
-    rounding, and the finite check catches a phase that overflowed (NaN)."""
+    """exp(-i H (t_to - t) / hbar) for each t of ``times_from`` via the cached
+    eigensystem of H, as one (T, d, d) stack: one array of phases, then one
+    stacked (v * phases) @ v^dag, which numpy multiplies one matrix at a
+    time, so each U has the bits of its own product.  Each U takes
+    ``UnitaryOperator._derived`` and its finite check from the caller."""
     # written so that NaN fails: an infinite hbar would give U = I
     if not (hbar > 0.0 and math.isfinite(hbar)):
         raise InvariantViolation(f"hbar must be positive and finite, got {hbar!r}")
-    for t_from in times_from:
+    for t_from in (*times_from, t_to):  # t_to is checked with no times_from too
         if not (math.isfinite(t_from) and math.isfinite(t_to)):
             raise InvariantViolation(f"times must be finite, got {t_from!r}, {t_to!r}")
     w, v = H.eigensystem
     phases = np.exp(-1j * w * (t_to - np.array(times_from, dtype=float))[:, None] / hbar)
-    unitaries = (v * phases[:, None, :]) @ v.conj().T
-    if not np.all(np.isfinite(unitaries)):
-        raise InvariantViolation("matrix has non-finite (NaN or infinite) entries")
-    return unitaries
+    return (v * phases[:, None, :]) @ v.conj().T
 
 
 def projector_from_span(
@@ -441,13 +443,12 @@ def stack_matmul(stack, b) -> np.ndarray:
     the per-matrix ``@`` bit for bit under every x86-64 kernel it ships
     (SkylakeX, Haswell, also used on Zen, Sandybridge, Nehalem, Katmai); at
     larger d the Haswell kernel differed from d = 4 on, Sandybridge and
-    Nehalem at odd d >= 5.  So the unitaries of ``evolution_stack`` and the
-    conjugations of ``contexts.translate_contexts`` and
-    ``UnitaryOperator.transform``, whose results must equal a per-matrix
-    product bit for bit, do not use it.  Only right factors are stacked:
-    ``b @ stack`` as one GEMM multiplies ``b`` by the (d, n d) column block
-    of the stack, and that changed last bits even at d = 2.  Any other shape
-    of ``b`` falls back to ``@``.
+    Nehalem at odd d >= 5.  So ``UnitaryOperator.transform``, the one
+    conjugation kernel, whose results must equal a per-matrix product bit
+    for bit, does not use it.  Only right factors are stacked: ``b @ stack``
+    as one GEMM multiplies ``b`` by the (d, n d) column block of the stack,
+    and that changed last bits even at d = 2.  Any other shape of ``b``
+    falls back to ``@``.
     """
     stack, b = np.asarray(stack), np.asarray(b)
     if stack.ndim <= 2 or b.ndim != 2:

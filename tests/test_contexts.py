@@ -44,6 +44,7 @@ from qprops.linop import (
     DensityOperator,
     HermitianOperator,
     Projector,
+    _evolution_stack,
     evolution_operator,
     max_entry_norm,
     projector_from_span,
@@ -172,6 +173,12 @@ class TestTranslateContexts:
         with pytest.raises(InvariantViolation) as err:
             translate_contexts([z_context(1e308)], -1e308, h)
         assert str(err.value) == "matrix has non-finite (NaN or infinite) entries"
+
+    def test_stack_of_no_times_still_checks_the_target_time(self):
+        assert _evolution_stack(H0, (), 0.0, 1.0).shape == (0, 2, 2)
+        with pytest.raises(InvariantViolation) as err:
+            _evolution_stack(H0, (), np.inf, 1.0)
+        assert str(err.value) == "times must be finite, got inf, inf"
 
 
 class TestBuildGeneralizedContext:
