@@ -159,18 +159,15 @@ def cmd_validate_context(spec: SystemSpec, args, tols: Tolerances):
         entry: dict[str, Any] = {"index": k, "time": ctx_spec.time}
         try:
             ctx = realize_context(ctx_spec, tols=tols)
-        except ContextViolation as err:
-            all_ok = False
-            entry["status"] = type(err).__name__
-            entry["detail"] = str(err)
-            # (i, j, residual) per pair, or one (residual,) for completeness
-            entry["violations"] = [
-                list(v) if isinstance(v, tuple) else v for v in err.violations
-            ]
         except QpropsError as err:
             all_ok = False
             entry["status"] = type(err).__name__
             entry["detail"] = str(err)
+            if isinstance(err, ContextViolation):
+                # (i, j, residual) per pair, or one (residual,) for completeness
+                entry["violations"] = [
+                    list(v) if isinstance(v, tuple) else v for v in err.violations
+                ]
         else:
             entry["status"] = "ok"
             entry["labels"] = list(ctx.labels)

@@ -43,7 +43,6 @@ from .linop import (
 __all__ = [
     "Context",
     "GeneralizedContext",
-    "check_context_laws",
     "CompositeProperty",
     "translate_contexts",
     "build_generalized_context",
@@ -58,52 +57,18 @@ __all__ = [
 LabelTuple = tuple[str, ...]
 
 
-def check_context_laws(
-    atoms: np.ndarray,
-    labels: Sequence[str],
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
-    """Exclusivity and completeness of a (k, d, d) atom family, as ``Context``
-    checks its atoms.
-
-    Raises ``ExclusivityViolation`` with (i, j, residual) per offending atom
-    pair, or ``CompletenessViolation`` with the deviation of the atom sum
-    from I.  Otherwise returns the family's law residual: the largest of
-    the exclusivity, completeness, idempotence (P_i^2 - P_i, from the k
-    diagonal products) and Hermiticity residuals, as max entry.
-    """
-    pairs = [
-        (i, j, max_entry_norm(atoms[i] @ atoms[j]))
-        for i, j in itertools.combinations(range(len(atoms)), 2)
-    ]
-    exclusivity = [pair for pair in pairs if not pair[2] <= tols.proj]
-    if exclusivity:
-        worst = max(exclusivity, key=lambda v: v[2])
-        raise ExclusivityViolation(
-            f"atoms {labels[worst[0]]!r} and {labels[worst[1]]!r} have "
-            f"non-zero product (residual {worst[2]:.3e}); "
-            f"{len(exclusivity)} offending pair(s) in total",
-            exclusivity,
-        )
-    residual = max_entry_norm(atoms.sum(axis=0) - np.eye(atoms.shape[-1]))
-    if not residual <= tols.proj:
-        raise CompletenessViolation(
-            f"atom sum deviates from identity by {residual:.3e}",
-            (residual,),
-        )
-    squares = max_entry_norm(atoms @ atoms - atoms)
-    hermiticity = max_entry_norm(atoms - np.swapaxes(atoms, -1, -2).conj())
-    return max(residual, squares, hermiticity, *(pair[2] for pair in pairs))
-
-
 class Context:
     """A time plus a complete, mutually exclusive family of atomic projectors.
 
-    Construction checks the exclusivity and completeness laws
-    (``check_context_laws``).  On failure it raises ``ExclusivityViolation``
-    or ``CompletenessViolation`` whose ``violations`` attribute names the
-    offending pairs/sum with their residual magnitudes.
+    Construction checks the laws of the (k, d, d) atom stack in one pass:
+    row i forms P_i P_j for every j >= i as one product, and with P_i taken
+    from its first entry gives the idempotence residual |P_i^2 - P_i| and
+    the exclusivity residuals |P_i P_j|, j > i, as max entry.  Exclusivity
+    is checked first, then completeness (the deviation of the atom sum
+    from I).  A failure raises ``ExclusivityViolation`` with (i, j,
+    residual) per offending pair, in ``itertools.combinations`` order, or
+    ``CompletenessViolation`` with (residual,).  Hermiticity is measured,
+    not checked.
     """
 
     def __init__(
@@ -136,13 +101,36 @@ class Context:
                 raise InvariantViolation("atom labels must be unique")
 
         matrices = np.stack([atom.matrix for atom in atoms])
-        law_residual = check_context_laws(matrices, labels, tols=tols)
+        # rows[i][j - i]: |P_i P_j|, or |P_i^2 - P_i| at j = i
+        rows = []
+        for i, atom in enumerate(matrices):
+            products = atom @ matrices[i:]
+            products[0] -= atom
+            rows.append(np.abs(products).max(axis=(1, 2)).tolist())
+        pairs = [(i, j, rows[i][j - i]) for i, j in itertools.combinations(range(len(rows)), 2)]
+        exclusivity = [pair for pair in pairs if not pair[2] <= tols.proj]
+        if exclusivity:
+            worst = max(exclusivity, key=lambda v: v[2])
+            raise ExclusivityViolation(
+                f"atoms {labels[worst[0]]!r} and {labels[worst[1]]!r} have "
+                f"non-zero product (residual {worst[2]:.3e}); "
+                f"{len(exclusivity)} offending pair(s) in total",
+                exclusivity,
+            )
+        residual = max_entry_norm(matrices.sum(axis=0) - np.eye(dim))
+        if not residual <= tols.proj:
+            raise CompletenessViolation(
+                f"atom sum deviates from identity by {residual:.3e}",
+                (residual,),
+            )
+        squares = float(np.max([row[0] for row in rows]))
+        hermiticity = max_entry_norm(matrices - np.swapaxes(matrices, -1, -2).conj())
         matrices.setflags(write=False)
 
         self._time = time
         self._matrices = matrices
         self._labels = labels
-        self._law_residual = law_residual
+        self._law_residual = max(residual, squares, hermiticity, *(pair[2] for pair in pairs))
 
     @property
     def time(self) -> float:
@@ -164,8 +152,8 @@ class Context:
 
     @property
     def law_residual(self) -> float:
-        """delta: the largest law residual measured at construction
-        (``check_context_laws``), as max entry."""
+        """delta: the largest of the exclusivity, completeness, idempotence
+        and Hermiticity residuals measured at construction, as max entry."""
         return self._law_residual
 
     def __len__(self) -> int:

@@ -470,12 +470,10 @@ def omnes_implies(
     """
     set_a = _normalize_history_set(family, a)
     set_b = _normalize_history_set(family, b)
-    if criterion == "gmh":
-        report = gmh_check(family, tols=tols)
-    elif criterion == "griffiths":
-        report = griffiths_check(family, tols=tols)
-    else:
+    check = {"gmh": gmh_check, "griffiths": griffiths_check}.get(criterion)
+    if check is None:
         raise InvariantViolation(f"unknown consistency criterion {criterion!r}")
+    report = check(family, tols=tols)
     if not report.verdict:
         raise InconsistentFamily(
             f"family fails the {criterion} condition "

@@ -171,7 +171,7 @@ class UnitaryOperator(Operator):
         residual = max_entry_norm(
             self._matrix @ self._matrix.conj().T - np.eye(self.dim)
         )
-        if residual > tols.unit:
+        if not residual <= tols.unit:
             raise InvariantViolation(
                 f"matrix is not unitary: |U U^dag - I| = {residual:.3e} "
                 f"(tolerance {tols.unit:.1e})"

@@ -133,7 +133,8 @@ def matrix_to_pairs(matrix: np.ndarray) -> list[list[list[float]]]:
 
 @dataclass(frozen=True, eq=False)
 class ContextSpec:
-    """One context entry of a system description (a single atom form is set)."""
+    """One context entry of a system description (a single atom form is set);
+    two entries are equal when their written forms are."""
 
     time: float
     labels: tuple[str, ...] | None = None
@@ -145,32 +146,13 @@ class ContextSpec:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContextSpec):
             return NotImplemented
-        if (self.time, self.labels, self.direction, self.windows) != (
-            other.time,
-            other.labels,
-            other.direction,
-            other.windows,
-        ):
-            return False
-        if (self.atoms is None) != (other.atoms is None):
-            return False
-        if self.atoms is not None and (
-            len(self.atoms) != len(other.atoms)
-            or any(not np.array_equal(a, b) for a, b in zip(self.atoms, other.atoms))
-        ):
-            return False
-        if (self.observable is None) != (other.observable is None):
-            return False
-        if self.observable is not None and not np.array_equal(
-            self.observable, other.observable
-        ):
-            return False
-        return True
+        return _context_to_mapping(self) == _context_to_mapping(other)
 
 
 @dataclass(frozen=True, eq=False)
 class SystemSpec:
-    """Parsed system description: dynamics, state, and proposed contexts."""
+    """Parsed system description: dynamics, state, and proposed contexts;
+    two descriptions are equal when their written forms are."""
 
     dimension: int
     hbar: float
@@ -183,15 +165,7 @@ class SystemSpec:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SystemSpec):
             return NotImplemented
-        return (
-            self.dimension == other.dimension
-            and self.hbar == other.hbar
-            and np.array_equal(self.hamiltonian, other.hamiltonian)
-            and self.initial_time == other.initial_time
-            and np.array_equal(self.initial_state, other.initial_state)
-            and self.reference_time == other.reference_time
-            and self.contexts == other.contexts
-        )
+        return spec_to_mapping(self) == spec_to_mapping(other)
 
 
 def _parse_context_entry(entry, dim: int, index: int) -> ContextSpec:
@@ -367,17 +341,14 @@ def _context_to_mapping(ctx: ContextSpec) -> dict:
     out: dict[str, Any] = {"time": ctx.time}
     if ctx.atoms is not None:
         out["atoms"] = [matrix_to_pairs(a) for a in ctx.atoms]
-        if ctx.labels is not None:
-            out["labels"] = list(ctx.labels)
-    elif ctx.observable is not None:
+    if ctx.observable is not None:
         out["observable"] = matrix_to_pairs(ctx.observable)
-        out["windows"] = [
-            {"label": w.label, "lo": w.lo, "hi": w.hi} for w in ctx.windows
-        ]
-    else:
+    if ctx.windows is not None:
+        out["windows"] = [{"label": w.label, "lo": w.lo, "hi": w.hi} for w in ctx.windows]
+    if ctx.direction is not None:
         out["direction"] = [ctx.direction.x, ctx.direction.y, ctx.direction.z]
-        if ctx.labels is not None:
-            out["labels"] = list(ctx.labels)
+    if ctx.labels is not None:
+        out["labels"] = list(ctx.labels)
     return out
 
 

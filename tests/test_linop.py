@@ -72,6 +72,14 @@ class TestTypeInvariants:
         with pytest.raises(InvariantViolation):
             UnitaryOperator(2.0 * np.eye(2))
 
+    def test_unitary_rejects_a_finite_matrix_whose_residual_overflows(self):
+        # U U^dag overflows to inf - inf, so |U U^dag - I| reads NaN
+        big = 1e200 * np.array([[1 + 1j, 1], [1, -1 - 1j]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            InvariantViolation, match="not unitary"
+        ):
+            UnitaryOperator(big)
+
     def test_density_rejects_wrong_trace(self):
         with pytest.raises(InvariantViolation):
             DensityOperator(np.eye(2))

@@ -11,7 +11,8 @@ Every generalized context must be a consistent history family with the same
 probabilities (criterion 5), and the parser must turn any mutated document
 into a spec, a ``ParseError`` or a ``ValidationError``.  Translated contexts
 and translated spin pairs must pass the projector and context checks that
-their construction makes unnecessary, and the Born probability and the class
+their construction makes unnecessary, ``Context`` must give a per-pair
+reference's law residual, violations and message, and the Born probability and the class
 of a property must not depend on the time frame (criterion 9).  The pruned
 ordered-product kernel must keep every product it does not drop bit for bit,
 drop only products within its bound, and leave the GMH verdict, violations
@@ -81,12 +82,18 @@ from qprops.contexts import (
     _joint_atoms,
     _JointBasis,
     build_generalized_context,
-    check_context_laws,
     composite_probability,
     property_projector,
     translate_contexts,
 )
-from qprops.errors import IncompatibleContexts, ParseError, ValidationError
+from qprops.errors import (
+    CompletenessViolation,
+    ContextViolation,
+    ExclusivityViolation,
+    IncompatibleContexts,
+    ParseError,
+    ValidationError,
+)
 from qprops.histories import (
     HistoryFamily,
     _pair_magnitudes,
@@ -488,7 +495,7 @@ def test_translated_context_keeps_the_context_laws(d, t, t_to, seed):
     moved = ctx.translated(t_to, random_hermitian(rng, d))
     for atom in moved:
         Projector(atom, tols=DEFAULT_TOLERANCES)
-    check_context_laws(moved, ctx.labels, tols=DEFAULT_TOLERANCES)
+    Context(t_to, [Projector(atom) for atom in moved], ctx.labels, tols=DEFAULT_TOLERANCES)
 
 
 @given(
@@ -509,7 +516,67 @@ def test_translated_spin_pairs_keep_the_context_laws(rows, stretch, field, t_fro
         for pair in pairs:
             for atom in pair:
                 Projector(atom, tols=DEFAULT_TOLERANCES)
-            check_context_laws(pair, ("+", "-"), tols=DEFAULT_TOLERANCES)
+            Context(t_to, [Projector(atom) for atom in pair], ("+", "-"), tols=DEFAULT_TOLERANCES)
+
+
+def _per_pair_context_laws(atoms, labels, tols):
+    """The context laws of a (k, d, d) family, one product per atom pair:
+    the error type, violations and message of a failed check, or the law
+    residual of a passed one."""
+    pairs = [
+        (i, j, max_entry_norm(atoms[i] @ atoms[j]))
+        for i, j in itertools.combinations(range(len(atoms)), 2)
+    ]
+    exclusivity = [pair for pair in pairs if not pair[2] <= tols.proj]
+    if exclusivity:
+        i, j, worst = max(exclusivity, key=lambda v: v[2])
+        return (
+            ExclusivityViolation,
+            tuple(exclusivity),
+            f"atoms {labels[i]!r} and {labels[j]!r} have non-zero product "
+            f"(residual {worst:.3e}); {len(exclusivity)} offending pair(s) in total",
+        )
+    residual = max_entry_norm(atoms.sum(axis=0) - np.eye(atoms.shape[-1]))
+    if not residual <= tols.proj:
+        return (
+            CompletenessViolation,
+            (residual,),
+            f"atom sum deviates from identity by {residual:.3e}",
+        )
+    squares = max_entry_norm(atoms @ atoms - atoms)
+    hermiticity = max_entry_norm(atoms - np.swapaxes(atoms, -1, -2).conj())
+    return max(residual, squares, hermiticity, *(pair[2] for pair in pairs))
+
+
+@given(
+    d=st.integers(2, 32),
+    k=st.integers(1, 9),
+    tilt=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+    drop=st.booleans(),
+    proj=st.sampled_from([1e-10, 1e-8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_context_laws_match_the_per_pair_reference(d, k, tilt, drop, proj, seed):
+    # about half the atoms turned by exp(-i tilt H) each, so that at a
+    # large enough tilt some pairs fail; dropping an atom breaks completeness
+    rng = np.random.default_rng(seed)
+    basis = random_unitary(rng, d)
+    stack = np.stack(
+        [basis[:, group] @ basis[:, group].conj().T for group in random_partition(rng, d, min(k, d))]
+    )
+    for i in np.flatnonzero(rng.random(len(stack)) < 0.5):
+        stack[i] = evolution_operator(random_hermitian(rng, d), 0.0, tilt).transform(stack[i])
+    if drop and len(stack) > 1:
+        stack = stack[:-1]
+    labels = [f"a{i}" for i in range(len(stack))]
+    tols = DEFAULT_TOLERANCES.updated(proj=proj)
+    try:
+        ctx = Context(1.0, [Projector(atom, tols=tols) for atom in stack], labels, tols=tols)
+    except ContextViolation as err:
+        got = (type(err), err.violations, str(err))
+    else:
+        got = ctx.law_residual
+    assert got == _per_pair_context_laws(stack, labels, tols)
 
 
 @given(

@@ -5,8 +5,9 @@ import pytest
 import yaml
 
 from qprops.errors import ParseError, ValidationError
-from qprops.linop import max_entry_norm
+from qprops.linop import SpectralWindow, max_entry_norm
 from qprops.specio import (
+    ContextSpec,
     dumps_system_spec,
     load_system_spec,
     parse_system_spec,
@@ -292,6 +293,68 @@ class TestRoundTrip:
             spec = load_system_spec(SPECS_DIR / name)
             again = parse_system_spec(yaml.safe_load(dumps_system_spec(spec)))
             assert again == spec
+
+
+class TestEquality:
+    """Specs compare by every field they write, and only by those."""
+
+    @staticmethod
+    def spec():
+        doc = base_document(hamiltonian=[[0.0, 0.5], [0.5, 0.0]])
+        doc["contexts"].append(
+            {
+                "time": 3.0,
+                "observable": [[1.0, 0.0], [0.0, -1.0]],
+                "windows": [
+                    {"label": "up", "lo": 0.5, "hi": 1.5},
+                    {"label": "down", "lo": -1.5, "hi": -0.5},
+                ],
+            }
+        )
+        doc["contexts"].append({"time": 4.0, "atoms": [EYE], "labels": ["all"]})
+        return doc
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["contexts"][0].update(time=1.5),
+            lambda doc: doc["contexts"][1].update(labels=["z+", "down"]),
+            lambda doc: doc["contexts"][3].update(atoms=[[[1.0, 0.0], [1e-300, 1.0]]]),
+            lambda doc: doc.update(initial_state=[[0.5, [0.5, 1e-17]], [[0.5, -1e-17], 0.5]]),
+            lambda doc: doc["contexts"][2]["windows"][1].update(lo=-1.25),
+            lambda doc: doc["contexts"][1].update(direction=[0.0, 0.6, 0.8]),
+            lambda doc: doc.update(reference_time=0.5),
+            lambda doc: doc.update(hbar=2.0),
+        ],
+        ids=["time", "label", "atom", "state", "window", "direction", "ref", "hbar"],
+    )
+    def test_specs_that_differ_in_one_field_are_unequal(self, edit):
+        doc = self.spec()
+        edit(doc)
+        assert parse_system_spec(doc) != parse_system_spec(self.spec())
+
+    def test_negative_zero_entry_equals_zero(self):
+        doc = self.spec()
+        doc["hamiltonian"] = [[-0.0, 0.5], [0.5, [0.0, -0.0]]]
+        assert parse_system_spec(doc) == parse_system_spec(self.spec())
+
+    def test_labels_given_differ_from_none(self):
+        direction = parse_system_spec(base_document()).contexts[0].direction
+        assert ContextSpec(1.0, ("+", "-"), direction=direction) != ContextSpec(
+            1.0, direction=direction
+        )
+
+    def test_spec_without_a_form_equals_itself(self):
+        assert ContextSpec(1.0) == ContextSpec(1.0)
+        assert ContextSpec(1.0) != ContextSpec(2.0)
+
+    def test_real_and_complex_forms_of_one_observable_are_equal(self):
+        window = SpectralWindow("up", 0.0, 1.0)
+        observable = np.diag([1.0, -1.0])
+        assert ContextSpec(1.0, observable=observable, windows=(window,)) == ContextSpec(
+            1.0, observable=observable.astype(complex), windows=(window,)
+        )
+        assert ContextSpec(1.0) != "contexts[0]"
 
 
 class TestRealize:
