@@ -358,6 +358,8 @@ def projector_from_span(
     cols = np.array([np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]).T
     if cols.size == 0:
         raise ZeroSpan("no spanning vectors given")
+    if not np.all(np.isfinite(cols)):
+        raise InvariantViolation("vectors have non-finite (NaN or infinite) entries")
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     if s[0] <= tols.rank:
         raise ZeroSpan("spanning vectors are numerically zero")

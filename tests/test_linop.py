@@ -55,7 +55,9 @@ class TestTypeInvariants:
         with pytest.raises(InvariantViolation):
             Projector(0.5 * SZ + 0.5 * np.eye(2) + 0.2 * SX)
 
-    @pytest.mark.parametrize("cls", [HermitianOperator, Projector, DensityOperator])
+    @pytest.mark.parametrize(
+        "cls", [HermitianOperator, Projector, DensityOperator, UnitaryOperator]
+    )
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_entries_rejected(self, cls, bad):
         matrix = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -278,6 +280,11 @@ class TestProjectorFromSpan:
     def test_zero_span(self):
         with pytest.raises(ZeroSpan):
             projector_from_span([[0.0, 0.0], [1e-15, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            projector_from_span([[bad, 1.0]])
 
 
 class TestSubspaceIntersection:

@@ -18,9 +18,10 @@ the same inputs:
   composed atoms and their composite probabilities or the
   ``IncompatibleContexts`` pairs and gap, and the gmh and griffiths
   reports of the case's history family;
-- the CLI command lines of the CI workflow, plus a few at negative
-  tolerances, in text and JSON: stdout, stderr and exit code of each, run
-  from this checkout's root on the same spec files.
+- every command line of ``tests/cli_contract.txt`` (whose edge-case specs
+  are under ``tests/specs/``), in text and JSON: stdout, stderr and exit
+  code of each, run from this checkout's root, so both sides read this
+  checkout's table and spec files.
 
 Every answer prints as ``<sha256>  <name>``.  With ``--against``, every
 answer whose hash differs between the two sides (or that only one side
@@ -36,7 +37,6 @@ import os
 import shlex
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,126 +47,8 @@ KINDS = ("commuting", "near", "independent")
 TILT = 1e-9
 LOOSE = {"proj": 1e-8, "herm": 1e-8, "commute": 1e-6, "consist": 1e-6}
 
-# the spec files the CI workflow writes before its command lines
-SPEC_FILES = {
-    "evolved.yaml": """\
-dimension: 2
-initial_time: 0.0
-reference_time: 0.25
-initial_state: [[1.0, 0.0], [0.0, 0.0]]
-hamiltonian: [[0.0, 1.5707963267948966], [1.5707963267948966, 0.0]]
-contexts:
-  - {time: 1.0, direction: [0.0, 0.0, 1.0]}
-  - {time: 2.0, direction: [0.0, 0.0, 1.0]}
-""",
-    **{
-        f"hbar_{hbar}.yaml": f"""\
-dimension: 2
-hbar: {hbar}
-initial_time: 0.0
-initial_state: [[1.0, 0.0], [0.0, 0.0]]
-hamiltonian: [[0.0, 0.7853981633974483], [0.7853981633974483, 0.0]]
-contexts:
-  - {{time: 1.0, direction: [0.0, 0.0, 1.0]}}
-  - {{time: 2.0, direction: [0.0, 0.0, 1.0]}}
-"""
-        for hbar in ("0.5", "1.0")
-    },
-    "negative_t1.yaml": """\
-dimension: 2
-initial_time: -1.0
-initial_state: [[1.0, 0.0], [0.0, 0.0]]
-contexts:
-  - {time: 1.0, direction: [0.0, 0.0, 1.0]}
-""",
-    "mixed.yaml": """\
-dimension: 2
-initial_time: 0.0
-initial_state: [[0.75, 0.2], [0.2, 0.25]]
-contexts:
-  - {time: 2.0, direction: [0.0, 0.0, 1.0]}
-""",
-    "malformed.yaml": """\
-dimension: 2
-initial_time: 0.0
-initial_state: [[0.5, 0.5], [0.5, 0.5]]
-contexts:
-  - time: 1.0
-    observable: [[1.0, 0.0], [0.0, -1.0]]
-    windows: [{label: up, lo: abc, hi: 1.5}, {label: down, lo: -1.5, hi: 0.0}]
-""",
-    "xzx.yaml": """\
-dimension: 2
-initial_time: 0.0
-initial_state: [[1.0, 0.0], [0.0, 0.0]]
-contexts:
-  - {time: 1.0, direction: [1.0, 0.0, 0.0]}
-  - {time: 2.0, direction: [0.0, 0.0, 1.0]}
-  - {time: 3.0, direction: [1.0, 0.0, 0.0]}
-""",
-    "one_time.yaml": """\
-dimension: 2
-initial_time: 0.0
-initial_state: [[0.5, 0.5], [0.5, 0.5]]
-contexts:
-  - {time: 1.0, direction: [0.0, 0.0, 1.0]}
-""",
-    "incomplete.yaml": """\
-dimension: 2
-initial_time: 0.0
-initial_state: [[0.5, 0.5], [0.5, 0.5]]
-contexts:
-  - {time: 1.0, atoms: [[[1.0, 0.0], [0.0, 0.0]]]}
-""",
-    "comma.yaml": """\
-dimension: 2
-initial_time: 0.0
-initial_state: [[0.5, 0.5], [0.5, 0.5]]
-contexts:
-  - {time: 1.0, direction: [0.0, 0.0, 1.0], labels: [a, "a,b"]}
-  - {time: 2.0, direction: [1.0, 0.0, 0.0], labels: ["b,c", c]}
-""",
-}
-
-# "{dir}/" names a file of SPEC_FILES
-CLI_LINES = (
-    "validate-context specs/spin_zz.yaml",
-    "validate-context specs/spin_xz.yaml",
-    "validate-context specs/spin_xz.yaml --tol proj=-1",
-    "validate-context specs/spin_xz.yaml --tol herm=-1",
-    "gc-check specs/spin_zz.yaml",
-    "gc-check specs/spin_xz.yaml",
-    "gc-check specs/spin_xz.yaml --tol proj=0",
-    "gc-check specs/spin_xz.yaml --tol commute=10",
-    "gc-check specs/spin_xz.yaml --tol commute=10 --tol proj=10 --tol herm=10",
-    "consistency specs/spin_xz.yaml --criterion gmh",
-    "consistency specs/spin_zz.yaml --criterion griffiths",
-    "consistency specs/spin_xz.yaml --criterion griffiths",
-    "history-prob specs/spin_xz.yaml --choices x+,z+",
-    "history-prob specs/spin_xz.yaml",
-    "history-prob specs/spin_zz.yaml",
-    "history-prob specs/spin_xz.yaml --choices nope,z+",
-    'history-prob specs/spin_xz.yaml --choices ""',
-    "lattice specs/spin_zz.yaml --op meet --left 0:0 --right 1:1",
-    "lattice specs/spin_zz.yaml --op join",
-    "lattice specs/spin_zz.yaml --op neg",
-    "lattice specs/spin_zz.yaml --op implies",
-    "spin-search specs/spin_xz.yaml --mode commute",
-    "spin-search specs/spin_xz.yaml --mode gmh --grid-count 500",
-    "spin-search specs/spin_xz.yaml --mode griffiths --grid-count 500",
-    "spin-search specs/spin_xz.yaml --mode commute --grid-count abc",
-    "gc-check {dir}/evolved.yaml",
-    "gc-check {dir}/hbar_0.5.yaml",
-    "gc-check {dir}/hbar_1.0.yaml",
-    "spin-search {dir}/negative_t1.yaml --mode commute --t1 -1e-05",
-    "spin-search {dir}/mixed.yaml --mode gmh",
-    "spin-search {dir}/mixed.yaml --mode griffiths",
-    "gc-check {dir}/malformed.yaml",
-    "consistency {dir}/xzx.yaml --criterion griffiths",
-    "consistency {dir}/one_time.yaml --criterion griffiths",
-    "validate-context {dir}/incomplete.yaml",
-    "history-prob {dir}/comma.yaml",
-)
+# one command line per row after its exit code; "#" starts a comment row
+CONTRACT = ROOT / "tests" / "cli_contract.txt"
 
 
 def _feed(h, obj) -> None:
@@ -321,7 +203,7 @@ def _library_answers() -> None:
     json.dump(answers, sys.stdout)
 
 
-def _side_answers(checkout: Path, spec_dir: str) -> dict[str, str]:
+def _side_answers(checkout: Path) -> dict[str, str]:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(checkout / "src"), str(ROOT / "tests"), str(ROOT / "tools")]
     ))
@@ -333,9 +215,14 @@ def _side_answers(checkout: Path, spec_dir: str) -> dict[str, str]:
         sys.exit(f"the library child of {checkout} failed:\n{child.stderr}")
     answers = json.loads(child.stdout)
     env["PYTHONPATH"] = str(checkout / "src")
-    for line in CLI_LINES:
+    lines = [
+        row.split(" ", 1)[1]
+        for row in CONTRACT.read_text().splitlines()
+        if row and not row.startswith("#")
+    ]
+    for line in lines:
         for fmt in ("text", "json"):
-            argv = [*shlex.split(line.format(dir=spec_dir)), "--format", fmt]
+            argv = [*shlex.split(line), "--format", fmt]
             run = subprocess.run(
                 [sys.executable, "-c", "import sys; from qprops.cli import main; sys.exit(main())",
                  *argv],
@@ -352,11 +239,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", type=Path, help="another checkout to compare with")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as spec_dir:
-        for file_name, text in SPEC_FILES.items():
-            Path(spec_dir, file_name).write_text(text)
-        ours = _side_answers(ROOT, spec_dir)
-        theirs = None if args.against is None else _side_answers(args.against.resolve(), spec_dir)
+    ours = _side_answers(ROOT)
+    theirs = None if args.against is None else _side_answers(args.against.resolve())
     for name, value in ours.items():
         print(f"{value}  {name}")
     if theirs is None:
