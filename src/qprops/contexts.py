@@ -382,7 +382,7 @@ def _history_bound(basis: _JointBasis, rho: np.ndarray) -> float:
        |rho|_tr <= sqrt(d) |rho|_F whatever tolerances the state was
        checked with.
     3. Rounding.  |C_p|_F <= c = sqrt(d) (1 + f + gamma).  As in step 2 of
-       ``histories._cross_block_bound``, the gram rounds each entry by
+       ``histories._frame_bound``, the gram rounds each entry by
        (g + 2 (d^2 + 2) eps (1 + g)) c^2 |rho|_F, and the ``vdot`` of a
        weight by no more; both are added.
 
@@ -456,9 +456,11 @@ def _commutation_failures(
         if bound <= tols.commute:
             continue
         residuals = _pair_residuals(stacks[a], stacks[b])
+        failing = residuals > tols.commute
+        rows, columns = (index.tolist() for index in np.nonzero(failing))
         failures += [
-            ((a, contexts[a].labels[i]), (b, contexts[b].labels[j]), float(residuals[i, j]))
-            for i, j in zip(*np.nonzero(residuals > tols.commute))
+            ((a, contexts[a].labels[i]), (b, contexts[b].labels[j]), residual)
+            for i, j, residual in zip(rows, columns, residuals[failing].tolist())
         ]
     return failures, basis
 

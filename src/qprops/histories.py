@@ -7,14 +7,15 @@ History probabilities are only well defined (positive, normalized,
 additive) when the family passes a consistency condition: either the
 pairwise trace condition of Gell-Mann and Hartle, or the weaker real-part
 condition of Griffiths, for any family.  Both checks read one scan of the
-decoherence functional (``_scan``), ``history_probability`` the weights.
+decoherence functional (``_scan``), through the last context's eigenframe
+in larger dimensions; ``history_probability`` reads the weights, and
+``omnes_implies`` the coarse family that two history sets generate.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,6 +27,8 @@ from .contexts import (
     GeneralizedContext,
     LabelTuple,
     _gemm_rounding,
+    _joint_atoms,
+    _JointBasis,
     translate_contexts,
 )
 from .errors import (
@@ -36,8 +39,10 @@ from .errors import (
     TimeOrderViolation,
 )
 from .linop import (
+    PRUNE_CEILING,
     DensityOperator,
     HermitianOperator,
+    frobenius_squares,
     kept_products,
     ordered_products,
     stack_matmul,
@@ -159,23 +164,42 @@ class HistoryFamily:
         )
 
 
-@dataclass(frozen=True)
 class ConsistencyReport:
     """Outcome of a consistency check over a history family.
 
     ``violations`` holds (choices_a, choices_b, residual) for every history
-    pair whose consistency trace exceeds the threshold; the verdict is true
-    exactly when that list is empty.  ``probabilities`` maps every elementary
-    history to its probability weight.
+    pair whose consistency trace exceeds the threshold, by the pair's
+    positions in the label grid; the verdict is true exactly when that list
+    is empty.  ``probabilities`` maps every elementary history to its
+    probability weight.  A scan's violations stay grid positions and
+    residuals until ``violations`` is first read.
     """
 
-    criterion: str
-    verdict: bool
-    violations: tuple[tuple[LabelTuple, LabelTuple, float], ...]
-    probabilities: dict[LabelTuple, float]
+    def __init__(self, criterion: str, verdict: bool, violations, probabilities):
+        self.criterion, self.verdict, self.probabilities = criterion, verdict, probabilities
+        self._violations = tuple(violations)
+
+    @property
+    def violations(self) -> tuple[tuple[LabelTuple, LabelTuple, float], ...]:
+        # a scan leaves its label grid and (a, b, residual) arrays per gram
+        pending = self.__dict__.pop("_pending", None)
+        if pending is not None:
+            grid, found = pending
+            flagged = sorted(zip(*(np.concatenate(column).tolist() for column in zip(*found))))
+            self._violations = tuple([(grid[a], grid[b], r) for a, b, r in flagged])
+        return self._violations
 
     def max_residual(self) -> float:
         return max((v[2] for v in self.violations), default=0.0)
+
+    def _fields(self) -> tuple:
+        return self.criterion, self.verdict, self.violations, self.probabilities
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ConsistencyReport) and self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return f"ConsistencyReport{self._fields()!r}"
 
 
 def decoherence_gram(histories: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -190,99 +214,63 @@ def decoherence_gram(histories: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return weighted @ np.swapaxes(flat.conj(), -1, -2)
 
 
-def _pair_magnitudes(gram: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Magnitudes |gram[..., a, b]| of (..., n, n) gram matrices for the index
-    pairs (a, b) of ``np.triu_indices(n, 1)``: the last axis runs over the
-    pairs in row-major order, and since the swapped trace is the complex
-    conjugate, each unordered pair appears once."""
+def _pair_magnitudes(gram: np.ndarray, a, b, criterion: str = "gmh") -> np.ndarray:
+    """Pair residuals |gram[..., a, b]| (gmh) or |Re gram[..., a, b]|
+    (griffiths) of (..., n, n) gram matrices for the index pairs (a, b) of
+    ``np.triu_indices(n, 1)``: the last axis runs over the pairs in
+    row-major order, and since the swapped trace is the complex conjugate,
+    each unordered pair appears once."""
     pairs = gram[..., a, b]
+    if criterion != "gmh":
+        return np.abs(pairs.real)
     # hypot rounds like the scalar abs(); numpy's vectorized complex abs can
     # differ from it in the last bit
     return np.hypot(pairs.real, pairs.imag)
 
 
-# ``_scan`` forms the grams of the histories that share a last atom, one
-# last atom at a time, from this dimension on.  Each block costs a few dozen
-# small numpy calls where the full gram is one or two, which costs more than
-# it saves below it: measured crossover between d = 16 and d = 32 on the
-# multi_time shapes, see ROADMAP.md.
-_PER_CONTEXT_MIN_DIM = 24
+# ``_scan`` reads the histories of two times or more from the last context's
+# eigenframe from this dimension on.  Its eigh and certificate cost more than
+# the frame saves below it: measured slower at d <= 8, mixed at d = 10 and
+# faster from d = 12 on for rejected multi_time shapes, see ROADMAP.md.
+_PER_CONTEXT_MIN_DIM = 12
 
 
-def _translated_laws(dim: int, delta: float) -> float:
-    """l = 1.01 d delta' + 16 d g, delta' = (1 + 4 eps) delta + 3 g: a bound in
-    operator norm on every law residual (|S - S^dag|, |S^2 - S|, |S_i S_j|
-    within one context, |sum_i S_i - I|) of translated atom stacks whose
-    input contexts measured theirs within delta in max entry: conjugation by
-    a checked unitary keeps the laws of the input contexts, up to its
-    rounding."""
-    g = _gemm_rounding(dim)
-    return 1.01 * dim * ((1 + 4 * _EPS) * delta + 3 * g) + 16 * dim * g
+def _frame_bound(frame: _JointBasis, prefix: float, rho: np.ndarray) -> float:
+    """A bound B on every gram entry ``_scan`` computes for two histories
+    that end in different atoms Q_j, Q_j' of the last context, and on how
+    far each entry and weight read from that context's eigenframe G
+    (``contexts._joint_atoms`` of it alone) sits from the full gram's.  |.|
+    is the operator norm, |.|_F the Frobenius norm, g = 4 (d + 2) eps, gamma
+    the frame's ``gap`` >= |G_j G_j^dag - Q_j|, f its ``overlap`` >=
+    |G^dag G - I|, and a = ``prefix`` (1 + (2 d^2 + 2) eps) >= |A|_F for
+    every computed prefix A.
 
+    1. Exactness.  P_j = G_j G_j^dag has |P_j' P_j|, |P_j^2 - P_j| <=
+       f (1 + f), so with |Q_j - P_j| <= gamma, Q_j'^dag Q_j (j' != j) and
+       Q_j^dag Q_j - P_j are within e = f (1 + f) + 2 (1 + f) gamma +
+       gamma^2.  The full gram has D(a, b) = Tr(Q_j'^dag Q_j A rho B^dag),
+       the frame Tr(K_a rho K_b^dag) = Tr(P_j A rho B^dag) for K = G_j^dag A:
+       cross entries and differences are at most e a^2 sqrt(d) |rho|_F.
+    2. Rounding.  fl(Q_j A) is within m = g sqrt(d) (1 + f + gamma) a of
+       Q_j A in |.|_F, |C|_F <= h = (1 + f + gamma) a + m, and D moves by
+       (2 m h + m^2) |rho|_F, then as in step 3 of ``contexts._history_bound``
+       with h for c; fl(G^dag A) and its gram, within the same factors,
+       round by no more, which the factor 2 covers.
 
-def _cross_block_bound(dim: int, times: int, delta: float, rho: np.ndarray) -> float:
-    """A bound on every gram entry ``_scan`` would compute for two
-    histories that end in different atoms Q_j, Q_j' of the last context.
-
-    Below |.| is the operator norm, |.|_F the Frobenius norm,
-    g = 4 (d + 2) eps (``contexts._gemm_rounding``), and l
-    (``_translated_laws`` of delta, the largest context law
-    residual) bounds every law residual of the translated atoms in |.|, so
-    |Q| <= 1 + 3 l and a computed prefix A = fl(P_{T-1} ... P_1) has
-    |A| <= p = ((1 + 3 l)(1 + d g))^(T - 1).
-
-    1. Exactness.  C_a = Q_j A and C_b = Q_j' B give
-       D(a, b) = Tr(Q_j A rho B^dag Q_j'^dag) = Tr(Q_j'^dag Q_j A rho B^dag),
-       and |Q_j'^dag Q_j| <= |Q_j' Q_j| + |Q_j'^dag - Q_j'| |Q_j| <= 2 l + 3 l^2,
-       so |D(a, b)| <= (2 l + 3 l^2) p^2 |rho|_tr, |rho|_tr <= sqrt(d) |rho|_F.
-    2. Rounding.  fl(Q_j A) is within g q a of Q_j A in |.|_F, with
-       q = sqrt(d) (1 + 3 l) >= |Q_j|_F and a = sqrt(d) p >= |A|_F, so each
-       history has |C|_F <= c = (1 + 3 l) a + g q a, and replacing both
-       factors moves D by at most (2 g q a c + (g q a)^2) |rho|_F.  The gram
-       itself rounds fl(C_a rho) by g c |rho|_F in |.|_F and the dot product
-       of its d^2 entries with C_b's by 2 (d^2 + 2) eps (1 + g) c^2 |rho|_F.
-
-    The exclusivity law makes these entries vanish for an exact family, so
-    a bound within ``tols.consist`` certifies that none of them is a
-    violation.  It is at most about 2e-10 for every d <= 32 and T <= 4 at
-    delta near rounding; it is positive, so ``tols.consist <= 0`` never
-    clears, and a NaN clears nothing.
+    B is positive, so ``tols.consist <= 0`` never clears, and a NaN (an
+    infinite gap with no prefix) clears nothing.
     """
-    g = _gemm_rounding(dim)
-    laws = _translated_laws(dim, delta)
-    prefix = ((1 + 3 * laws) * (1 + dim * g)) ** (times - 1)
-    atom = math.sqrt(dim) * (1 + 3 * laws)
-    span = math.sqrt(dim) * prefix
-    history = (1 + 3 * laws) * span + g * atom * span
-    moved = g * atom * span
-    return (1 + 2 * _EPS) * float(np.linalg.norm(rho)) * (
-        (2 * laws + 3 * laws**2) * prefix**2 * math.sqrt(dim)
-        + 2 * moved * history
-        + moved**2
-        + g * history**2
-        + 2 * (dim * dim + 2) * _EPS * (1 + g) * history**2
+    dim, gap, f = rho.shape[-1], frame.gap, frame.overlap
+    g, norm = _gemm_rounding(dim), 1 + f + gap
+    a = (1 + (2 * dim * dim + 2) * _EPS) * prefix
+    exact = f * (1 + f) + 2 * (1 + f) * gap + gap * gap
+    moved = g * math.sqrt(dim) * norm * a
+    history = norm * a + moved
+    gram = g + 2 * (dim * dim + 2) * _EPS * (1 + g)
+    rounding = 2 * moved * history + moved**2 + gram * history**2
+    return (1 + 16 * _EPS) * float(np.linalg.norm(rho)) * (
+        math.sqrt(dim) * exact * a * a + 2 * rounding
     )
-
-
-def _last_atom_blocks(
-    stacks: Sequence[np.ndarray], tol: float
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The kept histories of ``ordered_products`` at ``tol``, bit for bit,
-    one block per last atom Q_j with the label-grid positions of its rows:
-    Q_j times each pruned earlier prefix, one per-matrix product each, pruned
-    by the same rule (``linop.kept_products``).  One time is one block.
-    ``_scan`` and ``history_probability`` read it one block at a time."""
-    *earlier, last = stacks
-    if not earlier:
-        yield ordered_products(stacks, tol=tol)
-        return
-    prefixes, first = ordered_products(earlier, tol=tol)
-    for j, atom in enumerate(last):
-        block, rows = atom @ prefixes, first
-        keep = kept_products(block, tol)
-        if keep is not None:
-            block, rows = block[keep], first[keep]
-        yield block, rows * len(last) + j
 
 
 def history_probability(
@@ -294,12 +282,15 @@ def history_probability(
     """Weights Tr(C rho C^dag) of every history of the family by label
     tuple, or with ``choices`` (one atom label per time) of that one.
 
-    The histories C are ``_last_atom_blocks`` at ``tols.consist``, each
-    weight its own per-matrix product and trace; ``choices`` narrows each
-    time's stack to the chosen atom.  A pruned history reads exactly 0: its
-    weight is below ``min(tols.consist, linop.PRUNE_CEILING)**2 / 4``.
-    Weights are non-negative, but only additive and bounded by one when the
-    family passes a consistency check.
+    The kept histories of ``ordered_products`` at ``tols.consist``, bit for
+    bit, one last atom Q_j at a time: Q_j times each pruned prefix of the
+    earlier times (the identity for one time), pruned by the same rule
+    (``linop.kept_products``), each weight its own per-matrix product and
+    trace; ``choices`` narrows each time's stack to the chosen atom.  A
+    pruned history reads exactly 0: its weight is below
+    ``min(tols.consist, linop.PRUNE_CEILING)**2 / 4``.  Weights are
+    non-negative, but only additive and bounded by one when the family
+    passes a consistency check.
     """
     stacks, grid = family.heisenberg_atoms, family.label_grid
     if choices is not None:
@@ -308,12 +299,57 @@ def history_probability(
         stacks = [atoms[i : i + 1] for atoms, i in zip(stacks, indices)]
     rho = family.initial_state.matrix
     probabilities = dict.fromkeys(grid, 0.0)
-    for block, rows in _last_atom_blocks(stacks, tols.consist):
-        weighted = block @ rho @ block.conj().swapaxes(-1, -2)
-        weights = np.trace(weighted, axis1=-2, axis2=-1).real
-        for k, weight in zip(rows.tolist(), weights.tolist()):
+    *earlier, last = stacks
+    prefixes, first = ordered_products(earlier or [np.eye(family.dim)[None]], tol=tols.consist)
+    for j, atom in enumerate(last):
+        block, rows = atom @ prefixes, first
+        keep = kept_products(block, tols.consist)
+        if keep is not None:
+            block, rows = block[keep], first[keep]
+        weights = np.trace(block @ rho @ block.conj().swapaxes(-1, -2), axis1=-2, axis2=-1).real
+        for k, weight in zip((rows * len(last) + j).tolist(), weights.tolist()):
             probabilities[grid[k]] = max(0.0, weight)
     return probabilities
+
+
+def _frame_grams(
+    stacks: Sequence[np.ndarray], rho: np.ndarray, tol: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]] | None:
+    """The gram of the kept histories that end in each last atom j, one j
+    at a time, with their label-grid positions, read from the eigenframe G
+    of the last context (``contexts._joint_atoms`` of it alone: its columns
+    grouped by rounded eigenvalue, so each G_j is a column range); None when
+    ``_frame_bound`` exceeds ``tol``.  Each pruned prefix A of the earlier
+    times gives K = G^dag A, one product per prefix, and the gram of j is
+    Tr(K_a rho K_b^dag) over the rows of G_j; a history is dropped when
+    |G_j^dag A|_F is below the pruning cut."""
+    *earlier, last = stacks
+    frame = _joint_atoms([last])
+    prefixes, first = ordered_products(earlier, tol=tol)
+    prefix = math.sqrt(frobenius_squares(prefixes).max(initial=0.0))
+    if not _frame_bound(frame, prefix, rho) <= tol:
+        return None
+    chains = frame.vectors.conj().T @ prefixes
+    weighted, adjoint, parts = stack_matmul(chains, rho), chains.conj(), chains.view(np.float64)
+    positions, dim = frame.positions, rho.shape[-1]
+    starts = [0, *(np.flatnonzero(positions[1:] != positions[:-1]) + 1).tolist()]
+    # |G_j^dag A|_F^2 not below the cut, per prefix (row) and last atom (column)
+    squares = np.add.reduceat(np.einsum("mij,mij->mi", parts, parts), starts, axis=1)
+    kept = ~(squares < (min(tol, PRUNE_CEILING) / 2) ** 2)
+    labels, first = positions[starts].astype(np.int64).tolist(), first * len(last)
+    # a last atom whose histories are all kept skips the boolean gather
+    whole = kept.all(0)
+
+    def grams():
+        for column, (lo, hi, j) in enumerate(zip(starts, [*starts[1:], dim], labels)):
+            rows, left, right = first, weighted[:, lo:hi], adjoint[:, lo:hi]
+            if not whole[column]:
+                keep = kept[:, column]
+                rows, left, right = first[keep], left[keep], right[keep]
+            shape = len(rows), (hi - lo) * dim
+            yield left.reshape(shape) @ right.reshape(shape).T, rows + j
+
+    return grams()
 
 
 def _scan(
@@ -338,14 +374,14 @@ def _scan(
     ``PRUNE_CEILING**2 / 4``).  ``tols.consist <= 0`` drops nothing.
 
     Histories that end in different atoms of the last context have a
-    vanishing functional for an exclusive last family.  From
-    d = ``_PER_CONTEXT_MIN_DIM`` on, with two times or more, when
-    ``_cross_block_bound`` places every such entry within ``tols.consist``,
-    the scan forms the gram of each ``_last_atom_blocks`` block in turn (one
-    held at a time, k_T m^2 entries instead of (k_T m)^2 for m prefixes);
-    otherwise the gram of all kept histories of ``ordered_products``.
-    Violations come in the same order either way: by the pair's positions
-    in the label grid.
+    vanishing functional for an exclusive last family.  From d =
+    ``_PER_CONTEXT_MIN_DIM`` on, with two times or more, when
+    ``_frame_bound`` is within ``tols.consist``, the scan forms the gram of
+    one last atom at a time from that context's eigenframe
+    (``_frame_grams``); otherwise the gram of all kept histories of
+    ``ordered_products``.  A history at the pruning cut may be kept by one
+    route only; it weighs below c^2 plus the bound either way.  Violations
+    are listed by the pair's positions in the label grid.
 
     A family built by ``family_from_generalized_context`` is consistent by
     the paper's theorem, and its context's eigenbasis certificate says by
@@ -361,41 +397,27 @@ def _scan(
             return ConsistencyReport(criterion, True, (), certified)
     grid, stacks = family.label_grid, family.heisenberg_atoms
     rho = family.initial_state.matrix
-    delta = max(ctx.law_residual for ctx in family.contexts)
-    blocked = (
-        family.dim >= _PER_CONTEXT_MIN_DIM
-        and len(stacks) >= 2
-        and _cross_block_bound(family.dim, len(stacks), delta, rho) <= tols.consist
-    )
-    if blocked:
-        blocks = _last_atom_blocks(stacks, tols.consist)
-    else:
-        blocks = [ordered_products(stacks, tol=tols.consist)]
+    blocks = None
+    if family.dim >= _PER_CONTEXT_MIN_DIM and len(stacks) >= 2 and tols.consist > 0:
+        blocks = _frame_grams(stacks, rho, tols.consist)
+    if blocks is None:
+        histories, kept = ordered_products(stacks, tol=tols.consist)
+        blocks = [(decoherence_gram(histories, rho), kept)]
     pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    violations = []
+    found = []
     probabilities = dict.fromkeys(grid, 0.0)
-    for histories, kept in blocks:
-        gram = decoherence_gram(histories, rho)
+    for gram, kept in blocks:
         if len(kept) not in pairs:
             pairs[len(kept)] = np.triu_indices(len(kept), 1)
         a, b = pairs[len(kept)]
-        if criterion == "gmh":
-            residuals = _pair_magnitudes(gram, a, b)
-        else:
-            residuals = np.abs(gram[a, b].real)
-        flagged = np.flatnonzero(residuals > tols.consist)
-        violations += zip(
-            kept[a[flagged]].tolist(),
-            kept[b[flagged]].tolist(),
-            residuals[flagged].tolist(),
-        )
+        residuals = _pair_magnitudes(gram, a, b, criterion)
+        flagged = residuals > tols.consist
+        found.append((kept[a[flagged]], kept[b[flagged]], residuals[flagged]))
         for k, weight in zip(kept.tolist(), gram.diagonal().real.tolist()):
             probabilities[grid[k]] = max(0.0, weight)
-    if blocked:
-        # by the pairs' positions in the label grid, as one gram lists them
-        violations.sort()
-    violations = tuple([(grid[i], grid[j], residual) for i, j, residual in violations])
-    return ConsistencyReport(criterion, not violations, violations, probabilities)
+    report = ConsistencyReport(criterion, not any(len(f[2]) for f in found), (), probabilities)
+    report._pending = grid, found
+    return report
 
 
 def gmh_check(
@@ -464,25 +486,33 @@ def omnes_implies(
 ) -> bool:
     """Probabilistic implication between history sets: Pr(b | a) = 1.
 
-    History sets are subsets of the elementary-history grid and intersect as
-    sets.  The family must pass the selected consistency check; conditioning
-    on a set of probability below ``tols.prob`` raises ``ConditionOnNull``.
+    History sets are subsets of the elementary-history grid.  Only the
+    coarse family they generate (Griffiths; Omnes) must pass the selected
+    condition against ``tols.consist``: the classes A & B, A - B, B - A and
+    the rest, each the unpruned sum of its histories from
+    ``ordered_products`` (an empty class is zero), by their 4 x 4 gram.
+    Pr(A) is D(A, A); conditioning on a set of probability below
+    ``tols.prob`` raises ``ConditionOnNull``.
     """
     set_a = _normalize_history_set(family, a)
     set_b = _normalize_history_set(family, b)
-    check = {"gmh": gmh_check, "griffiths": griffiths_check}.get(criterion)
-    if check is None:
+    if criterion not in ("gmh", "griffiths"):
         raise InvariantViolation(f"unknown consistency criterion {criterion!r}")
-    report = check(family, tols=tols)
-    if not report.verdict:
+    # 0: A & B, 1: A - B, 2: B - A, 3: the rest
+    classes = np.array([(h not in set_a) * 2 + (h not in set_b) for h in family.label_grid])
+    histories = ordered_products(family.heisenberg_atoms)[0]
+    operators = np.stack([histories[classes == k].sum(axis=0) for k in range(4)])
+    gram = decoherence_gram(operators, family.initial_state.matrix)
+    residual = _pair_magnitudes(gram, *np.triu_indices(4, 1), criterion).max()
+    if not residual <= tols.consist:
         raise InconsistentFamily(
-            f"family fails the {criterion} condition "
-            f"(max residual {report.max_residual():.3e})"
+            f"the coarse family of the two sets fails the {criterion} condition "
+            f"(max residual {residual:.3e})"
         )
-    pr_a = sum(report.probabilities[choices] for choices in set_a)
+    pr_a = max(0.0, float(gram[:2, :2].sum().real))
     if pr_a < tols.prob:
         raise ConditionOnNull(
             f"conditioning set has probability {pr_a!r} below {tols.prob:.1e}"
         )
-    pr_ab = sum(report.probabilities[choices] for choices in set_a & set_b)
+    pr_ab = max(0.0, float(gram[0, 0].real))
     return abs(pr_ab / pr_a - 1.0) <= tols.prob

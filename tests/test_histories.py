@@ -477,17 +477,34 @@ class TestOmnesImplies:
 
     def test_griffiths_criterion(self):
         a = [("a+", "z+"), ("a+", "z-")]
-        # n0 = x, n1 in the xy plane, n2 = z: real-part consistent only
+        # n0 = x, n1 in the xy plane, n2 = z: real-part consistent only; a
+        # single history and the rest form a coarse family that fails gmh
+        # (a, "a+ at t = 1", and the rest are one time's atoms: consistent)
+        single = [("a+", "z+")]
         family = two_time_family((1 / np.sqrt(2), 1 / np.sqrt(2), 0.0))
         with pytest.raises(InconsistentFamily, match="gmh"):
-            omnes_implies(family, a, a)
+            omnes_implies(family, single, single)
+        assert omnes_implies(family, a, a)
         assert omnes_implies(family, a, a + [("a-", "z+")], criterion="griffiths")
         assert not omnes_implies(
             family, a, [("a+", "z+"), ("a-", "z+")], criterion="griffiths"
         )
         family = two_time_family((1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)))
         with pytest.raises(InconsistentFamily, match="griffiths"):
-            omnes_implies(family, a, a, criterion="griffiths")
+            omnes_implies(family, single, single, criterion="griffiths")
+
+    def test_tautology_on_a_consistent_coarse_family(self):
+        # x at t = 1, z at t = 2, H = 0, state z+: the finest family fails
+        # gmh at 0.25, but "z+ at t = 2" and its negation are a consistent
+        # coarse family, D(A, not A) = 0, so A implies A
+        rho = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
+        family = two_time_family((1, 0, 0), rho=rho)
+        assert gmh_check(family).max_residual() == pytest.approx(0.25, abs=1e-12)
+        z_up = [("a+", "z+"), ("a-", "z+")]
+        assert omnes_implies(family, z_up, z_up)
+        # "x+ at t = 1" splits both classes, and that family fails
+        with pytest.raises(InconsistentFamily, match="0.25|2.500e-01"):
+            omnes_implies(family, z_up, [("a+", "z+"), ("a+", "z-")])
 
     def test_griffiths_criterion_on_three_times(self):
         # the family above with z measured again at t = 3: real-part

@@ -3,10 +3,10 @@
     python tools/answers.py                     # this checkout's answers
     python tools/answers.py --against CHECKOUT  # and every answer that differs
 
-Each side runs in child processes with that checkout's ``src`` first on the
-import path, under the environment this script runs in, so
-``OPENBLAS_CORETYPE`` picks the BLAS kernel of both sides.  Both sides read
-the same inputs:
+Each side runs in two child processes, one for the library cases and one
+for every CLI line, with that checkout's ``src`` first on the import path,
+under the environment this script runs in, so ``OPENBLAS_CORETYPE`` picks
+the BLAS kernel of both sides.  Both sides read the same inputs:
 
 - a fixed seeded case set built with ``tests/helpers.py`` of this checkout:
   d 2-32 and 1-4 context times; commuting contexts (one basis at the
@@ -20,8 +20,10 @@ the same inputs:
   reports of the case's history family;
 - every command line of ``tests/cli_contract.txt`` (whose edge-case specs
   are under ``tests/specs/``), in text and JSON: stdout, stderr and exit
-  code of each, run from this checkout's root, so both sides read this
-  checkout's table and spec files.
+  code of each ``cli.main`` call, run from this checkout's root, so both
+  sides read this checkout's table and spec files.  The calls share one
+  process and capture both streams as bytes, which gives the hashes of one
+  process per call.
 
 Every answer prints as ``<sha256>  <name>``.  With ``--against``, every
 answer whose hash differs between the two sides (or that only one side
@@ -203,36 +205,72 @@ def _library_answers() -> None:
     json.dump(answers, sys.stdout)
 
 
-def _side_answers(checkout: Path) -> dict[str, str]:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(checkout / "src"), str(ROOT / "tests"), str(ROOT / "tools")]
-    ))
-    child = subprocess.run(
-        [sys.executable, "-c", "import answers; answers._library_answers()"],
-        cwd=ROOT, env=env, capture_output=True, text=True,
-    )
-    if child.returncode != 0:
-        sys.exit(f"the library child of {checkout} failed:\n{child.stderr}")
-    answers = json.loads(child.stdout)
-    env["PYTHONPATH"] = str(checkout / "src")
-    lines = [
+def _contract_lines() -> list[str]:
+    return [
         row.split(" ", 1)[1]
         for row in CONTRACT.read_text().splitlines()
         if row and not row.startswith("#")
     ]
-    for line in lines:
+
+
+def _cli_answers() -> None:
+    """Print the hashes of every contract line, in text and JSON, as one
+    JSON object (the child side of ``_side_answers``): each line runs
+    through ``cli.main`` in this process, with stdout and stderr captured
+    as bytes in the encoding a child process of its own would write."""
+    import io
+
+    from qprops.cli import main
+
+    streams = {}
+    answers = {}
+    for line in _contract_lines():
         for fmt in ("text", "json"):
             argv = [*shlex.split(line), "--format", fmt]
-            run = subprocess.run(
-                [sys.executable, "-c", "import sys; from qprops.cli import main; sys.exit(main())",
-                 *argv],
-                cwd=ROOT, env=env, capture_output=True,
-            )
+            for name in ("stdout", "stderr"):
+                stream = getattr(sys, f"__{name}__")
+                streams[name] = io.TextIOWrapper(
+                    io.BytesIO(), encoding=stream.encoding, errors=stream.errors
+                )
+            sys.stdout, sys.stderr = streams["stdout"], streams["stderr"]
+            try:
+                code = main(argv)
+            except SystemExit as exit_:
+                # as the interpreter maps it at exit
+                code = 0 if exit_.code is None else exit_.code
+                if not isinstance(code, int):
+                    print(code, file=sys.stderr)
+                    code = 1
+            finally:
+                sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
             name = f"cli {line} --format {fmt}"
-            answers[f"{name} stdout"] = hashlib.sha256(run.stdout).hexdigest()
-            answers[f"{name} stderr"] = hashlib.sha256(run.stderr).hexdigest()
-            answers[f"{name} exit"] = _digest(run.returncode)
-    return answers
+            for key, stream in streams.items():
+                stream.flush()
+                answers[f"{name} {key}"] = hashlib.sha256(stream.buffer.getvalue()).hexdigest()
+            answers[f"{name} exit"] = _digest(code)
+    json.dump(answers, sys.stdout)
+
+
+def _child(checkout: Path, call: str, *paths: Path) -> dict[str, str]:
+    """The JSON object that ``answers.<call>()`` prints in a child process
+    with the checkout's ``src``, then ``paths``, on its import path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(checkout / "src"), *map(str, paths), str(ROOT / "tools")]
+    ))
+    child = subprocess.run(
+        [sys.executable, "-c", f"import answers; answers.{call}()"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    if child.returncode != 0:
+        sys.exit(f"the {call} child of {checkout} failed:\n{child.stderr}")
+    return json.loads(child.stdout)
+
+
+def _side_answers(checkout: Path) -> dict[str, str]:
+    return {
+        **_child(checkout, "_library_answers", ROOT / "tests"),
+        **_child(checkout, "_cli_answers"),
+    }
 
 
 def main(argv=None) -> int:
