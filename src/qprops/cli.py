@@ -173,7 +173,9 @@ def cmd_validate_context(spec: SystemSpec, args, tols: Tolerances):
             entry["labels"] = list(ctx.labels)
             entry["ranks"] = [atom.rank for atom in ctx.atoms]
         entries.append(entry)
-    report = Report("validate-context", all_ok, tols.as_dict(), {"contexts": entries})
+    report = Report(
+        "validate-context", all_ok, tols.as_dict(), {"contexts": entries}
+    )
     return report, PASS if all_ok else FAIL
 
 
@@ -185,11 +187,23 @@ def cmd_gc_check(spec: SystemSpec, args, tols: Tolerances):
     }
     try:
         gc = build_generalized_context(
-            system.contexts, system.reference_time, system.hamiltonian, system.hbar, tols=tols
+            system.contexts,
+            system.reference_time,
+            system.hamiltonian,
+            system.hbar,
+            tols=tols,
         )
     except IncompatibleContexts as err:
-        keys = ("context_a", "label_a", "context_b", "label_b", "commutator")
-        results["violations"] = [dict(zip(keys, (*a, *b, r))) for a, b, r in err.pairs]
+        results["violations"] = [
+            {
+                "context_a": a_idx,
+                "label_a": a_label,
+                "context_b": b_idx,
+                "label_b": b_label,
+                "commutator": residual,
+            }
+            for (a_idx, a_label), (b_idx, b_label), residual in err.pairs
+        ]
         results["max_commutator"] = max((v[2] for v in err.pairs), default=0.0)
         if err.gap is not None:
             results["gap"] = err.gap
@@ -207,7 +221,11 @@ def cmd_gc_check(spec: SystemSpec, args, tols: Tolerances):
 
 def _history_family(system) -> HistoryFamily:
     return HistoryFamily(
-        system.contexts, system.hamiltonian, system.initial_time, system.initial_state, system.hbar
+        system.contexts,
+        system.hamiltonian,
+        system.initial_time,
+        system.initial_state,
+        system.hbar,
     )
 
 
@@ -271,7 +289,12 @@ def _parse_atom_ref(text: str, system) -> tuple[int, int]:
 def _timed_property(system, ref: tuple[int, int]) -> tuple[TimedProperty, dict]:
     ctx = system.contexts[ref[0]]
     prop = TimedProperty(ctx.atoms[ref[1]], ctx.time)
-    info = {"context": ref[0], "atom": ref[1], "label": ctx.labels[ref[1]], "time": ctx.time}
+    info = {
+        "context": ref[0],
+        "atom": ref[1],
+        "label": ctx.labels[ref[1]],
+        "time": ctx.time,
+    }
     return prop, info
 
 
@@ -335,8 +358,18 @@ def cmd_spin_search(spec: SystemSpec, args, tols: Tolerances):
         )
     else:
         search = gmh_directions if args.mode == "gmh" else griffiths_directions
-        state, h = system.initial_state, system.hamiltonian
-        kept = search(None, n2, grid, state, h, system.hbar, t0, t1, t2, tols=tols)
+        kept = search(
+            None,
+            n2,
+            grid,
+            system.initial_state,
+            system.hamiltonian,
+            system.hbar,
+            t0,
+            t1,
+            t2,
+            tols=tols,
+        )
     results = {
         "mode": args.mode,
         "fixed_direction": [n2.x, n2.y, n2.z],

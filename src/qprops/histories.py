@@ -14,8 +14,10 @@ in larger dimensions; ``history_probability`` reads the weights, and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -171,23 +173,25 @@ class ConsistencyReport:
     pair whose consistency trace exceeds the threshold, by the pair's
     positions in the label grid; the verdict is true exactly when that list
     is empty.  ``probabilities`` maps every elementary history to its
-    probability weight.  A scan's violations stay grid positions and
-    residuals until ``violations`` is first read.
+    probability weight.  A scan passes its label ``grid`` and, as
+    ``violations``, one (a, b, residual) triple of grid-position and
+    residual arrays per gram, decoded when ``violations`` is first read.
+    A report is immutable.
     """
 
-    def __init__(self, criterion: str, verdict: bool, violations, probabilities):
-        self.criterion, self.verdict, self.probabilities = criterion, verdict, probabilities
-        self._violations = tuple(violations)
+    def __init__(self, criterion: str, verdict: bool, violations, probabilities, grid=None):
+        vars(self).update(criterion=criterion, verdict=verdict, probabilities=probabilities)
+        vars(self).update(_found=tuple(violations), _grid=grid)
 
-    @property
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @functools.cached_property
     def violations(self) -> tuple[tuple[LabelTuple, LabelTuple, float], ...]:
-        # a scan leaves its label grid and (a, b, residual) arrays per gram
-        pending = self.__dict__.pop("_pending", None)
-        if pending is not None:
-            grid, found = pending
-            flagged = sorted(zip(*(np.concatenate(column).tolist() for column in zip(*found))))
-            self._violations = tuple([(grid[a], grid[b], r) for a, b, r in flagged])
-        return self._violations
+        if self._grid is None:
+            return self._found
+        flagged = sorted(zip(*(np.concatenate(column).tolist() for column in zip(*self._found))))
+        return tuple([(self._grid[a], self._grid[b], r) for a, b, r in flagged])
 
     def max_residual(self) -> float:
         return max((v[2] for v in self.violations), default=0.0)
@@ -313,19 +317,18 @@ def history_probability(
 
 
 def _frame_grams(
-    stacks: Sequence[np.ndarray], rho: np.ndarray, tol: float
+    prefixes: np.ndarray, first: np.ndarray, last: np.ndarray, rho: np.ndarray, tol: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray]] | None:
-    """The gram of the kept histories that end in each last atom j, one j
-    at a time, with their label-grid positions, read from the eigenframe G
-    of the last context (``contexts._joint_atoms`` of it alone: its columns
-    grouped by rounded eigenvalue, so each G_j is a column range); None when
-    ``_frame_bound`` exceeds ``tol``.  Each pruned prefix A of the earlier
-    times gives K = G^dag A, one product per prefix, and the gram of j is
-    Tr(K_a rho K_b^dag) over the rows of G_j; a history is dropped when
-    |G_j^dag A|_F is below the pruning cut."""
-    *earlier, last = stacks
+    """The gram of the kept histories that end in each atom j of the
+    ``last`` stack, one j at a time, with their label-grid positions, read
+    from the eigenframe G of the last context (``contexts._joint_atoms`` of
+    it alone: its columns grouped by rounded eigenvalue, so each G_j is a
+    column range); None when ``_frame_bound`` exceeds ``tol``.  Each pruned
+    prefix A of the earlier times (``ordered_products`` of them, at grid
+    positions ``first``) gives K = G^dag A, one product per prefix, and the
+    gram of j is Tr(K_a rho K_b^dag) over the rows of G_j; a history is
+    dropped when |G_j^dag A|_F is below the pruning cut."""
     frame = _joint_atoms([last])
-    prefixes, first = ordered_products(earlier, tol=tol)
     prefix = math.sqrt(frobenius_squares(prefixes).max(initial=0.0))
     if not _frame_bound(frame, prefix, rho) <= tol:
         return None
@@ -375,9 +378,10 @@ def _scan(
 
     Histories that end in different atoms of the last context have a
     vanishing functional for an exclusive last family.  From d =
-    ``_PER_CONTEXT_MIN_DIM`` on, with two times or more, when
-    ``_frame_bound`` is within ``tols.consist``, the scan forms the gram of
-    one last atom at a time from that context's eigenframe
+    ``_PER_CONTEXT_MIN_DIM`` on, with two times or more and a last context
+    whose ``law_residual`` is below ``tols.consist`` (so ``consist`` > 0),
+    when ``_frame_bound`` is within ``tols.consist``, the scan forms the
+    gram of one last atom at a time from that context's eigenframe
     (``_frame_grams``); otherwise the gram of all kept histories of
     ``ordered_products``.  A history at the pruning cut may be kept by one
     route only; it weighs below c^2 plus the bound either way.  Violations
@@ -395,13 +399,17 @@ def _scan(
         certified = gc._certified_probabilities(family.initial_state, tols.consist)
         if certified is not None:
             return ConsistencyReport(criterion, True, (), certified)
-    grid, stacks = family.label_grid, family.heisenberg_atoms
-    rho = family.initial_state.matrix
-    blocks = None
-    if family.dim >= _PER_CONTEXT_MIN_DIM and len(stacks) >= 2 and tols.consist > 0:
-        blocks = _frame_grams(stacks, rho, tols.consist)
+    grid, stacks, tol = family.label_grid, family.heisenberg_atoms, tols.consist
+    rho, blocks = family.initial_state.matrix, None
+    # the frame's exactness term bounds the last context's law residuals, so
+    # with laws that hold to no better than ``tol`` its bound would as good
+    # as never clear: the full gram runs without the eigh
+    if family.dim >= _PER_CONTEXT_MIN_DIM and len(stacks) >= 2:
+        if family.contexts[-1].law_residual < tol:
+            prefixes, first = ordered_products(stacks[:-1], tol=tol)
+            blocks = _frame_grams(prefixes, first, stacks[-1], rho, tol)
     if blocks is None:
-        histories, kept = ordered_products(stacks, tol=tols.consist)
+        histories, kept = ordered_products(stacks, tol=tol)
         blocks = [(decoherence_gram(histories, rho), kept)]
     pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     found = []
@@ -411,13 +419,11 @@ def _scan(
             pairs[len(kept)] = np.triu_indices(len(kept), 1)
         a, b = pairs[len(kept)]
         residuals = _pair_magnitudes(gram, a, b, criterion)
-        flagged = residuals > tols.consist
+        flagged = residuals > tol
         found.append((kept[a[flagged]], kept[b[flagged]], residuals[flagged]))
         for k, weight in zip(kept.tolist(), gram.diagonal().real.tolist()):
             probabilities[grid[k]] = max(0.0, weight)
-    report = ConsistencyReport(criterion, not any(len(f[2]) for f in found), (), probabilities)
-    report._pending = grid, found
-    return report
+    return ConsistencyReport(criterion, not any(len(f[2]) for f in found), found, probabilities, grid)
 
 
 def gmh_check(

@@ -30,6 +30,7 @@ from qprops.errors import (
     TimeOrderViolation,
 )
 from qprops.histories import (
+    ConsistencyReport,
     HistoryFamily,
     family_from_generalized_context,
     gmh_check,
@@ -215,6 +216,21 @@ class TestGmhCheck:
         trace = np.trace(e1 @ RHO_X.matrix @ e1c @ e2)
         assert abs(trace) == pytest.approx(1.0 / (4.0 * np.sqrt(2.0)), abs=1e-12)
         assert report.max_residual() == pytest.approx(abs(trace), abs=1e-12)
+
+    def test_report_is_immutable_and_decodes_its_violations_once(self):
+        report = gmh_check(two_time_family((1 / np.sqrt(2), 1 / np.sqrt(2), 0.0)))
+        for name in ("verdict", "violations", "probabilities"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, name, None)
+        violations = report.violations
+        assert report.violations is violations
+        # the two pairs that share a last atom, in label-grid order
+        assert [v[:2] for v in violations] == [
+            (("a+", "z+"), ("a-", "z+")),
+            (("a+", "z-"), ("a-", "z-")),
+        ]
+        decoded = ConsistencyReport("gmh", False, violations, report.probabilities)
+        assert decoded == report and repr(decoded) == repr(report)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tolerance_cannot_pass_a_failing_family(self, value):

@@ -1086,16 +1086,19 @@ def test_cross_last_atom_entries_lie_within_the_block_certificate(
     cross = np.abs(gram[last[:, None] != last[None, :]]).max()
     bound = frame_bound(family)
     assert cross <= bound, (cross, bound)
-    blocks = histories_module._frame_grams(family.heisenberg_atoms, rho.matrix, math.inf)
+    *earlier, last = family.heisenberg_atoms
+    prefixes, first = ordered_products(earlier, tol=math.inf)
+    blocks = histories_module._frame_grams(prefixes, first, last, rho.matrix, math.inf)
     for block, positions in blocks:
         moved = np.abs(block - gram[positions[:, None], positions[None, :]]).max(initial=0.0)
         assert moved <= bound, (moved, bound)
 
 
 def full_gram_report(family, tols, monkeypatch):
-    """``gmh_check`` with the last context's eigenframe refused: the full gram."""
+    """``gmh_check`` with the eigenframe's dimension out of reach: the full
+    gram of ``ordered_products`` over every time."""
     with monkeypatch.context() as patch:
-        patch.setattr(histories_module, "_frame_grams", lambda *args: None)
+        patch.setattr(histories_module, "_PER_CONTEXT_MIN_DIM", math.inf)
         return gmh_check(family, tols=tols)
 
 
@@ -1136,29 +1139,39 @@ def test_blocked_gmh_check_matches_the_full_gram(d, n_times, shared, seed, rank)
 
 
 @pytest.mark.parametrize(
-    "case", ["default", "negative-consist", "loose-last-context", "below-the-dimension"]
+    "case",
+    [
+        "default",
+        "negative-consist",
+        "loose-last-context",
+        "frame-bound-refuses",
+        "below-the-dimension",
+    ],
 )
 def test_last_atom_blocks_need_the_certificate(case, rng, monkeypatch):
     # the gram is taken one last atom at a time from the last context's
     # eigenframe only from d = ``histories._PER_CONTEXT_MIN_DIM`` on, with
-    # ``tols.consist`` > 0, and when the frame bound clears; otherwise the
-    # full gram, bit for bit
-    h = random_hermitian(rng, 4)
-    contexts = shared_basis_contexts(rng, 4, 3, h, parts=2)
+    # the last context's laws within ``tols.consist`` (so ``consist`` > 0),
+    # and when the frame bound clears; otherwise the full gram, bit for bit
+    d = 4 if case == "below-the-dimension" else 16
+    h = random_hermitian(rng, d)
+    contexts = shared_basis_contexts(rng, d, 3, h, parts=2)
     tols = DEFAULT_TOLERANCES
-    if case != "below-the-dimension":
-        monkeypatch.setattr(histories_module, "_PER_CONTEXT_MIN_DIM", 4)
     if case == "negative-consist":
         tols = tols.updated(consist=-1.0)
-    elif case == "loose-last-context":
+    elif case in ("loose-last-context", "frame-bound-refuses"):
         # a last context idempotent and exclusive to 1e-8 only (the square
         # of the bump): valid at proj = 1e-6
         loose = tols.updated(proj=1e-6)
-        upper = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-        upper[0, 2] = upper[2, 0] = 1e-4
-        atoms = [Projector(upper, tols=loose), Projector(np.eye(4) - upper, tols=loose)]
+        upper = np.diag([1.0] * (d // 2) + [0.0] * (d // 2)).astype(complex)
+        upper[0, d // 2] = upper[d // 2, 0] = 1e-4
+        atoms = [Projector(upper, tols=loose), Projector(np.eye(d) - upper, tols=loose)]
         contexts[-1] = Context(contexts[-1].time, atoms, tols=loose)
-    family = HistoryFamily(contexts, h, 0.0, random_density(rng, 4))
+        assert contexts[-1].law_residual > tols.consist
+        if case == "frame-bound-refuses":
+            # its laws now within ``consist``: the frame is read, and refuses
+            tols = tols.updated(consist=2 * contexts[-1].law_residual)
+    family = HistoryFamily(contexts, h, 0.0, random_density(rng, d))
     lengths = []
     original = histories_module.ordered_products
 
@@ -1170,7 +1183,7 @@ def test_last_atom_blocks_need_the_certificate(case, rng, monkeypatch):
     report = gmh_check(family, tols=tols)
     # the frame reads the prefixes of the earlier times; a bound that does
     # not clear leaves them to the full gram
-    assert lengths == {"default": [2], "loose-last-context": [2, 3]}.get(case, [3])
+    assert lengths == {"default": [2], "frame-bound-refuses": [2, 3]}.get(case, [3])
     full = full_gram_report(family, tols, monkeypatch)
     if case == "default":
         assert report.verdict and full.verdict
@@ -1222,7 +1235,7 @@ def test_frame_scan_matches_the_full_gram(d, n_times, kind, state, seed):
 
     for check in (gmh_check, griffiths_check):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(histories_module, "_frame_grams", lambda *args: None)
+            patch.setattr(histories_module, "_PER_CONTEXT_MIN_DIM", math.inf)
             full = check(family, tols=tols)
             patch.setattr(histories_module, "_PER_CONTEXT_MIN_DIM", 0)
             patch.setattr(histories_module, "_frame_grams", spy)

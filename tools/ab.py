@@ -1,14 +1,14 @@
 """In-process A/B timer: this checkout's qprops against another, per op class.
 
-    python tools/ab.py --against CHECKOUT [--rounds N] [--seed S ...]
+    python tools/ab.py --against CHECKOUT [--rounds N]
 
 Both trees' ``qprops`` are imported into one process under two package
 names (the package imports itself relatively, so a second name works).
 The op lists come from ``bench/multi_time.generate`` and
 ``bench/spin_search.generate`` of this checkout, read as they are: each
 workload module is loaded once per tree, with ``qprops`` bound to that
-tree's package while it imports, and generates its ops from the same seed,
-so both trees run the same inputs.  Every op is checked against its oracle
+tree's package while it imports, and generates its ops from each seed of
+``SEEDS``, the same on both sides, so both trees run the same inputs.  Every op is checked against its oracle
 once per tree first.
 
 Each op class (one op per class and seed) then runs N rounds, one call per
@@ -40,6 +40,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 WORKLOADS = ("multi_time", "spin_search")
+SEEDS = (1, 2, 3)
 
 
 def _describe(tree: Path) -> str:
@@ -126,16 +127,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", type=Path, required=True, help="another checkout")
     parser.add_argument("--rounds", type=int, default=30, help="calls per op class and tree")
-    parser.add_argument(
-        "--seed", type=int, action="append", help="workload seed (repeatable; default 1)"
-    )
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     against = args.against.resolve()
     if not (against / "src" / "qprops" / "__init__.py").exists():
         parser.error(f"{against} holds no src/qprops")
-    seeds = args.seed or [1]
     sys.path.insert(0, str(BENCH))  # the workloads import ``oracle``
     packages = {
         "here": _load_package(ROOT, "qprops_ab_here"),
@@ -145,7 +142,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="qprops-ab-") as scratch:
         for workload in WORKLOADS:
             modules = {side: _load_workload(workload, pkg, side) for side, pkg in packages.items()}
-            for seed in seeds:
+            for seed in SEEDS:
                 ops = {
                     side: _ops(module, seed, Path(scratch) / side / f"{workload}_{seed}")
                     for side, module in modules.items()
@@ -170,7 +167,7 @@ def main(argv=None) -> int:
         "here": _describe(ROOT),
         "against": _describe(against),
         "rounds": args.rounds,
-        "seeds": seeds,
+        "seeds": SEEDS,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
